@@ -205,12 +205,3 @@ def has_main_function(text: str, language: Language) -> bool:
     except ParseError:
         return False
     return "main" in names
-
-
-def identifier_texts(text: str, language: Language) -> set[str]:
-    """Every identifier and keyword spelling in the file (freshness checks)."""
-    out = set()
-    for t in lex(text, language):
-        if t.kind in (TokenKind.IDENT, TokenKind.KEYWORD):
-            out.add(t.text)
-    return out

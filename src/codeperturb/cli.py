@@ -48,7 +48,7 @@ from .peso import derive_seed, run, run_random_baseline
 from .similarity import score_pair
 from .transform import HybridEngine, RuleEngine, perturb
 from .transform.llm import HttpTransport, LlmConfig, LlmEngine, ReplayTransport
-from .verify import VerifyPolicy, default_toolchains, verify
+from .verify import ProgramRunner, VerifyPolicy, default_toolchains, verify
 
 
 class _Parser(argparse.ArgumentParser):
@@ -78,7 +78,11 @@ def build_parser() -> _Parser:
             default="auto",
             help="equivalence stage: execution oracle when inputs exist (auto/exec) or none (stub)",
         )
-        p.add_argument("--no-compile", action="store_true", help="skip the compile stage")
+        p.add_argument(
+            "--no-compile",
+            action="store_true",
+            help="skip the compile stage (the execution oracle still compiles the programs it runs)",
+        )
 
     p = sub.add_parser("perturb", help="apply one method once per sample")
     common(p)
@@ -172,18 +176,19 @@ def _build_engine(args, rest: dict, catalog):
 
 
 def _verifier_for(args, sample: CodeSample, spec: EquivalenceSpec | None):
-    toolchains = default_toolchains()
-    policy = VerifyPolicy(toolchains=toolchains, compile_stage=not getattr(args, "no_compile", False))
+    """The sample's verifier and its ProgramRunner (None without a
+    toolchain); the caller closes the runner when the sample ends."""
+    toolchain = default_toolchains().get(sample.language)
+    runner = ProgramRunner(toolchain) if toolchain else None
+    policy = VerifyPolicy(runner=runner, compile_stage=not getattr(args, "no_compile", False))
     mode = getattr(args, "equivalence", "auto")
-    toolchain = toolchains.get(sample.language)
-    if mode in ("auto", "exec") and spec and spec.input_suite and toolchain:
+    if mode in ("auto", "exec") and spec and spec.input_suite and runner:
         policy.equivalence_spec = spec
-        policy.runner = toolchain
     elif mode == "exec":
         raise ConfigError(
             f"--equivalence exec needs an input_suite and a toolchain for {sample.language.value}"
         )
-    return lambda original, candidate: verify(original, candidate, policy)
+    return (lambda original, candidate: verify(original, candidate, policy)), runner
 
 
 def _safe_name(sample_id: str) -> str:
@@ -205,7 +210,7 @@ def _write_manifest(out: Path, command: str, config: PesoConfig, rest: dict, dig
     (out / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
 
-def _run_over_corpus(args, runner) -> int:
+def _run_over_corpus(args, optimizer) -> int:
     catalog = build_catalog()
     config, rest = _peso_config(args)
     engine = _build_engine(args, rest, catalog)
@@ -218,8 +223,12 @@ def _run_over_corpus(args, runner) -> int:
     def one(item):
         sample, spec = item
         cfg = dataclasses.replace(config, rng_seed=derive_seed(config.rng_seed, sample.id))
-        verifier = _verifier_for(args, sample, spec)
-        return runner(sample, engine, catalog, cfg, verifier)
+        verifier, runner = _verifier_for(args, sample, spec)
+        try:
+            return optimizer(sample, engine, catalog, cfg, verifier)
+        finally:
+            if runner:
+                runner.close()
 
     failures = []
     results = []
@@ -231,7 +240,11 @@ def _run_over_corpus(args, runner) -> int:
             try:
                 collected[sample.id] = future.result()
             except CodePerturbError as exc:
-                failures.append({"sample_id": sample.id, "error": str(exc)})
+                failures.append({
+                    "sample_id": sample.id,
+                    "error": str(exc),
+                    "partial_trace": [r.to_dict() for r in getattr(exc, "partial_trace", ())],
+                })
     for sample, _ in samples:
         if sample.id in collected:
             results.append((sample, collected[sample.id]))
@@ -299,7 +312,7 @@ def cmd_perturb(args) -> int:
     failures = 0
     for sample, spec in samples:
         seed = derive_seed(config.rng_seed, sample.id)
-        verifier = _verifier_for(args, sample, spec)
+        verifier, runner = _verifier_for(args, sample, spec)
         record = {"sample_id": sample.id, "method": method.id}
         try:
             outcome = perturb(engine, sample, method, seed)
@@ -324,6 +337,9 @@ def cmd_perturb(args) -> int:
         except CodePerturbError as exc:
             record.update({"applied": False, "error": f"{type(exc).__name__}: {exc}"})
             failures += 1
+        finally:
+            if runner:
+                runner.close()
         outcomes.append(record)
     write_jsonl(out / "outcomes.jsonl", outcomes)
     applied = sum(1 for r in outcomes if r.get("applied"))
@@ -376,7 +392,7 @@ def cmd_make_tasks(args) -> int:
     if skipped:
         write_jsonl(out / "tasks_skipped.jsonl", skipped)
     print(f"built {len(tasks)} task(s) from {len(records)} pair(s), skipped {len(skipped)}")
-    return 2 if skipped and tasks else (0 if not skipped else 2)
+    return 2 if skipped else 0
 
 
 def cmd_evaluate(args) -> int:

@@ -188,16 +188,6 @@ _METHOD_ROWS: list[tuple[str, MethodCategory, str, frozenset[Language]]] = [
      "Modify the compound assignment operations such as a += b to a = a + b", _PY_GO_C),
 ]
 
-EXPECTED_CATEGORY_COUNTS = {
-    MethodCategory.BASIC: 11,
-    MethodCategory.CONDITION: 6,
-    MethodCategory.LOOP: 2,
-    MethodCategory.LOGIC: 2,
-    MethodCategory.DECOMPOSITION: 2,
-    MethodCategory.ARITHMETIC: 3,
-}
-
-
 @dataclass(frozen=True)
 class MethodCatalog:
     methods: tuple[PerturbationMethod, ...]

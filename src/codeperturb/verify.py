@@ -1,9 +1,12 @@
 """Candidate verification: syntactic validity, optional compilation, and
 semantic-equivalence judging.
 
-The equivalence stage is chosen by precedence: an execution oracle when a
-runner plus input suite is configured, else LLM voting, else a stub. A
-candidate that fails any stage is simply discarded by the optimizer.
+One ProgramRunner per sample writes, compiles and runs every program text
+of that sample, so the compile stage and the execution oracle share each
+compile and the original's outputs. The equivalence stage is chosen by
+precedence: an execution oracle when a runner plus input suite is
+configured, else LLM voting, else a stub. A candidate that fails any stage
+is simply discarded by the optimizer.
 """
 
 from __future__ import annotations
@@ -143,102 +146,110 @@ def _write_sample(sample: CodeSample, directory: Path, toolchain: Toolchain) -> 
     return path
 
 
-def compile_check(sample: CodeSample, toolchain: Toolchain) -> tuple[bool | None, list[str]]:
-    """Invoke the configured compiler in a scratch directory.
-
-    Returns (None, []) when the toolchain has no compile step. Raises
-    ToolchainUnavailable when the command itself cannot run.
-    """
-    if toolchain.compile_argv is None:
-        return None, []
-    with tempfile.TemporaryDirectory(prefix="codeperturb-") as scratch:
-        directory = Path(scratch)
-        path = _write_sample(sample, directory, toolchain)
-        exe = directory / "prog"
-        argv = _fill(toolchain.compile_argv, str(path), scratch, str(exe))
-        try:
-            proc = subprocess.run(
-                argv, capture_output=True, timeout=toolchain.compile_timeout, cwd=scratch
-            )
-        except FileNotFoundError as exc:
-            raise ToolchainUnavailable(f"cannot run {argv[0]!r}: {exc}") from exc
-        except subprocess.TimeoutExpired as exc:
-            raise ToolchainUnavailable(f"compile timed out after {toolchain.compile_timeout}s") from exc
-        if proc.returncode == 0:
-            return True, []
-        tail = proc.stderr.decode("utf-8", "replace").strip().splitlines()[-8:]
-        return False, ["compile failed"] + tail
-
-
 class ProgramRunner:
-    """Compiles (once per text) and runs programs, memoizing outputs."""
+    """Writes, compiles and runs the programs of one sample.
+
+    Each distinct text is written to its own subdirectory of one scratch
+    directory and compiled at most once; compile results, outputs and
+    timeouts are memoized per text (and per input). close() removes the
+    scratch directory.
+    """
 
     def __init__(self, toolchain: Toolchain):
         self.toolchain = toolchain
         self._lock = threading.Lock()
-        self._dirs: dict[str, tempfile.TemporaryDirectory] = {}
-        self._exes: dict[str, tuple[str, str]] = {}
-        self._outputs: dict[tuple[str, str], tuple[bytes, int]] = {}
+        self._scratch: tempfile.TemporaryDirectory | None = None
+        self._builds: dict[str, tuple[bool | None, list[str], Path, str]] = {}
+        self._outputs: dict[tuple[str, str], tuple[bytes, int] | str] = {}
 
-    def _prepare(self, sample: CodeSample) -> tuple[str, str]:
+    def _prepare(self, sample: CodeSample) -> tuple[bool | None, list[str], Path, str]:
         key = hashlib.sha256(sample.text.encode()).hexdigest()
         with self._lock:
-            if key in self._exes:
-                return self._exes[key]
-            holder = tempfile.TemporaryDirectory(prefix="codeperturb-run-")
-            self._dirs[key] = holder
-            directory = Path(holder.name)
+            if key in self._builds:
+                return self._builds[key]
+            if self._scratch is None:
+                self._scratch = tempfile.TemporaryDirectory(prefix="codeperturb-")
+            directory = Path(self._scratch.name) / key[:16]
+            directory.mkdir(exist_ok=True)
             path = _write_sample(sample, directory, self.toolchain)
             exe = str(directory / "prog")
+            ok, diagnostics = None, []
             if self.toolchain.compile_argv is not None:
-                argv = _fill(self.toolchain.compile_argv, str(path), holder.name, exe)
+                argv = _fill(self.toolchain.compile_argv, str(path), str(directory), exe)
                 try:
                     proc = subprocess.run(
                         argv, capture_output=True, timeout=self.toolchain.compile_timeout,
-                        cwd=holder.name,
+                        cwd=directory,
                     )
                 except FileNotFoundError as exc:
                     raise ToolchainUnavailable(f"cannot run {argv[0]!r}: {exc}") from exc
                 except subprocess.TimeoutExpired as exc:
-                    raise RunnerFailure("compile timed out") from exc
-                if proc.returncode != 0:
-                    stderr = proc.stderr.decode("utf-8", "replace")[-500:]
-                    raise RunnerFailure(f"candidate does not compile: {stderr}")
-            self._exes[key] = (str(path), exe)
-            return self._exes[key]
+                    raise ToolchainUnavailable(
+                        f"compile timed out after {self.toolchain.compile_timeout}s"
+                    ) from exc
+                ok = proc.returncode == 0
+                if not ok:
+                    tail = proc.stderr.decode("utf-8", "replace").strip().splitlines()[-8:]
+                    diagnostics = ["compile failed"] + tail
+            self._builds[key] = (ok, diagnostics, path, exe)
+            return self._builds[key]
 
-    def run(self, sample: CodeSample, stdin_text: str) -> tuple[bytes, int]:
-        key = (hashlib.sha256(sample.text.encode()).hexdigest(), stdin_text)
-        with self._lock:
-            if key in self._outputs:
-                return self._outputs[key]
-        path, exe = self._prepare(sample)
-        argv = _fill(self.toolchain.run_argv, path, str(Path(path).parent), exe)
+    def compile(self, sample: CodeSample) -> tuple[bool | None, list[str]]:
+        """(None, []) without a compile step, (True, []) on success, else
+        (False, ["compile failed", <last 8 stderr lines>]). Raises
+        ToolchainUnavailable when the compiler cannot start or times out.
+        """
+        if self.toolchain.compile_argv is None:
+            return None, []
+        ok, diagnostics, _, _ = self._prepare(sample)
+        return ok, list(diagnostics)
+
+    def _execute(self, sample: CodeSample, stdin_text: str) -> tuple[bytes, int] | str:
+        ok, diagnostics, path, exe = self._prepare(sample)
+        if ok is False:
+            raise RunnerFailure("candidate does not compile: " + "\n".join(diagnostics[1:]))
+        argv = _fill(self.toolchain.run_argv, str(path), str(path.parent), exe)
         try:
             proc = subprocess.run(
                 argv,
                 input=stdin_text.encode(),
                 capture_output=True,
                 timeout=self.toolchain.run_timeout,
-                cwd=str(Path(path).parent),
+                cwd=path.parent,
             )
         except FileNotFoundError as exc:
             raise RunnerFailure(f"cannot run {argv[0]!r}: {exc}") from exc
-        except subprocess.TimeoutExpired as exc:
-            raise ExecutionTimeout(
-                f"{sample.id}: input {stdin_text[:30]!r} exceeded {self.toolchain.run_timeout}s"
-            ) from exc
-        result = (proc.stdout, proc.returncode)
+        except subprocess.TimeoutExpired:
+            return f"{sample.id}: input {stdin_text[:30]!r} exceeded {self.toolchain.run_timeout}s"
+        return proc.stdout, proc.returncode
+
+    def run(self, sample: CodeSample, stdin_text: str) -> tuple[bytes, int]:
+        """(stdout, exit status) of the program on one input."""
+        key = (hashlib.sha256(sample.text.encode()).hexdigest(), stdin_text)
         with self._lock:
-            self._outputs[key] = result
+            result = self._outputs.get(key)
+        if result is None:
+            result = self._execute(sample, stdin_text)
+            with self._lock:
+                self._outputs[key] = result
+        if isinstance(result, str):  # the message of a memoized timeout
+            raise ExecutionTimeout(result)
         return result
+
+    def close(self) -> None:
+        """Remove every file this runner wrote; later calls rebuild."""
+        with self._lock:
+            if self._scratch is not None:
+                self._scratch.cleanup()
+                self._scratch = None
+            self._builds.clear()
 
 
 def execution_equivalence(
     original: CodeSample,
     candidate: CodeSample,
     spec: EquivalenceSpec,
-    runner: Toolchain | ProgramRunner,
+    runner: ProgramRunner,
 ) -> bool:
     """Byte-compare stdout and exit status over the whole input suite.
 
@@ -248,10 +259,9 @@ def execution_equivalence(
     """
     if not spec.input_suite:
         raise ConfigError("equivalence spec has an empty input suite")
-    prog_runner = runner if isinstance(runner, ProgramRunner) else ProgramRunner(runner)
     for stdin_text in spec.input_suite:
-        out_a, code_a = prog_runner.run(original, stdin_text)
-        out_b, code_b = prog_runner.run(candidate, stdin_text)
+        out_a, code_a = runner.run(original, stdin_text)
+        out_b, code_b = runner.run(candidate, stdin_text)
         if out_a != out_b or code_a != code_b:
             return False
     return True
@@ -277,20 +287,6 @@ class StubVoter:
 
     def vote(self, original: CodeSample, candidate: CodeSample) -> bool:
         return True
-
-
-class ExecutionVoter:
-    """Ground-truth voter backed by the execution oracle."""
-
-    kind = "EXECUTION_ORACLE"
-
-    def __init__(self, spec: EquivalenceSpec, runner: Toolchain | ProgramRunner, voter_id: str = "execution_oracle"):
-        self.id = voter_id
-        self.spec = spec
-        self.runner = runner if isinstance(runner, ProgramRunner) else ProgramRunner(runner)
-
-    def vote(self, original: CodeSample, candidate: CodeSample) -> bool:
-        return execution_equivalence(original, candidate, self.spec, self.runner)
 
 
 _JUDGE_PROMPT = (
@@ -377,13 +373,13 @@ class VerificationReport:
 class VerifyPolicy:
     """What verification stages run and with what resources.
 
-    Equivalence precedence: execution oracle (runner + input suite), then
-    LLM voting, then nothing (syntax/compile only).
+    The runner, when set, serves both the compile stage and the execution
+    oracle. Equivalence precedence: execution oracle (runner + input
+    suite), then LLM voting, then nothing (syntax/compile only).
     """
 
-    toolchains: dict[Language, Toolchain] = field(default_factory=dict)
     equivalence_spec: EquivalenceSpec | None = None
-    runner: Toolchain | ProgramRunner | None = None
+    runner: ProgramRunner | None = None
     voters: list = field(default_factory=list)
     compile_stage: bool = True
 
@@ -393,9 +389,8 @@ def verify(original: CodeSample, candidate: CodeSample, policy: VerifyPolicy) ->
     if not syntax_ok:
         return VerificationReport(False, None, (), False, tuple(diagnostics))
     compile_ok: bool | None = None
-    toolchain = policy.toolchains.get(candidate.language)
-    if policy.compile_stage and toolchain is not None and toolchain.compile_argv is not None:
-        compile_ok, diags = compile_check(candidate, toolchain)
+    if policy.compile_stage and policy.runner is not None:
+        compile_ok, diags = policy.runner.compile(candidate)
         diagnostics.extend(diags)
         if compile_ok is False:
             return VerificationReport(True, False, (), False, tuple(diagnostics))

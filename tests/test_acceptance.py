@@ -162,7 +162,9 @@ def test_criterion_05_semantic_preservation_oracle():
         assert len(corpus) >= 20 and len(languages) >= 2
         toolchains = default_toolchains()
         runners = {lang: ProgramRunner(toolchains[lang]) for lang in languages}
-        policy = VerifyPolicy(toolchains=toolchains)
+        # verify() compiles through the same runner the equivalence check
+        # uses, so each candidate is compiled once.
+        policies = {lang: VerifyPolicy(runner=runners[lang]) for lang in languages}
         applied = {lang: 0 for lang in languages}
         for sample, spec in corpus:
             for m in CATALOG.methods:
@@ -173,7 +175,7 @@ def test_criterion_05_semantic_preservation_oracle():
                     outcome = rule_engine_apply(sample, m, seed)
                 except NotApplicable:
                     continue
-                report = verify(sample, outcome.candidate, policy)
+                report = verify(sample, outcome.candidate, policies[sample.language])
                 assert report.passed, (
                     f"{sample.id}/{m.id}: rule output failed verification: {report.diagnostics}"
                 )
@@ -182,6 +184,8 @@ def test_criterion_05_semantic_preservation_oracle():
                 )
                 assert equivalent, f"{sample.id}/{m.id}: behavior changed"
                 applied[sample.language] += 1
+        for runner in runners.values():
+            runner.close()
         assert all(count >= 40 for count in applied.values()), applied
 
 

@@ -1,4 +1,6 @@
 import json
+import tempfile
+import warnings
 from pathlib import Path
 
 import pytest
@@ -168,3 +170,48 @@ def test_make_tasks_and_evaluate_flow(small_corpus, tmp_path, capsys):
 
 def test_usage_error_exits_one(capsys):
     assert run_cli("peso-run") == 1
+
+
+def test_peso_run_removes_its_scratch_directories(tmp_path, monkeypatch, capsys):
+    corpus = [
+        item for item in load_fixture_corpus() if item[0].id in ("collatz.c", "collatz.py")
+    ]
+    assert {s.language for s, _ in corpus} == {Language.C_CPP, Language.PYTHON}
+    path = tmp_path / "corpus.jsonl"
+    write_corpus_jsonl(path, corpus)
+    scratch = tmp_path / "tmp"
+    scratch.mkdir()
+    monkeypatch.setattr(tempfile, "tempdir", str(scratch))
+    # A directory left to the garbage collector is removed with a
+    # ResourceWarning, so the warnings show whether each runner was closed.
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = run_cli(
+            "peso-run", "--corpus", path, "--engine", "rule", "--seed", "2", "--max-iter", "2",
+            "--equivalence", "exec", "--output-dir", tmp_path / "out",
+        )
+    assert code == 0
+    summaries = read_jsonl(tmp_path / "out" / "summary.jsonl")
+    assert len(summaries) == 2
+    assert not list(scratch.glob("codeperturb-*"))
+    assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
+
+
+def test_failed_sample_keeps_its_partial_trace(tmp_path, capsys):
+    corpus = [item for item in load_fixture_corpus() if item[0].id == "collatz.py"]
+    path = tmp_path / "corpus.jsonl"
+    write_corpus_jsonl(path, corpus)
+    replies = tmp_path / "replies"
+    replies.mkdir()
+    out = tmp_path / "out"
+    code = run_cli(
+        "peso-run", "--corpus", path, "--engine", "hybrid", "--replay-dir", replies,
+        "--seed", "2", "--output-dir", out,
+    )
+    assert code == 2
+    [failure] = read_jsonl(out / "failures.jsonl")
+    assert failure["sample_id"] == "collatz.py"
+    assert "no canned reply" in failure["error"]
+    trace = failure["partial_trace"]
+    assert [r["phase"] for r in trace[:2]] == ["rename", "rename"]
+    assert [r["method_id"] for r in trace[:2]] == ["function_rename", "variables_rename"]

@@ -1,14 +1,20 @@
+import argparse
 import itertools
+import subprocess
+import sys
+from collections import Counter
+from pathlib import Path
 
 import pytest
 
-from codeperturb.core import CodeSample, EquivalenceSpec, Language, Origin
-from codeperturb.errors import ConfigError, ToolchainUnavailable
+from codeperturb.cli import _verifier_for
+from codeperturb.core import CodeSample, EquivalenceSpec, Language, Origin, PesoConfig, build_catalog
+from codeperturb.errors import ConfigError, RunnerFailure, ToolchainUnavailable
 from codeperturb.verify import (
+    ProgramRunner,
     StubVoter,
     Toolchain,
     VerifyPolicy,
-    compile_check,
     default_toolchains,
     ensure_main,
     execution_equivalence,
@@ -16,8 +22,26 @@ from codeperturb.verify import (
     verify,
     vote_equivalence,
 )
+from codeperturb.peso import run
+from codeperturb.transform import RuleEngine
+
+from .conftest import load_fixture_corpus
 
 TOOLCHAINS = default_toolchains()
+
+
+@pytest.fixture
+def make_runner():
+    """ProgramRunner factory (Python by default); closes its runners."""
+    made = []
+
+    def make(toolchain=TOOLCHAINS[Language.PYTHON]):
+        made.append(ProgramRunner(toolchain))
+        return made[-1]
+
+    yield make
+    for runner in made:
+        runner.close()
 
 
 def sample(text, lang=Language.PYTHON, sid="s.py"):
@@ -66,40 +90,41 @@ def test_ensure_main_injects_once():
 
 
 # ---------------------------------------------------------------------------
-# compile_check
+# ProgramRunner.compile
 # ---------------------------------------------------------------------------
 
-def test_compile_check_well_formed_c():
+def test_compile_check_well_formed_c(make_runner):
     if Language.C_CPP not in TOOLCHAINS:
         pytest.skip("no C toolchain")
-    ok, diags = compile_check(
+    ok, diags = make_runner(TOOLCHAINS[Language.C_CPP]).compile(
         sample("#include <stdio.h>\nint main(void) { printf(\"hi\\n\"); return 0; }\n",
                Language.C_CPP, "p.c"),
-        TOOLCHAINS[Language.C_CPP],
     )
     assert ok is True and not diags
 
 
-def test_compile_check_type_error_reports_stderr():
+def test_compile_check_type_error_reports_stderr(make_runner):
     if Language.C_CPP not in TOOLCHAINS:
         pytest.skip("no C toolchain")
-    ok, diags = compile_check(
-        sample("int main(void) { int x = \"nope\"nope; return 0; }\n", Language.C_CPP, "p.c"),
-        TOOLCHAINS[Language.C_CPP],
-    )
+    runner = make_runner(TOOLCHAINS[Language.C_CPP])
+    broken = sample("int main(void) { int x = \"nope\"nope; return 0; }\n", Language.C_CPP, "p.c")
+    ok, diags = runner.compile(broken)
     assert ok is False
-    assert len(diags) > 1
+    assert diags[0] == "compile failed" and len(diags) > 1
+    with pytest.raises(RunnerFailure, match="does not compile") as failure:
+        runner.run(broken, "")
+    assert diags[-1] in str(failure.value)
 
 
-def test_compile_check_skipped_without_compile_step():
-    ok, diags = compile_check(sample("x = 1\n"), TOOLCHAINS[Language.PYTHON])
+def test_compile_check_skipped_without_compile_step(make_runner):
+    ok, diags = make_runner().compile(sample("x = 1\n"))
     assert ok is None and diags == []
 
 
-def test_compile_check_toolchain_unavailable():
+def test_compile_check_toolchain_unavailable(make_runner):
     bad = Toolchain(compile_argv=("definitely-not-a-compiler", "{file}"), run_argv=("{exe}",), extension=".c")
     with pytest.raises(ToolchainUnavailable):
-        compile_check(sample("int main(void){return 0;}", Language.C_CPP, "p.c"), bad)
+        make_runner(bad).compile(sample("int main(void){return 0;}", Language.C_CPP, "p.c"))
 
 
 # ---------------------------------------------------------------------------
@@ -109,39 +134,39 @@ def test_compile_check_toolchain_unavailable():
 PY_PROG = "import sys\nn = int(sys.stdin.read() or 0)\nprint(n * 2)\n"
 
 
-def test_execution_identical_programs():
+def test_execution_identical_programs(make_runner):
     s = sample(PY_PROG)
     spec = EquivalenceSpec(input_suite=("1\n", "2\n", "40\n"))
-    assert execution_equivalence(s, s, spec, TOOLCHAINS[Language.PYTHON]) is True
+    assert execution_equivalence(s, s, spec, make_runner()) is True
 
 
-def test_execution_rename_equivalent():
+def test_execution_rename_equivalent(make_runner):
     a = sample(PY_PROG)
     b = derived(a, "import sys\nvalue = int(sys.stdin.read() or 0)\nprint(value * 2)\n")
     spec = EquivalenceSpec(input_suite=tuple(f"{i}\n" for i in range(10)))
-    assert execution_equivalence(a, b, spec, TOOLCHAINS[Language.PYTHON]) is True
+    assert execution_equivalence(a, b, spec, make_runner()) is True
 
 
-def test_execution_detects_flipped_comparison():
+def test_execution_detects_flipped_comparison(make_runner):
     a = sample("import sys\nn = int(sys.stdin.read())\nprint('big' if n > 5 else 'small')\n")
     b = derived(a, "import sys\nn = int(sys.stdin.read())\nprint('big' if n < 5 else 'small')\n")
     spec = EquivalenceSpec(input_suite=("9\n",))
-    assert execution_equivalence(a, b, spec, TOOLCHAINS[Language.PYTHON]) is False
+    assert execution_equivalence(a, b, spec, make_runner()) is False
 
 
-def test_execution_symmetric():
+def test_execution_symmetric(make_runner):
     a = sample(PY_PROG)
     b = derived(a, "import sys\nprint(int(sys.stdin.read() or 0) * 2)\n")
     spec = EquivalenceSpec(input_suite=("3\n", "5\n"))
-    assert execution_equivalence(a, b, spec, TOOLCHAINS[Language.PYTHON]) == execution_equivalence(
-        b, a, spec, TOOLCHAINS[Language.PYTHON]
+    assert execution_equivalence(a, b, spec, make_runner()) == execution_equivalence(
+        b, a, spec, make_runner()
     )
 
 
-def test_execution_requires_inputs():
+def test_execution_requires_inputs(make_runner):
     s = sample(PY_PROG)
     with pytest.raises(ConfigError):
-        execution_equivalence(s, s, EquivalenceSpec(input_suite=()), TOOLCHAINS[Language.PYTHON])
+        execution_equivalence(s, s, EquivalenceSpec(input_suite=()), make_runner())
 
 
 # ---------------------------------------------------------------------------
@@ -206,13 +231,12 @@ def test_verify_short_circuits_on_syntax():
     assert calls == []
 
 
-def test_verify_execution_oracle_path():
+def test_verify_execution_oracle_path(make_runner):
     base = sample(PY_PROG)
     good = derived(base, "import sys\nk = int(sys.stdin.read() or 0)\nprint(k * 2)\n")
     policy = VerifyPolicy(
-        toolchains=TOOLCHAINS,
         equivalence_spec=EquivalenceSpec(input_suite=("4\n", "7\n")),
-        runner=TOOLCHAINS[Language.PYTHON],
+        runner=make_runner(),
     )
     report = verify(base, good, policy)
     assert report.passed
@@ -240,3 +264,51 @@ def test_verify_stub_path_accepts():
     cand = derived(base, PY_PROG + "\n")
     report = verify(base, cand, VerifyPolicy())
     assert report.passed and report.votes == ()
+
+
+# ---------------------------------------------------------------------------
+# One runner per sample
+# ---------------------------------------------------------------------------
+
+def test_runner_pays_a_timeout_once(monkeypatch, make_runner):
+    runner = make_runner(Toolchain(run_argv=(sys.executable, "{file}"), extension=".py", run_timeout=0.5))
+    policy = VerifyPolicy(equivalence_spec=EquivalenceSpec(input_suite=("1\n",)), runner=runner)
+    calls = []
+    real_run = subprocess.run
+    monkeypatch.setattr(subprocess, "run", lambda argv, **kw: calls.append(argv) or real_run(argv, **kw))
+    base = sample("import time\ntime.sleep(30)\n")
+    reports = [verify(base, derived(base, f"print({i})\n"), policy) for i in (1, 2)]
+    assert len(calls) == 1
+    for report in reports:
+        assert report.passed is False
+        assert any("exceeded 0.5s" in d for d in report.diagnostics), report.diagnostics
+
+
+def test_cli_verifier_compiles_each_text_once_and_runs_the_original_once_per_input(monkeypatch):
+    if Language.C_CPP not in TOOLCHAINS:
+        pytest.skip("no C toolchain")
+    original, spec = next(item for item in load_fixture_corpus() if item[0].id == "collatz.c")
+    compiled, ran = [], []
+    real_run = subprocess.run
+
+    def spy(argv, **kwargs):
+        if argv[0] == "gcc":
+            compiled.append(Path(argv[1]).read_text())
+        else:
+            source = next(Path(argv[0]).parent.glob("*.c")).read_text()
+            ran.append((source, kwargs["input"].decode()))
+        return real_run(argv, **kwargs)
+
+    monkeypatch.setattr(subprocess, "run", spy)
+    args = argparse.Namespace(equivalence="auto", no_compile=False)
+    verifier, runner = _verifier_for(args, original, spec)
+    catalog = build_catalog()
+    try:
+        result = run(original, RuleEngine(catalog), catalog, PesoConfig(rng_seed=11, max_iter=3), verifier)
+    finally:
+        runner.close()
+    assert sum(r.verified for r in result.records) >= 2
+    assert len(compiled) > 1
+    assert Counter(compiled).most_common(1)[0][1] == 1
+    original_runs = Counter(stdin for source, stdin in ran if source == original.text)
+    assert original_runs == Counter(spec.input_suite)
