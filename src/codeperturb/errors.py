@@ -73,5 +73,10 @@ class ExecutionTimeout(RunnerFailure):
     """A single input exceeded its execution time budget."""
 
 
+class OriginalUnrunnable(CodePerturbError):
+    """A sample's original program fails or times out under the execution
+    oracle, so none of its candidates can be checked: the sample fails."""
+
+
 class RegionUnavailable(CodePerturbError):
     """No perturbed function has enough maskable lines for any task size."""

@@ -19,6 +19,7 @@ from .errors import (
     EngineFailure,
     MalformedAnswer,
     NotApplicable,
+    OriginalUnrunnable,
     ParseError,
     UnsupportedCombination,
 )
@@ -235,7 +236,11 @@ def _attempt(
         exc.partial_trace = tuple(state.trace)
         raise
     else:
-        report = verifier(state.original, outcome.candidate)
+        try:
+            report = verifier(state.original, outcome.candidate)
+        except OriginalUnrunnable as exc:
+            exc.partial_trace = tuple(state.trace)
+            raise
         verification = report.to_dict() if hasattr(report, "to_dict") else None
         verified = bool(report.passed)
         if verified:

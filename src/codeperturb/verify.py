@@ -6,7 +6,8 @@ of that sample, so the compile stage and the execution oracle share each
 compile and the original's outputs. The equivalence stage is chosen by
 precedence: an execution oracle when a runner plus input suite is
 configured, else LLM voting, else a stub. A candidate that fails any stage
-is simply discarded by the optimizer.
+is simply discarded by the optimizer; an original that fails or times out
+under the oracle fails its whole sample instead (OriginalUnrunnable).
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from .errors import (
     ConfigError,
     ExecutionTimeout,
     LexError,
+    OriginalUnrunnable,
     RunnerFailure,
     ToolchainUnavailable,
 )
@@ -255,12 +257,17 @@ def execution_equivalence(
 
     Extra function parameters with neutral defaults (spec.extra_params_allowed)
     never surface at the process boundary, so no special handling is needed
-    beyond comparing program-level behavior.
+    beyond comparing program-level behavior. A failure or timeout of the
+    original raises OriginalUnrunnable; one of the candidate propagates as
+    is and rejects only that candidate.
     """
     if not spec.input_suite:
         raise ConfigError("equivalence spec has an empty input suite")
     for stdin_text in spec.input_suite:
-        out_a, code_a = runner.run(original, stdin_text)
+        try:
+            out_a, code_a = runner.run(original, stdin_text)
+        except (RunnerFailure, ToolchainUnavailable) as exc:
+            raise OriginalUnrunnable(f"original cannot be run: {exc}") from exc
         out_b, code_b = runner.run(candidate, stdin_text)
         if out_a != out_b or code_a != code_b:
             return False

@@ -1,15 +1,19 @@
 import json
+import subprocess
+import sys
 import tempfile
 import warnings
 from pathlib import Path
 
 import pytest
 
+from codeperturb import cli
 from codeperturb.cli import main
 from codeperturb.corpusio import read_jsonl
+from codeperturb.verify import Toolchain
 
 from .conftest import load_fixture_corpus, write_corpus_jsonl
-from codeperturb.core import Language
+from codeperturb.core import CodeSample, EquivalenceSpec, Language
 
 
 @pytest.fixture
@@ -215,3 +219,31 @@ def test_failed_sample_keeps_its_partial_trace(tmp_path, capsys):
     trace = failure["partial_trace"]
     assert [r["phase"] for r in trace[:2]] == ["rename", "rename"]
     assert [r["method_id"] for r in trace[:2]] == ["function_rename", "variables_rename"]
+
+
+def test_a_sample_whose_original_times_out_fails_once(tmp_path, monkeypatch, capsys):
+    chain = Toolchain(run_argv=(sys.executable, "{file}"), extension=".py", run_timeout=0.5)
+    monkeypatch.setattr(cli, "default_toolchains", lambda: {Language.PYTHON: chain})
+    runs = []
+    real_run = subprocess.run
+    monkeypatch.setattr(subprocess, "run", lambda argv, **kw: runs.append(argv) or real_run(argv, **kw))
+    text = "import time\ncount = int(input())\ntime.sleep(30)\nprint(count)\n"
+    path = tmp_path / "corpus.jsonl"
+    write_corpus_jsonl(path, [(CodeSample(id="sleepy.py", language=Language.PYTHON, text=text),
+                               EquivalenceSpec(input_suite=("1\n", "2\n")))])
+    out = tmp_path / "out"
+    code = run_cli(
+        "peso-run", "--corpus", path, "--engine", "rule", "--seed", "2", "--max-iter", "5",
+        "--equivalence", "exec", "--output-dir", out,
+    )
+    assert code == 2
+    [failure] = read_jsonl(out / "failures.jsonl")
+    assert failure["sample_id"] == "sleepy.py"
+    assert "original cannot be run" in failure["error"] and "exceeded 0.5s" in failure["error"]
+    # The attempts before the first candidate that reached the oracle are
+    # kept; that oracle call waited on the original once and failed the sample.
+    trace = failure["partial_trace"]
+    assert [r["method_id"] for r in trace[:2]] == ["function_rename", "variables_rename"]
+    assert all("skipped" in r["verification"] for r in trace)
+    assert len(runs) == 1
+    assert read_jsonl(out / "summary.jsonl") == []

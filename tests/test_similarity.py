@@ -1,11 +1,19 @@
 import math
+import os
+import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from codeperturb.core import CodeSample, Language, PesoConfig
+import codeperturb
+from codeperturb import similarity
+from codeperturb.core import CodeSample, Language, PesoConfig, build_catalog
 from codeperturb.errors import EmptyStream, LanguageMismatch, LexError
+from codeperturb.peso import run
 from codeperturb.similarity import (
     TokenStream,
     combined_score,
@@ -16,8 +24,11 @@ from codeperturb.similarity import (
     surface_similarity,
     tokenize,
 )
+from codeperturb.transform import RuleEngine
+from codeperturb.verify import VerifyPolicy, verify
 
-from .oracles import brute_force_coverage, dp_levenshtein
+from .conftest import load_fixture_corpus
+from .oracles import brute_force_coverage, brute_force_tiles, dp_levenshtein
 
 CFG = PesoConfig()
 
@@ -67,6 +78,46 @@ def test_longer_strings_against_oracle():
     a = "def f(x):\n    return x * 2 + 1\n" * 8
     b = "def g(y):\n    return y + y + 1\n" * 8
     assert levenshtein_distance(a, b) == dp_levenshtein(a, b)
+
+
+SHARED_HEAD = "def f(x):\n    return x * 2 + 1\n" * 6
+SHARED_TAIL = "\nfor i in range(10):\n    print(f(i))\n" * 6
+
+
+@pytest.mark.parametrize(
+    "a, b",
+    [
+        (SHARED_HEAD + "x" + SHARED_TAIL, SHARED_HEAD + SHARED_TAIL),
+        (SHARED_HEAD + SHARED_TAIL, SHARED_HEAD + "xy" + SHARED_TAIL),
+        (SHARED_HEAD + "x" + SHARED_TAIL, SHARED_HEAD + "y" + SHARED_TAIL),
+        (SHARED_HEAD, SHARED_HEAD + SHARED_TAIL),
+        (SHARED_TAIL, SHARED_HEAD + SHARED_TAIL),
+        ("aaab", "aab"),
+        ("baaa", "baa"),
+        ("aaaa", "aaa"),
+        ("abab", "ab"),
+        ("abcabc", "abcbc"),
+        ("ab", "ba"),
+        ("a", "aa"),
+    ],
+)
+def test_levenshtein_near_identical_matches_dp_oracle(a, b):
+    assert levenshtein_distance(a, b) == dp_levenshtein(a, b)
+    assert levenshtein_distance(b, a) == dp_levenshtein(a, b)
+
+
+@given(
+    st.text(alphabet="ab", max_size=40),
+    st.integers(min_value=0, max_value=40),
+    st.sampled_from(["insert", "delete", "substitute"]),
+    st.sampled_from("abc"),
+)
+@settings(max_examples=300, deadline=None)
+def test_levenshtein_single_edit_matches_dp_oracle(base, pos, op, ch):
+    pos = min(pos, len(base))
+    rest = base[pos:] if op == "insert" else base[pos + 1 :]
+    other = base[:pos] + ("" if op == "delete" else ch) + rest
+    assert levenshtein_distance(base, other) == dp_levenshtein(base, other)
 
 
 # ---------------------------------------------------------------------------
@@ -154,6 +205,50 @@ def test_semantic_symmetric_and_in_range(a, b):
     assert 0.0 <= s <= 1.0
 
 
+@st.composite
+def repeat_heavy_pairs(draw):
+    """Two streams over a tiny alphabet, built from one repeated motif with
+    a few spot edits, so that runs overlap, get split and are re-queued."""
+    alphabet = ("ID", "=", "(")[: draw(st.integers(min_value=1, max_value=3))]
+    motif = draw(st.lists(st.sampled_from(alphabet), min_size=1, max_size=5))
+
+    def one():
+        seq = motif * draw(st.integers(min_value=0, max_value=12))
+        for pos, tok in draw(st.lists(st.tuples(st.integers(0, 59), st.sampled_from(alphabet)), max_size=4)):
+            if seq:
+                seq[pos % len(seq)] = tok
+        return tuple(seq)
+
+    return one(), one()
+
+
+@given(repeat_heavy_pairs(), st.integers(min_value=1, max_value=6))
+@settings(max_examples=300, deadline=None)
+def test_greedy_tiles_match_brute_force_tiles(pair, min_len):
+    a, b = pair
+    assert greedy_tiles(a, b, min_len) == brute_force_tiles(a, b, min_len)
+
+
+def test_greedy_tiles_on_a_repetitive_1k_pair():
+    """Expected list computed once with tests.oracles.brute_force_tiles."""
+    rng = random.Random(7)
+    alphabet = ("ID", "=", "(", ")", "INT", ":")
+    motifs = [tuple(rng.choice(alphabet) for _ in range(40)) for _ in range(5)]
+    a = [tok for k in range(25) for tok in motifs[k % 5]]
+    order = list(range(25))
+    rng.shuffle(order)
+    b = [tok for k in order for tok in motifs[k % 5]]
+    for pos in rng.sample(range(len(b)), 12):
+        b[pos] = "return"
+    assert greedy_tiles(tuple(a), tuple(b), 9) == [
+        (103, 137, 617), (81, 280, 0), (80, 40, 240), (80, 560, 520), (41, 400, 760),
+        (41, 839, 399), (40, 240, 920), (40, 480, 200), (40, 520, 720), (40, 680, 880),
+        (40, 760, 160), (39, 361, 801), (37, 441, 81), (37, 720, 440), (35, 0, 320),
+        (33, 806, 126), (29, 920, 840), (26, 973, 373), (21, 659, 979), (20, 900, 500),
+        (18, 640, 960), (16, 120, 600), (12, 960, 360), (10, 950, 870),
+    ]
+
+
 def test_greedy_tiles_do_not_overlap():
     a = tuple(["x", "y"] * 20)
     b = tuple(["x", "y"] * 15 + ["z"] * 5)
@@ -236,3 +331,39 @@ def test_score_pair_golden_fixture():
     assert sc.s1 == expect_s1
     assert sc.s2 == expect_s2
     assert sc.ss == pytest.approx(0.5 * expect_s1 + 0.5 * expect_s2, abs=1e-12)
+
+
+def test_peso_run_lexes_the_original_once_for_scoring(monkeypatch):
+    fixture, _ = next(item for item in load_fixture_corpus() if item[0].id == "collatz.py")
+    # A text no other test scores, so that no earlier call has cached it.
+    original = sample(fixture.text + "# lexed once for scoring\n", sid=fixture.id)
+    lexed = []
+    real_lex = similarity.lex
+    monkeypatch.setattr(similarity, "lex", lambda text, language: lexed.append(text) or real_lex(text, language))
+    catalog = build_catalog()
+    result = run(original, RuleEngine(catalog), catalog, PesoConfig(rng_seed=11, max_iter=3),
+                 lambda o, c: verify(o, c, VerifyPolicy()))
+    scored = [r for r in result.records if r.score is not None]
+    assert len(scored) >= 2
+    assert lexed[0] == original.text
+    assert len(lexed) == len(scored) + 1
+
+
+def test_an_unlexable_original_fails_on_every_call(monkeypatch):
+    lexed = []
+    real_lex = similarity.lex
+    monkeypatch.setattr(similarity, "lex", lambda text, language: lexed.append(text) or real_lex(text, language))
+    bad = sample('x = "never closed')
+    for _ in range(2):
+        with pytest.raises(LexError):
+            score_pair(bad, sample("x = 1"), CFG)
+    assert lexed == [bad.text, bad.text]
+
+
+def test_importing_the_cli_leaves_numpy_out():
+    env = {**os.environ, "PYTHONPATH": str(Path(codeperturb.__file__).parents[1])}
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, codeperturb.cli; print('numpy' in sys.modules)"],
+        capture_output=True, text=True, env=env, check=True,
+    )
+    assert proc.stdout.strip() == "False"

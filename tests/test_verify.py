@@ -9,7 +9,7 @@ import pytest
 
 from codeperturb.cli import _verifier_for
 from codeperturb.core import CodeSample, EquivalenceSpec, Language, Origin, PesoConfig, build_catalog
-from codeperturb.errors import ConfigError, RunnerFailure, ToolchainUnavailable
+from codeperturb.errors import ConfigError, OriginalUnrunnable, RunnerFailure, ToolchainUnavailable
 from codeperturb.verify import (
     ProgramRunner,
     StubVoter,
@@ -277,11 +277,20 @@ def test_runner_pays_a_timeout_once(monkeypatch, make_runner):
     real_run = subprocess.run
     monkeypatch.setattr(subprocess, "run", lambda argv, **kw: calls.append(argv) or real_run(argv, **kw))
     base = sample("import time\ntime.sleep(30)\n")
-    reports = [verify(base, derived(base, f"print({i})\n"), policy) for i in (1, 2)]
+    for i in (1, 2):
+        with pytest.raises(OriginalUnrunnable, match="exceeded 0.5s"):
+            verify(base, derived(base, f"print({i})\n"), policy)
     assert len(calls) == 1
-    for report in reports:
-        assert report.passed is False
-        assert any("exceeded 0.5s" in d for d in report.diagnostics), report.diagnostics
+
+
+def test_a_timed_out_candidate_is_only_rejected(make_runner):
+    runner = make_runner(Toolchain(run_argv=(sys.executable, "{file}"), extension=".py", run_timeout=0.5))
+    policy = VerifyPolicy(equivalence_spec=EquivalenceSpec(input_suite=("1\n",)), runner=runner)
+    base = sample("print(1)\n")
+    report = verify(base, derived(base, "import time\ntime.sleep(30)\nprint(1)\n"), policy)
+    assert report.passed is False
+    assert any("execution oracle failed" in d and "exceeded 0.5s" in d for d in report.diagnostics)
+    assert verify(base, derived(base, "print(2 - 1)\n"), policy).passed
 
 
 def test_cli_verifier_compiles_each_text_once_and_runs_the_original_once_per_input(monkeypatch):
