@@ -17,7 +17,6 @@ from .core import (
     PerturbationMethod,
     PesoConfig,
     build_catalog,
-    method_by_id,
 )
 from .similarity import (
     SimilarityScore,
@@ -45,7 +44,6 @@ __all__ = [
     "TokenStream",
     "build_catalog",
     "combined_score",
-    "method_by_id",
     "score_pair",
     "semantic_similarity",
     "surface_similarity",

@@ -99,6 +99,19 @@ class CompletionTask:
             "region_anchor": dict(self.region_anchor),
         }
 
+    @classmethod
+    def from_dict(cls, record: dict) -> "CompletionTask":
+        return cls(
+            task_id=record["task_id"],
+            sample_id=record["sample_id"],
+            variant=Variant(record["variant"]),
+            mask_lines=int(record["mask_lines"]),
+            prefix=record["prefix"],
+            ground_truth=record["ground_truth"],
+            suffix=record["suffix"],
+            region_anchor=record.get("region_anchor", {}),
+        )
+
 
 @dataclass(frozen=True)
 class PerturbedPair:
@@ -272,6 +285,18 @@ class AccuracyReport:
             "deltas": {str(k): v for k, v in sorted(self.deltas.items())},
             "missing": list(self.missing),
         }
+
+    @classmethod
+    def from_dict(cls, record: dict) -> "AccuracyReport":
+        buckets = {}
+        for key, stats in record.get("buckets", {}).items():
+            variant, size = key.rsplit(":", 1)
+            buckets[(variant, int(size))] = stats
+        return cls(
+            buckets=buckets,
+            deltas={int(k): v for k, v in record.get("deltas", {}).items()},
+            missing=tuple(record.get("missing", ())),
+        )
 
 
 def evaluate_tasks(

@@ -19,6 +19,8 @@ from pathlib import Path
 
 from . import __version__
 from .bench import (
+    AccuracyReport,
+    CompletionTask,
     Judge,
     PerturbedPair,
     build_tasks,
@@ -396,22 +398,7 @@ def cmd_make_tasks(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    from .bench import CompletionTask, Variant
-
-    task_records = read_jsonl(args.tasks)
-    tasks = [
-        CompletionTask(
-            task_id=r["task_id"],
-            sample_id=r["sample_id"],
-            variant=Variant(r["variant"]),
-            mask_lines=int(r["mask_lines"]),
-            prefix=r["prefix"],
-            ground_truth=r["ground_truth"],
-            suffix=r["suffix"],
-            region_anchor=r.get("region_anchor", {}),
-        )
-        for r in task_records
-    ]
+    tasks = [CompletionTask.from_dict(r) for r in read_jsonl(args.tasks)]
     completions = read_completions(args.completions)
     judge = {"exact": Judge.EXACT_MATCH, "normalized": Judge.NORMALIZED_MATCH, "external": Judge.EXTERNAL}[
         args.judge
@@ -438,18 +425,7 @@ def cmd_report(args) -> int:
     baseline = read_jsonl(args.baseline) if args.baseline else None
     accuracy = None
     if args.accuracy:
-        from .bench import AccuracyReport
-
-        raw = json.loads(Path(args.accuracy).read_text())
-        buckets = {}
-        for key, stats in raw.get("buckets", {}).items():
-            variant, size = key.rsplit(":", 1)
-            buckets[(variant, int(size))] = stats
-        accuracy = AccuracyReport(
-            buckets=buckets,
-            deltas={int(k): v for k, v in raw.get("deltas", {}).items()},
-            missing=tuple(raw.get("missing", ())),
-        )
+        accuracy = AccuracyReport.from_dict(json.loads(Path(args.accuracy).read_text()))
     doc = report_run(summaries, accuracy=accuracy, baseline_summaries=baseline)
     out = Path(args.output_dir)
     out.mkdir(parents=True, exist_ok=True)

@@ -15,7 +15,12 @@ from .errors import ConfigError, UnknownMethod
 
 
 class Language(Enum):
-    """The five supported language modes. C and C++ share one mode."""
+    """The five supported language modes. C and C++ share one mode.
+
+    The rule engine covers Python, Go and C/C++ (see transform.RULES).
+    Java and Rust are LLM-only: every method reaches them through the LLM
+    engine, and the rule engine supports none.
+    """
 
     C_CPP = "c_cpp"
     GO = "go"
@@ -106,87 +111,74 @@ class EngineKind(Enum):
 
 @dataclass(frozen=True)
 class PerturbationMethod:
-    """One catalogued rewrite, with per-language engine support declared as data."""
+    """One catalogued rewrite."""
 
     id: str
     category: MethodCategory
     description: str
-    # Languages where the built-in deterministic rule engine can apply this
-    # method. Every method is available through the LLM engine for every
-    # language; the rule subset is what the transform module enforces.
-    rule_languages: frozenset[Language] = frozenset()
-
-    def engine_support(self, language: Language) -> frozenset[EngineKind]:
-        kinds = {EngineKind.LLM}
-        if language in self.rule_languages:
-            kinds.add(EngineKind.RULE_BASED)
-        return frozenset(kinds)
 
 
-_PY_GO_C = frozenset({Language.PYTHON, Language.GO, Language.C_CPP})
-_PY_GO = frozenset({Language.PYTHON, Language.GO})
-_PY = frozenset({Language.PYTHON})
-
-_METHOD_ROWS: list[tuple[str, MethodCategory, str, frozenset[Language]]] = [
+_METHOD_ROWS: list[tuple[str, MethodCategory, str]] = [
     # Basic methods (11)
     ("add_exception", MethodCategory.BASIC,
-     "Add exception handling blocks", _PY),
+     "Add exception handling blocks"),
     ("add_arguments", MethodCategory.BASIC,
-     "Add arguments to the function", frozenset()),
+     "Add arguments to the function"),
     ("change_statement_order", MethodCategory.BASIC,
-     "Change the order of two adjacent statements that do not share any variables", frozenset()),
+     "Change the order of two adjacent statements that do not share any variables"),
     ("check_arguments", MethodCategory.BASIC,
-     "Check if the arguments are none", frozenset()),
+     "Check if the arguments are none"),
     ("insert_junk_function", MethodCategory.BASIC,
-     "Insert junk functions that won't be called", _PY_GO_C),
+     "Insert junk functions that won't be called"),
     ("insert_junk_loop", MethodCategory.BASIC,
-     "Insert junk loops that won't be executed", _PY_GO_C),
+     "Insert junk loops that won't be executed"),
     ("insert_variables", MethodCategory.BASIC,
-     "Insert variables that won't be used", _PY_GO_C),
+     "Insert variables that won't be used"),
     ("move_assignments", MethodCategory.BASIC,
-     "Move assignments if a variable is assigned directly", frozenset()),
+     "Move assignments if a variable is assigned directly"),
     ("statement_wrapping", MethodCategory.BASIC,
-     "Wrap the statements with if or for statement", _PY_GO_C),
+     "Wrap the statements with if or for statement"),
     ("function_rename", MethodCategory.BASIC,
-     "Change the function name", _PY_GO_C),
+     "Change the function name"),
     ("variables_rename", MethodCategory.BASIC,
-     "Change the variables name", _PY_GO_C),
+     "Change the variables name"),
     # Condition methods (6)
     ("add_condition", MethodCategory.CONDITION,
-     "Improve condition statements by adding else clauses", frozenset()),
+     "Improve condition statements by adding else clauses"),
     ("div_if_else", MethodCategory.CONDITION,
-     "Divide the if else-if else into if, else containing if else", _PY_GO_C),
+     "Divide the if else-if else into if, else containing if else"),
     ("div_composed_if", MethodCategory.CONDITION,
-     "Divide the composed if statement into single", _PY_GO_C),
+     "Divide the composed if statement into single"),
     ("if_continue_to_if_else", MethodCategory.CONDITION,
-     "Transform if-continue statement to if-else statement", _PY_GO_C),
+     "Transform if-continue statement to if-else statement"),
     ("if_to_switch_match", MethodCategory.CONDITION,
-     "Transform if statement to switch/match statement", frozenset()),
+     "Transform if statement to switch/match statement"),
     ("switch_match_to_if", MethodCategory.CONDITION,
-     "Transform switch/match statement to if statement", frozenset()),
+     "Transform switch/match statement to if statement"),
     # Loop methods (2)
     ("div_loop", MethodCategory.LOOP,
-     "Divide a loop into several loops", frozenset()),
+     "Divide a loop into several loops"),
     ("for_while_transformation", MethodCategory.LOOP,
-     "Transform for/while loop to while/for loop", _PY_GO_C),
+     "Transform for/while loop to while/for loop"),
     # Logic methods (2)
     ("equi_boolean_logic", MethodCategory.LOGIC,
-     "Transform boolean logic equivalently", _PY_GO_C),
+     "Transform boolean logic equivalently"),
     ("swap_boolean_expression", MethodCategory.LOGIC,
-     "Swap the sides of the boolean expression", _PY_GO_C),
+     "Swap the sides of the boolean expression"),
     # Decomposition methods (2)
     ("extract_if", MethodCategory.DECOMPOSITION,
-     "Extract method from if statements", _PY_GO),
+     "Extract method from if statements"),
     ("extract_arithmetic", MethodCategory.DECOMPOSITION,
-     "Extract method from arithmetic statements", frozenset()),
+     "Extract method from arithmetic statements"),
     # Arithmetic methods (3)
     ("equi_arithmetic_expression", MethodCategory.ARITHMETIC,
-     "Change the arithmetic computation or arithmetic assignment equivalently", _PY_GO_C),
+     "Change the arithmetic computation or arithmetic assignment equivalently"),
     ("expression_div", MethodCategory.ARITHMETIC,
-     "Divide the long expression to several small expressions", frozenset()),
+     "Divide the long expression to several small expressions"),
     ("modify_operations", MethodCategory.ARITHMETIC,
-     "Modify the compound assignment operations such as a += b to a = a + b", _PY_GO_C),
+     "Modify the compound assignment operations such as a += b to a = a + b"),
 ]
+
 
 @dataclass(frozen=True)
 class MethodCatalog:
@@ -219,14 +211,9 @@ def build_catalog() -> MethodCatalog:
     """The canonical 26-method catalog (11/6/2/2/2/3 per category)."""
     return MethodCatalog(
         methods=tuple(
-            PerturbationMethod(id=i, category=c, description=d, rule_languages=langs)
-            for i, c, d, langs in _METHOD_ROWS
+            PerturbationMethod(id=i, category=c, description=d) for i, c, d in _METHOD_ROWS
         )
     )
-
-
-def method_by_id(catalog: MethodCatalog, method_id: str) -> PerturbationMethod:
-    return catalog.get(method_id)
 
 
 @dataclass(frozen=True)

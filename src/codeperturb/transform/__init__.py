@@ -4,6 +4,10 @@ The rule engine applies deterministic text-level rewrites; the LLM engine
 delegates to a chat endpoint; the hybrid engine prefers rules and falls
 back to the LLM. All engines return a PerturbationOutcome and never
 mutate their input sample.
+
+RULES is the rule engine's capability table: language -> method id ->
+rewrite(text, rng). A (method, language) pair has a rule exactly when it
+is listed there; every other pair needs the LLM engine.
 """
 
 from __future__ import annotations
@@ -18,9 +22,12 @@ from ..lexing import check_balance, lex
 from . import rule_brace, rule_python
 from .prompts import PromptBundle, parse_llm_answer, synthesize_prompt
 
+RULES = {**rule_python.RULES, **rule_brace.RULES}
+
 __all__ = [
     "PerturbationOutcome",
     "PromptBundle",
+    "RULES",
     "RuleEngine",
     "HybridEngine",
     "perturb",
@@ -53,20 +60,13 @@ def _validate_output(text: str, language: Language) -> None:
 
 
 def rule_engine_apply(sample: CodeSample, method: PerturbationMethod, seed: int) -> PerturbationOutcome:
-    """Apply one method deterministically. Raises NotApplicable when the
-    code offers no matching site."""
-    rng = random.Random(seed)
-    if sample.language is Language.PYTHON:
-        fn = rule_python.TRANSFORMS.get(method.id)
-        if fn is None:
-            raise UnsupportedCombination(f"{method.id} has no python rule")
-        new_text, entry, notes = fn(sample.text, rng)
-    elif sample.language in (Language.GO, Language.C_CPP):
-        new_text, entry, notes = rule_brace.apply_brace_transform(
-            sample.text, sample.language, method.id, rng
-        )
-    else:
-        raise UnsupportedCombination(f"no rule engine for {sample.language.value}")
+    """Apply one method deterministically. Raises UnsupportedCombination
+    when RULES has no rule for the pair, NotApplicable when the code offers
+    no matching site."""
+    fn = RULES.get(sample.language, {}).get(method.id)
+    if fn is None:
+        raise UnsupportedCombination(f"{method.id} has no {sample.language.value} rule")
+    new_text, entry, notes = fn(sample.text, random.Random(seed))
     if new_text == sample.text:
         raise NotApplicable(f"{method.id} left the code unchanged")
     _validate_output(new_text, sample.language)
@@ -88,7 +88,7 @@ class RuleEngine:
         self.catalog = catalog
 
     def supported(self, method: PerturbationMethod, language: Language) -> bool:
-        return language in method.rule_languages
+        return method.id in RULES.get(language, {})
 
     def apply(self, sample: CodeSample, method: PerturbationMethod, seed: int) -> PerturbationOutcome:
         return rule_engine_apply(sample, method, seed)

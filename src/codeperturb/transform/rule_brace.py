@@ -16,9 +16,7 @@ from ..analysis import FunctionSpan, find_functions, line_offsets, line_of_offse
 from ..core import Language
 from ..errors import NotApplicable
 from ..lexing import Token, TokenKind, lex
-
-_VAR_WORDS = ["aux", "tmp", "slot", "item", "probe", "spare", "trace", "hold", "mark", "pad"]
-_FN_WORDS = ["helper", "worker", "routine", "shim", "stage", "piece", "chunk", "relay"]
+from .shared import FN_WORDS, PREDICATE_WORDS, VAR_WORDS, fresh, splice
 
 _C_TYPE_KEYWORDS = {
     "int", "long", "float", "double", "char", "unsigned", "signed", "short", "void", "bool",
@@ -59,15 +57,6 @@ class _File:
             if f.start_line <= ln <= f.end_line:
                 return f.name
         return "<file>"
-
-
-def _fresh(existing: set[str], rng: random.Random, words: list[str]) -> str:
-    for _ in range(1000):
-        name = f"{rng.choice(words)}_{rng.randrange(10, 1000)}"
-        if name not in existing:
-            existing.add(name)
-            return name
-    raise NotApplicable("could not find a fresh identifier")
 
 
 def _ends_statement(f: _File, tok: Token) -> bool:
@@ -124,20 +113,6 @@ def _insert_lines(f: _File, at_line: int, new_lines: list[str]) -> str:
     for i, ln in enumerate(new_lines):
         lines.insert(at_line + i, ln)
     return "\n".join(lines)
-
-
-def _splice(text: str, start: int, end: int, replacement: str) -> str:
-    return text[:start] + replacement + text[end:]
-
-
-def _single_line_header(f: _File, ln: int, keyword: str):
-    """For a line 'kw ... {', return (kw_token, brace_token) or None."""
-    toks = f.line_tokens(ln)
-    if not toks or toks[0].kind is not TokenKind.KEYWORD or toks[0].text != keyword:
-        return None
-    if toks[-1].kind is not TokenKind.OP or toks[-1].text != "{":
-        return None
-    return toks[0], toks[-1]
 
 
 def _depth0_ops(f: _File, toks: list[Token], texts: tuple[str, ...]) -> list[Token]:
@@ -226,7 +201,7 @@ def function_rename(f: _File, rng: random.Random):
     if not candidates:
         raise NotApplicable("no renameable function")
     old = rng.choice(sorted(set(candidates)))
-    new = _fresh(f.identifiers(), rng, _FN_WORDS)
+    new = fresh(f.identifiers(), rng, FN_WORDS)
     return _rename_ident(f, old, new), new, f"renamed function {old} to {new}"
 
 
@@ -297,7 +272,7 @@ def variables_rename(f: _File, rng: random.Random):
         raise NotApplicable("no function with renameable locals")
     fn, names = options[rng.randrange(len(options))]
     existing = f.identifiers()
-    renames = [(old, _fresh(existing, rng, _VAR_WORDS)) for old in names]
+    renames = [(old, fresh(existing, rng, VAR_WORDS)) for old in names]
     text = f.text
     for old, new in renames:
         cur = _File(text, f.language)
@@ -319,7 +294,7 @@ def insert_junk_loop(f: _File, rng: random.Random):
         raise NotApplicable("no insertion point")
     ln = sites[rng.randrange(len(sites))]
     ind = f.indent_of(ln)
-    v = _fresh(f.identifiers(), rng, _VAR_WORDS)
+    v = fresh(f.identifiers(), rng, VAR_WORDS)
     if f.language is Language.GO:
         new = [f"{ind}for {v} := 0; {v} < 0; {v}++ {{", f"{ind}}}"]
     else:
@@ -333,7 +308,7 @@ def insert_variables(f: _File, rng: random.Random):
         raise NotApplicable("no insertion point")
     ln = sites[rng.randrange(len(sites))]
     ind = f.indent_of(ln)
-    v = _fresh(f.identifiers(), rng, _VAR_WORDS)
+    v = fresh(f.identifiers(), rng, VAR_WORDS)
     k = rng.randrange(0, 100)
     if f.language is Language.GO:
         new = [f"{ind}{v} := {k}", f"{ind}_ = {v}"]
@@ -343,7 +318,7 @@ def insert_variables(f: _File, rng: random.Random):
 
 
 def insert_junk_function(f: _File, rng: random.Random):
-    name = _fresh(f.identifiers(), rng, _FN_WORDS)
+    name = fresh(f.identifiers(), rng, FN_WORDS)
     k = rng.randrange(2, 40)
     if f.language is Language.GO:
         chunk = f"\nfunc {name}() int {{\n\treturn {k}\n}}\n"
@@ -470,7 +445,7 @@ def equi_arithmetic_expression(f: _File, rng: random.Random):
         raise NotApplicable("no integer literal to decompose")
     tok, value, ln = sites[rng.randrange(len(sites))]
     k = rng.randrange(1, min(value - 1, 9) + 1)
-    new_text = _splice(f.text, tok.start, tok.end, f"({value - k} + {k})")
+    new_text = splice(f.text, tok.start, tok.end, f"({value - k} + {k})")
     return new_text, f.enclosing_function(ln), f"decomposed literal {value}"
 
 
@@ -539,7 +514,7 @@ def swap_boolean_expression(f: _File, rng: random.Random):
         left_src = text[toks[llo].start : toks[lhi].end]
         right_src = text[toks[rlo].start : toks[rhi].end]
         mirror = _CMP_MIRROR[toks[idx].text]
-        text = _splice(text, toks[llo].start, toks[rhi].end, f"{right_src} {mirror} {left_src}")
+        text = splice(text, toks[llo].start, toks[rhi].end, f"{right_src} {mirror} {left_src}")
     return text, f.enclosing_function(ln), "mirrored comparison operands"
 
 
@@ -600,7 +575,7 @@ def equi_boolean_logic(f: _File, rng: random.Random):
     else:
         new = f"!(!({cond}))"
         note = "applied double negation"
-    return _splice(f.text, start, end, new), f.enclosing_function(ln), note
+    return splice(f.text, start, end, new), f.enclosing_function(ln), note
 
 
 # ---------------------------------------------------------------------------
@@ -703,7 +678,7 @@ def div_if_else(f: _File, rng: random.Random):
         unit + cl if cl.strip() else cl for cl in chunk_lines[1:]
     ]
     new = "else {\n" + "\n".join(rebuilt) + f"\n{ind}}}"
-    text = _splice(f.text, else_tok.start, end_tok.end, new)
+    text = splice(f.text, else_tok.start, end_tok.end, new)
     return text, f.enclosing_function(ln), "pushed else-if chain under an else"
 
 
@@ -873,8 +848,6 @@ def for_while_transformation(f: _File, rng: random.Random):
 # ---------------------------------------------------------------------------
 
 def extract_if(f: _File, rng: random.Random):
-    if f.language is not Language.GO:
-        raise NotApplicable("closure extraction implemented for Go only")
     sites = []
     for fn in f.functions:
         for ln in range(fn.body_start_line, fn.body_end_line + 1):
@@ -888,9 +861,9 @@ def extract_if(f: _File, rng: random.Random):
         raise NotApplicable("no extractable if condition")
     ln, (start, end) = sites[rng.randrange(len(sites))]
     cond = f.text[start:end].strip()
-    name = _fresh(f.identifiers(), rng, ["check", "cond", "gate", "test"])
+    name = fresh(f.identifiers(), rng, PREDICATE_WORDS)
     ind = f.indent_of(ln)
-    text = _splice(f.text, start, end, f"{name}()")
+    text = splice(f.text, start, end, f"{name}()")
     helper = [
         f"{ind}{name} := func() bool {{",
         f"{ind}{f.indent_unit}return {cond}",
@@ -904,27 +877,30 @@ def extract_if(f: _File, rng: random.Random):
     )
 
 
-TRANSFORMS = {
-    "function_rename": function_rename,
-    "variables_rename": variables_rename,
-    "insert_junk_loop": insert_junk_loop,
-    "insert_variables": insert_variables,
-    "insert_junk_function": insert_junk_function,
-    "statement_wrapping": statement_wrapping,
-    "modify_operations": modify_operations,
-    "equi_arithmetic_expression": equi_arithmetic_expression,
-    "swap_boolean_expression": swap_boolean_expression,
-    "equi_boolean_logic": equi_boolean_logic,
-    "div_composed_if": div_composed_if,
-    "div_if_else": div_if_else,
-    "if_continue_to_if_else": if_continue_to_if_else,
-    "for_while_transformation": for_while_transformation,
-    "extract_if": extract_if,
+_GO_AND_C = (
+    function_rename,
+    variables_rename,
+    insert_junk_loop,
+    insert_variables,
+    insert_junk_function,
+    statement_wrapping,
+    modify_operations,
+    equi_arithmetic_expression,
+    swap_boolean_expression,
+    equi_boolean_logic,
+    div_composed_if,
+    div_if_else,
+    if_continue_to_if_else,
+    for_while_transformation,
+)
+
+
+def _on_text(fn, language: Language):
+    return lambda text, rng: fn(_File(text, language), rng)
+
+
+# Closure extraction is written for Go only; C has no nested functions.
+RULES = {
+    Language.GO: {fn.__name__: _on_text(fn, Language.GO) for fn in _GO_AND_C + (extract_if,)},
+    Language.C_CPP: {fn.__name__: _on_text(fn, Language.C_CPP) for fn in _GO_AND_C},
 }
-
-
-def apply_brace_transform(text: str, language: Language, method_id: str, rng: random.Random):
-    fn = TRANSFORMS.get(method_id)
-    if fn is None:
-        raise NotApplicable(f"{method_id} has no brace-language rule")
-    return fn(_File(text, language), rng)

@@ -13,13 +13,11 @@ import random
 
 from ..analysis import line_offsets
 from ..errors import NotApplicable, ParseError
-from ..lexing import Token, TokenKind, lex
+from ..lexing import TokenKind, lex
 from ..core import Language
+from .shared import FN_WORDS, PREDICATE_WORDS, VAR_WORDS, fresh, splice
 
 INDENT = "    "
-
-_VAR_WORDS = ["aux", "tmp", "slot", "item", "probe", "spare", "trace", "hold", "mark", "pad"]
-_FN_WORDS = ["helper", "worker", "routine", "shim", "stage", "piece", "chunk", "relay"]
 
 
 def _parse(text: str) -> ast.Module:
@@ -29,27 +27,10 @@ def _parse(text: str) -> ast.Module:
         raise ParseError(f"cannot parse python source: {exc}") from exc
 
 
-def _offsets(text: str) -> list[int]:
-    return line_offsets(text)
-
-
 def _span(offsets: list[int], node: ast.AST) -> tuple[int, int]:
     start = offsets[node.lineno - 1] + node.col_offset
     end = offsets[node.end_lineno - 1] + node.end_col_offset
     return start, end
-
-
-def _splice(text: str, start: int, end: int, replacement: str) -> str:
-    return text[:start] + replacement + text[end:]
-
-
-def _fresh(existing: set[str], rng: random.Random, words: list[str]) -> str:
-    for _ in range(1000):
-        name = f"{rng.choice(words)}_{rng.randrange(10, 1000)}"
-        if name not in existing:
-            existing.add(name)
-            return name
-    raise NotApplicable("could not find a fresh identifier")
 
 
 def _identifiers(text: str) -> set[str]:
@@ -97,11 +78,6 @@ def _enclosing_function(tree: ast.Module, node: ast.AST) -> str:
             if best is None or fn.lineno >= best.lineno:
                 best = fn
     return best.name if best is not None else "<module>"
-
-
-def _indent_of(text: str, offsets: list[int], lineno: int) -> str:
-    line = text[offsets[lineno - 1] : offsets[lineno]]
-    return line[: len(line) - len(line.lstrip())].rstrip("\n")
 
 
 def _reindent(segment: str, extra: str) -> str:
@@ -172,7 +148,7 @@ def function_rename(text: str, rng: random.Random):
     if not candidates:
         raise NotApplicable("no safely renameable module-level function")
     old = rng.choice(sorted(candidates))
-    new = _fresh(_identifiers(text), rng, _FN_WORDS)
+    new = fresh(_identifiers(text), rng, FN_WORDS)
     return _rename_tokens(text, old, new), new, f"renamed function {old} to {new}"
 
 
@@ -202,7 +178,7 @@ def _local_candidates(fn: ast.FunctionDef, tree: ast.Module) -> list[str]:
 
 def variables_rename(text: str, rng: random.Random):
     tree = _parse(text)
-    offsets = _offsets(text)
+    offsets = line_offsets(text)
     options = [(fn, _local_candidates(fn, tree)) for fn in _functions(tree)]
     options = [(fn, names) for fn, names in options if names]
     if not options:
@@ -210,12 +186,12 @@ def variables_rename(text: str, rng: random.Random):
     fn, names = options[rng.randrange(len(options))]
     start, end = _span(offsets, fn)
     existing = _identifiers(text)
-    renames = [(old, _fresh(existing, rng, _VAR_WORDS)) for old in names]
+    renames = [(old, fresh(existing, rng, VAR_WORDS)) for old in names]
     for old, new in renames:
         text = _rename_tokens(text, old, new, start, end)
         # Renames keep line structure; recompute char offsets only.
         fn2 = next(f for f in _functions(_parse(text)) if f.lineno == fn.lineno)
-        start, end = _span(_offsets(text), fn2)
+        start, end = _span(line_offsets(text), fn2)
     noted = ", ".join(f"{o}->{n}" for o, n in renames)
     return text, fn.name, f"renamed locals in {fn.name}: {noted}"
 
@@ -251,12 +227,12 @@ def _insert_before(text: str, offsets: list[int], stmt: ast.stmt, new_lines: lis
 
 def insert_junk_loop(text: str, rng: random.Random):
     tree = _parse(text)
-    offsets = _offsets(text)
+    offsets = line_offsets(text)
     sites = _insertion_sites(text, offsets, tree, inside_functions=True)
     if not sites:
         raise NotApplicable("no statement to anchor a junk loop")
     stmt = sites[rng.randrange(len(sites))]
-    v = _fresh(_identifiers(text), rng, _VAR_WORDS)
+    v = fresh(_identifiers(text), rng, VAR_WORDS)
     template = rng.choice(
         [
             [f"for {v} in range(0):", f"{INDENT}pass"],
@@ -270,12 +246,12 @@ def insert_junk_loop(text: str, rng: random.Random):
 
 def insert_variables(text: str, rng: random.Random):
     tree = _parse(text)
-    offsets = _offsets(text)
+    offsets = line_offsets(text)
     sites = _insertion_sites(text, offsets, tree, inside_functions=True)
     if not sites:
         raise NotApplicable("no statement to anchor an unused variable")
     stmt = sites[rng.randrange(len(sites))]
-    v = _fresh(_identifiers(text), rng, _VAR_WORDS)
+    v = fresh(_identifiers(text), rng, VAR_WORDS)
     value = rng.choice(["0", "1", "-1", "0.0", "''", "[]", "None"])
     entry = _enclosing_function(tree, stmt)
     return _insert_before(text, offsets, stmt, [f"{v} = {value}"]), entry, "inserted unused variable"
@@ -283,7 +259,7 @@ def insert_variables(text: str, rng: random.Random):
 
 def insert_junk_function(text: str, rng: random.Random):
     tree = _parse(text)
-    name = _fresh(_identifiers(text), rng, _FN_WORDS)
+    name = fresh(_identifiers(text), rng, FN_WORDS)
     k = rng.randrange(2, 40)
     chunk = f"\n\ndef {name}():\n{INDENT}return {k}\n"
     if not text.endswith("\n"):
@@ -293,7 +269,7 @@ def insert_junk_function(text: str, rng: random.Random):
 
 def add_exception(text: str, rng: random.Random):
     tree = _parse(text)
-    offsets = _offsets(text)
+    offsets = line_offsets(text)
     sites = [
         s
         for s in _insertion_sites(text, offsets, tree, inside_functions=True)
@@ -308,12 +284,12 @@ def add_exception(text: str, rng: random.Random):
     body = [indent + INDENT + seg_lines[0]] + [INDENT + ln if ln.strip() else ln for ln in seg_lines[1:]]
     new = "try:\n" + "\n".join(body) + f"\n{indent}except Exception:\n{indent}{INDENT}raise"
     entry = _enclosing_function(tree, stmt)
-    return _splice(text, start, end, new), entry, "wrapped statement in pass-through handler"
+    return splice(text, start, end, new), entry, "wrapped statement in pass-through handler"
 
 
 def statement_wrapping(text: str, rng: random.Random):
     tree = _parse(text)
-    offsets = _offsets(text)
+    offsets = line_offsets(text)
     sites = _insertion_sites(text, offsets, tree, inside_functions=False)
     if not sites:
         raise NotApplicable("no wrappable statement")
@@ -325,13 +301,13 @@ def statement_wrapping(text: str, rng: random.Random):
     seg_lines = text[start:end].split("\n")
     body = [indent + INDENT + seg_lines[0]] + [INDENT + ln if ln.strip() else ln for ln in seg_lines[1:]]
     if use_for:
-        v = _fresh(_identifiers(text), rng, _VAR_WORDS)
+        v = fresh(_identifiers(text), rng, VAR_WORDS)
         header = f"for {v} in range(1):"
     else:
         header = "if True:"
     new = header + "\n" + "\n".join(body)
     entry = _enclosing_function(tree, stmt)
-    return _splice(text, start, end, new), entry, f"wrapped statement with {header.split()[0]}"
+    return splice(text, start, end, new), entry, f"wrapped statement with {header.split()[0]}"
 
 
 # ---------------------------------------------------------------------------
@@ -357,7 +333,7 @@ def _pure_target(node: ast.expr) -> bool:
 
 def modify_operations(text: str, rng: random.Random):
     tree = _parse(text)
-    offsets = _offsets(text)
+    offsets = line_offsets(text)
     sites = [
         n
         for n in ast.walk(tree)
@@ -374,7 +350,7 @@ def modify_operations(text: str, rng: random.Random):
         value_src = f"({value_src})"
     new = f"{target_src} = {target_src} {op} {value_src}"
     entry = _enclosing_function(tree, node)
-    return _splice(text, start, end, new), entry, f"expanded {op}= assignment"
+    return splice(text, start, end, new), entry, f"expanded {op}= assignment"
 
 
 def _int_literal_sites(tree: ast.Module):
@@ -407,7 +383,7 @@ def _int_literal_sites(tree: ast.Module):
 
 def equi_arithmetic_expression(text: str, rng: random.Random):
     tree = _parse(text)
-    offsets = _offsets(text)
+    offsets = line_offsets(text)
     sites = _int_literal_sites(tree)
     if not sites:
         raise NotApplicable("no integer literal to decompose")
@@ -416,7 +392,7 @@ def equi_arithmetic_expression(text: str, rng: random.Random):
     k = rng.randrange(1, min(node.value - 1, 9) + 1)
     new = f"({node.value - k} + {k})"
     entry = _enclosing_function(tree, node)
-    return _splice(text, start, end, new), entry, f"decomposed literal {node.value}"
+    return splice(text, start, end, new), entry, f"decomposed literal {node.value}"
 
 
 # ---------------------------------------------------------------------------
@@ -460,7 +436,7 @@ def _swappable_compares(test: ast.expr) -> list[ast.Compare]:
 
 def swap_boolean_expression(text: str, rng: random.Random):
     tree = _parse(text)
-    offsets = _offsets(text)
+    offsets = line_offsets(text)
     sites = [
         n for n in ast.walk(tree) if isinstance(n, (ast.If, ast.While)) and _swappable_compares(n.test)
     ]
@@ -475,14 +451,14 @@ def swap_boolean_expression(text: str, rng: random.Random):
         op = _MIRROR[type(cmp_node.ops[0])]
         edits.append((start, end, f"{right} {op} {left}"))
     for start, end, new in sorted(edits, reverse=True):
-        text = _splice(text, start, end, new)
+        text = splice(text, start, end, new)
     entry = _enclosing_function(tree, node)
     return text, entry, "mirrored comparison operands"
 
 
 def equi_boolean_logic(text: str, rng: random.Random):
     tree = _parse(text)
-    offsets = _offsets(text)
+    offsets = line_offsets(text)
     sites = [n for n in ast.walk(tree) if isinstance(n, (ast.If, ast.While))]
     sites = [
         n
@@ -503,7 +479,7 @@ def equi_boolean_logic(text: str, rng: random.Random):
         new = f"not (not ({ast.get_source_segment(text, test)}))"
         note = "applied double negation"
     entry = _enclosing_function(tree, node)
-    return _splice(text, start, end, new), entry, note
+    return splice(text, start, end, new), entry, note
 
 
 # ---------------------------------------------------------------------------
@@ -517,7 +493,7 @@ def _starts_with(text: str, offsets: list[int], node: ast.stmt, word: str) -> bo
 
 def div_composed_if(text: str, rng: random.Random):
     tree = _parse(text)
-    offsets = _offsets(text)
+    offsets = line_offsets(text)
     sites = [
         n
         for n in ast.walk(tree)
@@ -547,12 +523,12 @@ def div_composed_if(text: str, rng: random.Random):
     body = _reindent(body_src.rstrip("\n"), INDENT * (depth - 1))
     new = "\n".join(headers) + "\n" + body
     entry = _enclosing_function(tree, node)
-    return _splice(text, start, end, new), entry, f"split composed condition into {depth} nested ifs"
+    return splice(text, start, end, new), entry, f"split composed condition into {depth} nested ifs"
 
 
 def div_if_else(text: str, rng: random.Random):
     tree = _parse(text)
-    offsets = _offsets(text)
+    offsets = line_offsets(text)
     sites = [
         n
         for n in ast.walk(tree)
@@ -572,12 +548,12 @@ def div_if_else(text: str, rng: random.Random):
     segment = "if" + segment[len("elif") :]
     new = "else:\n" + indent + INDENT + _reindent(segment, INDENT).lstrip()
     entry = _enclosing_function(tree, node)
-    return _splice(text, start, end, new), entry, "pushed elif chain under an else"
+    return splice(text, start, end, new), entry, "pushed elif chain under an else"
 
 
 def if_continue_to_if_else(text: str, rng: random.Random):
     tree = _parse(text)
-    offsets = _offsets(text)
+    offsets = line_offsets(text)
     sites = []
     for block in _blocks(tree):
         for idx, stmt in enumerate(block):
@@ -600,7 +576,7 @@ def if_continue_to_if_else(text: str, rng: random.Random):
     rest_src = text[rest_start:rest_end]
     new = indent + "else:\n" + _reindent(rest_src, INDENT)
     entry = _enclosing_function(tree, stmt)
-    return _splice(text, rest_start, rest_end, new), entry, "moved loop tail under else"
+    return splice(text, rest_start, rest_end, new), entry, "moved loop tail under else"
 
 
 # ---------------------------------------------------------------------------
@@ -609,7 +585,7 @@ def if_continue_to_if_else(text: str, rng: random.Random):
 
 def for_while_transformation(text: str, rng: random.Random):
     tree = _parse(text)
-    offsets = _offsets(text)
+    offsets = line_offsets(text)
     sites = [
         n
         for n in ast.walk(tree)
@@ -623,7 +599,7 @@ def for_while_transformation(text: str, rng: random.Random):
     node = sites[rng.randrange(len(sites))]
     start, end = _span(offsets, node)
     indent = " " * node.col_offset
-    it = _fresh(_identifiers(text), rng, _VAR_WORDS)
+    it = fresh(_identifiers(text), rng, VAR_WORDS)
     target_src = ast.get_source_segment(text, node.target)
     iter_src = ast.get_source_segment(text, node.iter)
     body_start = offsets[node.body[0].lineno - 1]
@@ -639,7 +615,7 @@ def for_while_transformation(text: str, rng: random.Random):
         f"{indent}{INDENT}{INDENT}break\n" + body_src
     )
     entry = _enclosing_function(tree, node)
-    return _splice(text, start, end, new), entry, "desugared for loop into while"
+    return splice(text, start, end, new), entry, "desugared for loop into while"
 
 
 # ---------------------------------------------------------------------------
@@ -648,7 +624,7 @@ def for_while_transformation(text: str, rng: random.Random):
 
 def extract_if(text: str, rng: random.Random):
     tree = _parse(text)
-    offsets = _offsets(text)
+    offsets = line_offsets(text)
 
     def usable(test: ast.expr) -> bool:
         for x in ast.walk(test):
@@ -670,7 +646,7 @@ def extract_if(text: str, rng: random.Random):
     for x in ast.walk(node.test):
         if isinstance(x, ast.Name) and isinstance(x.ctx, ast.Load) and x.id not in free:
             free.append(x.id)
-    name = _fresh(_identifiers(text), rng, ["check", "cond", "gate", "test"])
+    name = fresh(_identifiers(text), rng, PREDICATE_WORDS)
     test_src = ast.get_source_segment(text, node.test)
     params = ", ".join(free)
     helper = f"def {name}({params}):\n{INDENT}return {test_src}\n\n\n"
@@ -682,27 +658,29 @@ def extract_if(text: str, rng: random.Random):
     insert_at = offsets[top_line - 1]
     tstart, tend = _span(offsets, node.test)
     call = f"{name}({params})"
-    text = _splice(text, tstart, tend, call)
+    text = splice(text, tstart, tend, call)
     text = text[:insert_at] + helper + text[insert_at:]
     entry = _enclosing_function(tree, node)
     return text, entry, f"extracted if condition into {name}"
 
 
-TRANSFORMS = {
-    "function_rename": function_rename,
-    "variables_rename": variables_rename,
-    "insert_junk_loop": insert_junk_loop,
-    "insert_variables": insert_variables,
-    "insert_junk_function": insert_junk_function,
-    "add_exception": add_exception,
-    "statement_wrapping": statement_wrapping,
-    "modify_operations": modify_operations,
-    "equi_arithmetic_expression": equi_arithmetic_expression,
-    "swap_boolean_expression": swap_boolean_expression,
-    "equi_boolean_logic": equi_boolean_logic,
-    "div_composed_if": div_composed_if,
-    "div_if_else": div_if_else,
-    "if_continue_to_if_else": if_continue_to_if_else,
-    "for_while_transformation": for_while_transformation,
-    "extract_if": extract_if,
+RULES = {
+    Language.PYTHON: {
+        "function_rename": function_rename,
+        "variables_rename": variables_rename,
+        "insert_junk_loop": insert_junk_loop,
+        "insert_variables": insert_variables,
+        "insert_junk_function": insert_junk_function,
+        "add_exception": add_exception,
+        "statement_wrapping": statement_wrapping,
+        "modify_operations": modify_operations,
+        "equi_arithmetic_expression": equi_arithmetic_expression,
+        "swap_boolean_expression": swap_boolean_expression,
+        "equi_boolean_logic": equi_boolean_logic,
+        "div_composed_if": div_composed_if,
+        "div_if_else": div_if_else,
+        "if_continue_to_if_else": if_continue_to_if_else,
+        "for_while_transformation": for_while_transformation,
+        "extract_if": extract_if,
+    }
 }

@@ -5,7 +5,9 @@ One ProgramRunner per sample writes, compiles and runs every program text
 of that sample, so the compile stage and the execution oracle share each
 compile and the original's outputs. The equivalence stage is chosen by
 precedence: an execution oracle when a runner plus input suite is
-configured, else LLM voting, else a stub. A candidate that fails any stage
+configured, else a majority vote of the voters the caller supplies, else
+none. There is no built-in LLM judge: a voter is any object with an ``id``
+and a ``vote(original, candidate)`` method. A candidate that fails any stage
 is simply discarded by the optimizer; an original that fails or times out
 under the oracle fails its whole sample instead (OriginalUnrunnable).
 """
@@ -296,48 +298,13 @@ class StubVoter:
         return True
 
 
-_JUDGE_PROMPT = (
-    "You are reviewing a refactor. Given two programs, decide whether they "
-    "are semantically equivalent: for every input they must produce the "
-    "same output. Reply with exactly one word, True or False.\n\n"
-    "Program A:\n```\n{a}\n```\n\nProgram B:\n```\n{b}\n```"
-)
-
-
-class LlmJudge:
-    """Equivalence judge backed by a chat transport.
-
-    The judging prompt is a local design choice; swap it via the prompt
-    argument if a calibrated one is available.
-    """
-
-    kind = "LLM_JUDGE"
-
-    def __init__(self, voter_id: str, transport, prompt: str = _JUDGE_PROMPT):
-        self.id = voter_id
-        self.transport = transport
-        self.prompt = prompt
-
-    def vote(self, original: CodeSample, candidate: CodeSample) -> bool:
-        reply = self.transport.complete(
-            "You judge program equivalence. Answer True or False only.",
-            self.prompt.format(a=original.text, b=candidate.text),
-            request_id=f"judge_{self.id}",
-        )
-        for word in reply.replace(".", " ").split():
-            if word.lower() == "true":
-                return True
-            if word.lower() == "false":
-                return False
-        raise ValueError(f"judge {self.id} gave no boolean verdict: {reply[:80]!r}")
-
-
 def vote_equivalence(
     original: CodeSample, candidate: CodeSample, voters: list
 ) -> tuple[list[Vote], bool, list[str]]:
     """Collect one strict boolean per voter; majority wins.
 
-    Any voter failure is downgraded to a False vote and logged.
+    Any voter failure is downgraded to a False vote and logged. Voters of
+    kind "LLM_JUDGE" must come as exactly three.
     """
     if any(getattr(v, "kind", "") == "LLM_JUDGE" for v in voters) and len(voters) != 3:
         raise ConfigError("LLM judging requires exactly three voters")
@@ -382,7 +349,8 @@ class VerifyPolicy:
 
     The runner, when set, serves both the compile stage and the execution
     oracle. Equivalence precedence: execution oracle (runner + input
-    suite), then LLM voting, then nothing (syntax/compile only).
+    suite), then a majority of the caller's voters, then nothing
+    (syntax/compile only). No voter is built in beyond StubVoter.
     """
 
     equivalence_spec: EquivalenceSpec | None = None

@@ -26,7 +26,7 @@ from codeperturb.bench import FilterReason, PerturbedPair, Variant, build_tasks,
 from codeperturb.errors import NotApplicable
 from codeperturb.peso import boltzmann_probabilities, derive_seed, run, run_random_baseline
 from codeperturb.similarity import combined_score
-from codeperturb.transform import rule_engine_apply
+from codeperturb.transform import RuleEngine, rule_engine_apply
 from codeperturb.verify import (
     ProgramRunner,
     VerifyPolicy,
@@ -166,9 +166,10 @@ def test_criterion_05_semantic_preservation_oracle():
         # uses, so each candidate is compiled once.
         policies = {lang: VerifyPolicy(runner=runners[lang]) for lang in languages}
         applied = {lang: 0 for lang in languages}
+        rule_engine = RuleEngine(CATALOG)
         for sample, spec in corpus:
             for m in CATALOG.methods:
-                if sample.language not in m.rule_languages:
+                if not rule_engine.supported(m, sample.language):
                     continue
                 seed = derive_seed(5, f"{sample.id}:{m.id}")
                 try:

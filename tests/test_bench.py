@@ -1,3 +1,4 @@
+import json
 import random
 
 import pytest
@@ -305,6 +306,25 @@ def test_evaluate_order_invariant():
     a = evaluate_tasks(tasks, completions, Judge.EXACT_MATCH)
     b = evaluate_tasks(list(reversed(tasks)), completions, Judge.EXACT_MATCH)
     assert a.to_dict() == b.to_dict()
+
+
+def test_task_and_accuracy_dicts_round_trip():
+    tasks = make_tasks()
+    completions = {t.task_id: t.ground_truth for t in tasks[:4]}
+    report = evaluate_tasks(tasks, completions, Judge.EXACT_MATCH)
+    assert report.deltas and report.missing
+    for x in tasks + [report]:
+        assert type(x).from_dict(x.to_dict()) == x
+        assert type(x).from_dict(json.loads(json.dumps(x.to_dict()))) == x
+
+
+def test_from_dict_reads_the_lenient_forms():
+    record = make_tasks()[0].to_dict()
+    del record["region_anchor"]
+    record["mask_lines"] = str(record["mask_lines"])
+    task = CompletionTask.from_dict(record)
+    assert task.region_anchor == {} and isinstance(task.mask_lines, int)
+    assert AccuracyReport.from_dict({}) == AccuracyReport(buckets={}, deltas={}, missing=())
 
 
 # ---------------------------------------------------------------------------

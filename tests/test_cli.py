@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -247,3 +248,29 @@ def test_a_sample_whose_original_times_out_fails_once(tmp_path, monkeypatch, cap
     assert all("skipped" in r["verification"] for r in trace)
     assert len(runs) == 1
     assert read_jsonl(out / "summary.jsonl") == []
+
+
+# sha256 over a seeded rule-engine peso-run of the 22 fixtures: every
+# traces/*.jsonl (sorted by name), then summary.jsonl and pairs.jsonl. A
+# change that alters traces on purpose updates this constant and says why
+# in CHANGES.md.
+SEEDED_RUN_DIGEST = "f742e45380dc35c11356ea11ce0d3639856d8eea69d9852d2c296777369c7bbb"
+
+
+def test_seeded_rule_run_is_frozen(tmp_path, monkeypatch, capsys):
+    runs = []
+    monkeypatch.setattr(subprocess, "run", lambda argv, **kw: runs.append(argv))
+    path = tmp_path / "corpus.jsonl"
+    write_corpus_jsonl(path, load_fixture_corpus())
+    out = tmp_path / "out"
+    code = run_cli(
+        "peso-run", "--corpus", path, "--engine", "rule", "--seed", "11", "--max-iter", "3",
+        "--jobs", "1", "--equivalence", "stub", "--no-compile", "--output-dir", out,
+    )
+    assert code == 0 and runs == []
+    files = sorted((out / "traces").glob("*.jsonl"))
+    assert len(files) == 22
+    digest = hashlib.sha256()
+    for f in files + [out / "summary.jsonl", out / "pairs.jsonl"]:
+        digest.update(f.read_bytes())
+    assert digest.hexdigest() == SEEDED_RUN_DIGEST

@@ -2,15 +2,15 @@ import pytest
 
 from codeperturb.core import (
     CodeSample,
-    EngineKind,
     Language,
     MethodCategory,
     PesoConfig,
     build_catalog,
     load_config,
-    method_by_id,
 )
 from codeperturb.errors import ConfigError, UnknownMethod
+from codeperturb.transform import RULES, RuleEngine
+from codeperturb.transform.llm import LlmEngine
 
 EXPECTED_COUNTS = {
     MethodCategory.BASIC: 11,
@@ -52,32 +52,62 @@ def test_category_indices_bijective():
     assert sorted(c.index for c in MethodCategory) == [0, 1, 2, 3, 4, 5]
 
 
-def test_method_by_id():
+def test_catalog_get():
     cat = build_catalog()
-    assert method_by_id(cat, "function_rename").category is MethodCategory.BASIC
-    assert method_by_id(cat, "extract_if").category is MethodCategory.DECOMPOSITION
+    assert cat.get("function_rename").category is MethodCategory.BASIC
+    assert cat.get("extract_if").category is MethodCategory.DECOMPOSITION
     with pytest.raises(UnknownMethod):
-        method_by_id(cat, "no_such_method")
+        cat.get("no_such_method")
 
 
-def test_engine_support_is_declared_data():
+def test_supported_follows_the_rule_table():
     cat = build_catalog()
-    rename = method_by_id(cat, "function_rename")
-    assert EngineKind.RULE_BASED in rename.engine_support(Language.PYTHON)
-    assert EngineKind.LLM in rename.engine_support(Language.JAVA)
-    assert EngineKind.RULE_BASED not in rename.engine_support(Language.JAVA)
+    rule, llm = RuleEngine(cat), LlmEngine(transport=None)
+    rename = cat.get("function_rename")
+    assert rule.supported(rename, Language.PYTHON)
+    assert not rule.supported(rename, Language.JAVA)
     # All 26 methods reach every language through the LLM engine.
     for m in cat.methods:
         for lang in Language:
-            assert EngineKind.LLM in m.engine_support(lang)
+            assert llm.supported(m, lang)
+            assert rule.supported(m, lang) == (m.id in RULES.get(lang, {}))
 
 
 def test_rule_subset_covers_each_category_for_python_and_go():
     cat = build_catalog()
+    rule = RuleEngine(cat)
     for lang in (Language.PYTHON, Language.GO):
         for category in MethodCategory:
-            supported = [m for m in cat.by_category[category] if lang in m.rule_languages]
+            supported = [m for m in cat.by_category[category] if rule.supported(m, lang)]
             assert supported, f"no rule-based {category.name} method for {lang.value}"
+
+
+# Methods with a rule in all three languages, written out so that a change
+# to RULES must change this test too.
+_IN_ALL_THREE = {
+    "insert_junk_function", "insert_junk_loop", "insert_variables", "statement_wrapping",
+    "function_rename", "variables_rename", "div_if_else", "div_composed_if",
+    "if_continue_to_if_else", "for_while_transformation", "equi_boolean_logic",
+    "swap_boolean_expression", "equi_arithmetic_expression", "modify_operations",
+}
+
+
+def test_rule_table_is_pinned():
+    assert {lang: set(ids) for lang, ids in RULES.items()} == {
+        Language.PYTHON: _IN_ALL_THREE | {"add_exception", "extract_if"},
+        Language.GO: _IN_ALL_THREE | {"extract_if"},
+        Language.C_CPP: _IN_ALL_THREE,
+    }
+    catalog_ids = {m.id for m in build_catalog().methods}
+    for ids in RULES.values():
+        assert set(ids) <= catalog_ids
+
+
+@pytest.mark.parametrize("lang", [Language.JAVA, Language.RUST_LANG])
+def test_java_and_rust_are_llm_only(lang):
+    cat = build_catalog()
+    rule = RuleEngine(cat)
+    assert not any(rule.supported(m, lang) for m in cat.methods)
 
 
 def test_peso_config_defaults():

@@ -120,8 +120,9 @@ def test_unsupported_combination():
 
 def test_rule_outputs_reparse():
     s = sample(PY_SRC)
+    engine = RuleEngine(CATALOG)
     for m in CATALOG.methods:
-        if Language.PYTHON not in m.rule_languages:
+        if not engine.supported(m, Language.PYTHON):
             continue
         for seed in range(4):
             try:
@@ -203,6 +204,17 @@ def test_go_statement_wrapping_never_wraps_declarations():
         ]
         assert added
         assert ":=" not in out.candidate.text.split("if true {")[1].split("}")[0]
+
+
+@pytest.mark.parametrize(
+    "lang,mid",
+    [(Language.C_CPP, "extract_if"), (Language.GO, "add_exception"), (Language.PYTHON, "div_loop")],
+)
+def test_a_pair_without_a_rule_is_unsupported(lang, mid):
+    src = "int main(void) {\n    if (1 < 2) {\n        return 0;\n    }\n    return 1;\n}\n"
+    text = {Language.C_CPP: src, Language.GO: GO_SRC, Language.PYTHON: PY_SRC}[lang]
+    with pytest.raises(UnsupportedCombination):
+        rule_engine_apply(sample(text, lang), method(mid), seed=1)
 
 
 def test_go_for_while_preserves_token_multiset_mostly():
@@ -295,3 +307,12 @@ def test_hybrid_prefers_rules(tmp_path):
     (tmp_path / "div_loop.json").write_text(json.dumps(reply))
     out2 = perturb(hybrid, sample(PY_SRC), method("div_loop"), seed=3)
     assert out2.engine_used is EngineKind.LLM
+
+
+def test_hybrid_sends_rust_to_the_llm(tmp_path):
+    reply = {"content": json.dumps({"code": "fn main() {}\n", "entry_point": "main"})}
+    (tmp_path / "function_rename.json").write_text(json.dumps(reply))
+    hybrid = HybridEngine(RuleEngine(CATALOG), LlmEngine(ReplayTransport(tmp_path)))
+    rust = sample('fn main() {\n    println!("hi");\n}\n', Language.RUST_LANG, "m.rs")
+    out = perturb(hybrid, rust, method("function_rename"), seed=0)
+    assert out.engine_used is EngineKind.LLM
