@@ -378,12 +378,11 @@ def _summary_rows(summaries) -> dict:
 
 def report_run(
     summaries: list[dict],
-    verdicts: list[FilterVerdict] | None = None,
     accuracy: AccuracyReport | None = None,
     baseline_summaries: list[dict] | None = None,
 ) -> dict:
     """Structured summary document: per-sample triples, aggregate means,
-    optional selection-policy win counts, filter stats, accuracy tables."""
+    optional selection-policy win counts, accuracy tables."""
     rows = _summary_rows(summaries)
     doc: dict = {
         "samples": [
@@ -402,16 +401,6 @@ def report_run(
                 metric: sum(r[metric] for r in base_rows.values()) / len(base_rows)
                 for metric in ("s1", "s2", "ss")
             }
-    if verdicts is not None:
-        reason_counts: dict[str, int] = {}
-        for v in verdicts:
-            for reason in v.reasons:
-                reason_counts[reason.value] = reason_counts.get(reason.value, 0) + 1
-        doc["filtering"] = {
-            "total": len(verdicts),
-            "kept": sum(v.kept for v in verdicts),
-            "reasons": dict(sorted(reason_counts.items())),
-        }
     if accuracy is not None:
         doc["accuracy"] = accuracy.to_dict()
     return doc
@@ -437,10 +426,6 @@ def render_report(doc: dict) -> str:
             lines.append(
                 f"  {metric}: optimized {wins['a_higher']}, baseline {wins['b_higher']}, ties {wins['ties']}"
             )
-    if "filtering" in doc:
-        f = doc["filtering"]
-        lines.append("")
-        lines.append(f"filtering: kept {f['kept']}/{f['total']} ({f['reasons']})")
     if "accuracy" in doc:
         lines.append("")
         lines.append("completion accuracy:")

@@ -45,7 +45,13 @@ from .corpusio import (
     read_jsonl,
     write_jsonl,
 )
-from .errors import CodePerturbError, ConfigError, NotApplicable, RegionUnavailable
+from .errors import (
+    CodePerturbError,
+    ConfigError,
+    NotApplicable,
+    RegionUnavailable,
+    UnsupportedCombination,
+)
 from .peso import derive_seed, run, run_random_baseline
 from .similarity import score_pair
 from .transform import HybridEngine, RuleEngine, perturb
@@ -235,21 +241,16 @@ def _run_over_corpus(args, optimizer) -> int:
     failures = []
     results = []
     with concurrent.futures.ThreadPoolExecutor(max_workers=max(1, args.jobs)) as pool:
-        futures = {pool.submit(one, item): item[0] for item in samples}
-        collected = {}
-        for future in concurrent.futures.as_completed(futures):
-            sample = futures[future]
+        futures = [(item[0], pool.submit(one, item)) for item in samples]
+        for sample, future in futures:
             try:
-                collected[sample.id] = future.result()
+                results.append((sample, future.result()))
             except CodePerturbError as exc:
                 failures.append({
                     "sample_id": sample.id,
                     "error": str(exc),
                     "partial_trace": [r.to_dict() for r in getattr(exc, "partial_trace", ())],
                 })
-    for sample, _ in samples:
-        if sample.id in collected:
-            results.append((sample, collected[sample.id]))
 
     summaries, pairs, perturbed = [], [], []
     for sample, result in results:
@@ -333,8 +334,9 @@ def cmd_perturb(args) -> int:
                     else {"s1": score.s1, "s2": score.s2, "ss": score.ss},
                 }
             )
-        except NotApplicable as exc:
-            # A legitimate outcome: the method has no site in this sample.
+        except (NotApplicable, UnsupportedCombination) as exc:
+            # A legitimate outcome: the method has no site in this sample,
+            # or the engine has no rule for this sample's language.
             record.update({"applied": False, "reason": str(exc)})
         except CodePerturbError as exc:
             record.update({"applied": False, "error": f"{type(exc).__name__}: {exc}"})
@@ -438,11 +440,7 @@ def cmd_report(args) -> int:
 
 def cmd_similarity(args) -> int:
     language = Language.parse(args.language)
-    config = PesoConfig()
-    if args.config:
-        config, _ = load_config(args.config)
-    if args.min_tile_len is not None:
-        config = dataclasses.replace(config, min_tile_len=args.min_tile_len)
+    config, _ = _peso_config(args)
     a = CodeSample(id=args.file_a, language=language, text=Path(args.file_a).read_text())
     b = CodeSample(id=args.file_b, language=language, text=Path(args.file_b).read_text())
     score = score_pair(a, b, config)

@@ -245,15 +245,9 @@ class PesoConfig:
 
 @dataclass(frozen=True)
 class EquivalenceSpec:
-    """Inputs for behavioral comparison of an original/candidate pair.
-
-    When ``extra_params_allowed`` is set, the candidate may have gained
-    function parameters with neutral defaults; program-level comparison
-    ignores them because no extra arguments are ever supplied.
-    """
+    """Inputs for behavioral comparison of an original/candidate pair."""
 
     input_suite: tuple[str, ...] = ()
-    extra_params_allowed: bool = True
 
 
 _CONFIG_KEYS = {"mu", "nu", "temperature", "max_iter", "ss_threshold", "min_tile_len", "rng_seed"}

@@ -6,8 +6,10 @@ back to the LLM. All engines return a PerturbationOutcome and never
 mutate their input sample.
 
 RULES is the rule engine's capability table: language -> method id ->
-rewrite(text, rng). A (method, language) pair has a rule exactly when it
-is listed there; every other pair needs the LLM engine.
+rewrite(text, rng) -> (new_text, entry_point). A (method, language) pair
+has a rule exactly when it is listed there; every other pair needs the LLM
+engine. Each rewrite collects the sites where its method applies, draws
+one with shared.pick (NotApplicable when there is none) and rewrites it.
 """
 
 from __future__ import annotations
@@ -43,7 +45,6 @@ class PerturbationOutcome:
     method: PerturbationMethod
     engine_used: EngineKind
     entry_point: str
-    notes: str = ""
 
 
 def _validate_output(text: str, language: Language) -> None:
@@ -66,7 +67,7 @@ def rule_engine_apply(sample: CodeSample, method: PerturbationMethod, seed: int)
     fn = RULES.get(sample.language, {}).get(method.id)
     if fn is None:
         raise UnsupportedCombination(f"{method.id} has no {sample.language.value} rule")
-    new_text, entry, notes = fn(sample.text, random.Random(seed))
+    new_text, entry = fn(sample.text, random.Random(seed))
     if new_text == sample.text:
         raise NotApplicable(f"{method.id} left the code unchanged")
     _validate_output(new_text, sample.language)
@@ -75,7 +76,6 @@ def rule_engine_apply(sample: CodeSample, method: PerturbationMethod, seed: int)
         method=method,
         engine_used=EngineKind.RULE_BASED,
         entry_point=entry,
-        notes=notes,
     )
 
 

@@ -122,5 +122,4 @@ class LlmEngine:
             method=method,
             engine_used=EngineKind.LLM,
             entry_point=entry_point,
-            notes="llm perturbation",
         )

@@ -1,9 +1,13 @@
 """Deterministic rule-based transformations for the brace languages.
 
-Go and C share one token/line-level engine parameterized by a small
-language profile. Sites are only selected where the surrounding layout is
-unambiguous (one statement per line, K&R braces, the way gofmt and most C
-formatters emit code); anything else is simply not offered as a site.
+Go and C share one token/line-level engine; where the two differ, a rule
+branches on the file's language (`f.language`). Each rule takes a lexed
+_File and the seeded RNG, draws one site with shared.pick (NotApplicable
+when there is none) and returns (new_text, entry_point); RULES wraps each
+as rewrite(text, rng). Sites are only selected where the surrounding
+layout is unambiguous (one statement per line, K&R braces, the way gofmt
+and most C formatters emit code); anything else is simply not offered as
+a site.
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ from ..analysis import FunctionSpan, find_functions, line_offsets, line_of_offse
 from ..core import Language
 from ..errors import NotApplicable
 from ..lexing import Token, TokenKind, lex
-from .shared import FN_WORDS, PREDICATE_WORDS, VAR_WORDS, fresh, splice
+from .shared import FN_WORDS, PREDICATE_WORDS, VAR_WORDS, fresh, indent_lines, pick, splice
 
 _C_TYPE_KEYWORDS = {
     "int", "long", "float", "double", "char", "unsigned", "signed", "short", "void", "bool",
@@ -88,24 +92,14 @@ def _stmt_start_line(f: _File, ln: int) -> bool:
 
 def _insertion_lines(f: _File) -> list[int]:
     """Lines a new statement line can be inserted before, inside functions."""
-    out = []
-    for fn in f.functions:
-        for ln in range(fn.body_start_line, fn.end_line + 1):
-            toks = f.line_tokens(ln)
-            if not toks:
-                continue
-            if _stmt_start_line(f, ln) or (
-                toks[0].text == "}" and _stmt_start_line_allows_close(f, ln)
-            ):
-                out.append(ln)
-    return sorted(set(out))
-
-
-def _stmt_start_line_allows_close(f: _File, ln: int) -> bool:
-    prev = ln - 1
-    while prev >= 0 and not f.line_tokens(prev):
-        prev -= 1
-    return prev >= 0 and _ends_statement(f, f.line_tokens(prev)[-1])
+    return sorted(
+        {
+            ln
+            for fn in f.functions
+            for ln in range(fn.body_start_line, fn.end_line + 1)
+            if _stmt_start_line(f, ln)
+        }
+    )
 
 
 def _insert_lines(f: _File, at_line: int, new_lines: list[str]) -> str:
@@ -115,7 +109,7 @@ def _insert_lines(f: _File, at_line: int, new_lines: list[str]) -> str:
     return "\n".join(lines)
 
 
-def _depth0_ops(f: _File, toks: list[Token], texts: tuple[str, ...]) -> list[Token]:
+def _depth0_ops(toks: list[Token], texts: tuple[str, ...]) -> list[Token]:
     depth = 0
     found = []
     for t in toks:
@@ -133,10 +127,6 @@ def _close_brace_line(f: _File, brace_tok: Token) -> int:
     idx = f.token_index(brace_tok)
     close = match_brace(f.tokens, idx)
     return line_of_offset(f.offsets, f.tokens[close].start)
-
-
-def _reindent_lines(f: _File, lines: list[str]) -> list[str]:
-    return [f.indent_unit + ln if ln.strip() else ln for ln in lines]
 
 
 # ---------------------------------------------------------------------------
@@ -198,11 +188,9 @@ def function_rename(f: _File, rng: random.Random):
                 candidates.append(nxt.text)
     if f.language is Language.C_CPP:
         candidates = [fn.name for fn in f.functions if fn.name not in reserved]
-    if not candidates:
-        raise NotApplicable("no renameable function")
-    old = rng.choice(sorted(set(candidates)))
+    old = pick(sorted(set(candidates)), rng, "no renameable function")
     new = fresh(f.identifiers(), rng, FN_WORDS)
-    return _rename_ident(f, old, new), new, f"renamed function {old} to {new}"
+    return _rename_ident(f, old, new), new
 
 
 def _go_local_decls(f: _File, fn: FunctionSpan) -> set[str]:
@@ -268,9 +256,7 @@ def variables_rename(f: _File, rng: random.Random):
         decls = {d for d in decls if d not in top and d != "_"}
         if decls:
             options.append((fn, sorted(decls)))
-    if not options:
-        raise NotApplicable("no function with renameable locals")
-    fn, names = options[rng.randrange(len(options))]
+    fn, names = pick(options, rng, "no function with renameable locals")
     existing = f.identifiers()
     renames = [(old, fresh(existing, rng, VAR_WORDS)) for old in names]
     text = f.text
@@ -280,8 +266,7 @@ def variables_rename(f: _File, rng: random.Random):
         start = cur.offsets[cur_fn.start_line]
         end = cur.offsets[min(cur_fn.end_line + 1, len(cur.offsets) - 1)]
         text = _rename_ident(cur, old, new, start, end)
-    noted = ", ".join(f"{o}->{n}" for o, n in renames)
-    return text, fn.name, f"renamed locals in {fn.name}: {noted}"
+    return text, fn.name
 
 
 # ---------------------------------------------------------------------------
@@ -289,24 +274,18 @@ def variables_rename(f: _File, rng: random.Random):
 # ---------------------------------------------------------------------------
 
 def insert_junk_loop(f: _File, rng: random.Random):
-    sites = _insertion_lines(f)
-    if not sites:
-        raise NotApplicable("no insertion point")
-    ln = sites[rng.randrange(len(sites))]
+    ln = pick(_insertion_lines(f), rng, "no insertion point")
     ind = f.indent_of(ln)
     v = fresh(f.identifiers(), rng, VAR_WORDS)
     if f.language is Language.GO:
         new = [f"{ind}for {v} := 0; {v} < 0; {v}++ {{", f"{ind}}}"]
     else:
         new = [f"{ind}for (int {v} = 0; {v} < 0; ++{v}) {{", f"{ind}}}"]
-    return _insert_lines(f, ln, new), f.enclosing_function(ln), "inserted junk loop"
+    return _insert_lines(f, ln, new), f.enclosing_function(ln)
 
 
 def insert_variables(f: _File, rng: random.Random):
-    sites = _insertion_lines(f)
-    if not sites:
-        raise NotApplicable("no insertion point")
-    ln = sites[rng.randrange(len(sites))]
+    ln = pick(_insertion_lines(f), rng, "no insertion point")
     ind = f.indent_of(ln)
     v = fresh(f.identifiers(), rng, VAR_WORDS)
     k = rng.randrange(0, 100)
@@ -314,7 +293,7 @@ def insert_variables(f: _File, rng: random.Random):
         new = [f"{ind}{v} := {k}", f"{ind}_ = {v}"]
     else:
         new = [f"{ind}int {v} = {k};", f"{ind}(void){v};"]
-    return _insert_lines(f, ln, new), f.enclosing_function(ln), "inserted unused variable"
+    return _insert_lines(f, ln, new), f.enclosing_function(ln)
 
 
 def insert_junk_function(f: _File, rng: random.Random):
@@ -325,7 +304,7 @@ def insert_junk_function(f: _File, rng: random.Random):
     else:
         chunk = f"\nstatic int {name}(void) {{\n    return {k};\n}}\n"
     text = f.text if f.text.endswith("\n") else f.text + "\n"
-    return text + chunk, name, "appended uncalled function"
+    return text + chunk, name
 
 
 def statement_wrapping(f: _File, rng: random.Random):
@@ -357,16 +336,14 @@ def statement_wrapping(f: _File, rng: random.Random):
             if f.language is Language.C_CPP and len(toks) > 1 and toks[0].kind is TokenKind.IDENT and toks[1].kind is TokenKind.IDENT:
                 continue  # typedef'd declaration
             sites.append(ln)
-    if not sites:
-        raise NotApplicable("no wrappable single-line statement")
-    ln = sites[rng.randrange(len(sites))]
+    ln = pick(sites, rng, "no wrappable single-line statement")
     ind = f.indent_of(ln)
     header = "if true {" if f.language is Language.GO else "if (1) {"
     lines = f.lines[:]
     lines[ln] = f"{ind}{f.indent_unit}{lines[ln].lstrip()}"
     lines.insert(ln, f"{ind}{header}")
     lines.insert(ln + 2, f"{ind}}}")
-    return "\n".join(lines), f.enclosing_function(ln), "wrapped statement with if"
+    return "\n".join(lines), f.enclosing_function(ln)
 
 
 # ---------------------------------------------------------------------------
@@ -404,9 +381,7 @@ def modify_operations(f: _File, rng: random.Random):
                 and j + 1 == body_end
             ):
                 sites.append((ln, j, op, body_end))
-    if not sites:
-        raise NotApplicable("no compound assignment statement")
-    ln, j, op, body_end = sites[rng.randrange(len(sites))]
+    ln, j, op, body_end = pick(sites, rng, "no compound assignment statement")
     toks = f.line_tokens(ln)
     target = f.text[toks[0].start : toks[j - 1].end]
     ind = f.indent_of(ln)
@@ -422,7 +397,7 @@ def modify_operations(f: _File, rng: random.Random):
         stmt = f"{target} = {target} {base_op} {value}{semi}"
     lines = f.lines[:]
     lines[ln] = ind + stmt
-    return "\n".join(lines), f.enclosing_function(ln), f"expanded {op.text} statement"
+    return "\n".join(lines), f.enclosing_function(ln)
 
 
 _PLAIN_INT = re.compile(r"^[0-9][0-9_]*$")
@@ -441,12 +416,10 @@ def equi_arithmetic_expression(f: _File, rng: random.Random):
         if f.language is Language.C_CPP and line_toks and line_toks[0].text == "#":
             continue  # preprocessor directives want plain literals
         sites.append((t, value, ln))
-    if not sites:
-        raise NotApplicable("no integer literal to decompose")
-    tok, value, ln = sites[rng.randrange(len(sites))]
+    tok, value, ln = pick(sites, rng, "no integer literal to decompose")
     k = rng.randrange(1, min(value - 1, 9) + 1)
     new_text = splice(f.text, tok.start, tok.end, f"({value - k} + {k})")
-    return new_text, f.enclosing_function(ln), f"decomposed literal {value}"
+    return new_text, f.enclosing_function(ln)
 
 
 # ---------------------------------------------------------------------------
@@ -457,7 +430,7 @@ _CMP_MIRROR = {"<": ">", ">": "<", "<=": ">=", ">=": "<=", "==": "==", "!=": "!=
 _OPERAND_OPS = {".", "+", "-", "*", "/", "%", "[", "]"}
 
 
-def _scan_operand(f: _File, toks: list[Token], idx: int, step: int) -> tuple[int, int] | None:
+def _scan_operand(toks: list[Token], idx: int, step: int) -> tuple[int, int] | None:
     """Scan a pure operand left (step=-1) or right (step=+1) of toks[idx].
     Returns (first_idx, last_idx) inclusive, or None."""
     j = idx + step
@@ -476,15 +449,12 @@ def _scan_operand(f: _File, toks: list[Token], idx: int, step: int) -> tuple[int
             break
         collected.append(j)
         j += step
-    while collected and bracket != 0:
+    if collected and bracket != 0:
         # Unbalanced tail; trim conservatively.
         collected.pop()
-        bracket = 0
-        break
     if not collected:
         return None
-    lo, hi = min(collected), max(collected)
-    return lo, hi
+    return min(collected), max(collected)
 
 
 def swap_boolean_expression(f: _File, rng: random.Random):
@@ -499,15 +469,13 @@ def swap_boolean_expression(f: _File, rng: random.Random):
             for idx, t in enumerate(toks):
                 if t.kind is not TokenKind.OP or t.text not in _CMP_MIRROR:
                     continue
-                left = _scan_operand(f, toks, idx, -1)
-                right = _scan_operand(f, toks, idx, +1)
+                left = _scan_operand(toks, idx, -1)
+                right = _scan_operand(toks, idx, +1)
                 if left and right:
                     swaps.append((left, idx, right))
             if swaps:
                 candidate_lines[ln] = swaps
-    if not candidate_lines:
-        raise NotApplicable("no comparison with swappable pure operands")
-    ln = sorted(candidate_lines)[rng.randrange(len(candidate_lines))]
+    ln = pick(sorted(candidate_lines), rng, "no comparison with swappable pure operands")
     toks = f.line_tokens(ln)
     text = f.text
     for (llo, lhi), idx, (rlo, rhi) in sorted(candidate_lines[ln], key=lambda s: -s[0][0]):
@@ -515,7 +483,7 @@ def swap_boolean_expression(f: _File, rng: random.Random):
         right_src = text[toks[rlo].start : toks[rhi].end]
         mirror = _CMP_MIRROR[toks[idx].text]
         text = splice(text, toks[llo].start, toks[rhi].end, f"{right_src} {mirror} {left_src}")
-    return text, f.enclosing_function(ln), "mirrored comparison operands"
+    return text, f.enclosing_function(ln)
 
 
 def _condition_span(f: _File, ln: int) -> tuple[int, int] | None:
@@ -528,7 +496,7 @@ def _condition_span(f: _File, ln: int) -> tuple[int, int] | None:
         if kw not in ("if", "for") or toks[-1].text != "{":
             return None
         inner = toks[1:-1]
-        if not inner or _depth0_ops(f, inner, (";",)):
+        if not inner or _depth0_ops(inner, (";",)):
             return None  # init clause or three-clause for
         if any(t.kind is TokenKind.KEYWORD and t.text == "range" for t in inner):
             return None
@@ -553,12 +521,10 @@ def equi_boolean_logic(f: _File, rng: random.Random):
             span = _condition_span(f, ln)
             if span and span[1] > span[0]:
                 sites.append((ln, span))
-    if not sites:
-        raise NotApplicable("no rewritable condition")
-    ln, (start, end) = sites[rng.randrange(len(sites))]
+    ln, (start, end) = pick(sites, rng, "no rewritable condition")
     cond = f.text[start:end].strip()
     toks = [t for t in f.tokens if start <= t.start and t.end <= end]
-    bools = _depth0_ops(f, toks, ("&&", "||"))
+    bools = _depth0_ops(toks, ("&&", "||"))
     use_demorgan = bool(bools) and rng.random() < 0.7
     if use_demorgan:
         split_on = "||" if any(b.text == "||" for b in bools) else "&&"
@@ -571,11 +537,9 @@ def equi_boolean_logic(f: _File, rng: random.Random):
             prev = b.end
         parts.append(f.text[prev:end].strip())
         new = "!(" + f" {joiner} ".join(f"!({p})" for p in parts) + ")"
-        note = "applied De Morgan rewrite"
     else:
         new = f"!(!({cond}))"
-        note = "applied double negation"
-    return splice(f.text, start, end, new), f.enclosing_function(ln), note
+    return splice(f.text, start, end, new), f.enclosing_function(ln)
 
 
 # ---------------------------------------------------------------------------
@@ -606,20 +570,18 @@ def div_composed_if(f: _File, rng: random.Random):
             toks = f.line_tokens(ln)
             if not toks or toks[0].text != "if":
                 continue
-            span = _c_if_condition(f, ln) if f.language is Language.C_CPP else _condition_span(f, ln)
+            span = _condition_span(f, ln)
             if not span:
                 continue
             inner = [t for t in f.tokens if span[0] <= t.start and t.end <= span[1]]
-            ands = _depth0_ops(f, inner, ("&&",))
-            if not ands or _depth0_ops(f, inner, ("||",)):
+            ands = _depth0_ops(inner, ("&&",))
+            if not ands or _depth0_ops(inner, ("||",)):
                 continue
             rng_range = _body_range(f, ln)
             if not rng_range or _followed_by_else(f, rng_range[1]):
                 continue
             sites.append((ln, span, ands[0], rng_range))
-    if not sites:
-        raise NotApplicable("no composed if without else")
-    ln, (start, end), and_tok, (body_start, close_ln) = sites[rng.randrange(len(sites))]
+    ln, (start, end), and_tok, (body_start, close_ln) = pick(sites, rng, "no composed if without else")
     ind = f.indent_of(ln)
     unit = f.indent_unit
     first = f.text[start : and_tok.start].strip()
@@ -628,23 +590,10 @@ def div_composed_if(f: _File, rng: random.Random):
         headers = [f"{ind}if {first} {{", f"{ind}{unit}if {rest} {{"]
     else:
         headers = [f"{ind}if ({first}) {{", f"{ind}{unit}if ({rest}) {{"]
-    body = _reindent_lines(f, f.lines[body_start:close_ln])
+    body = indent_lines(f.lines[body_start:close_ln], unit)
     new_lines = headers + body + [f"{ind}{unit}}}", f"{ind}}}"]
     lines = f.lines[:ln] + new_lines + f.lines[close_ln + 1 :]
-    return "\n".join(lines), f.enclosing_function(ln), "split composed condition into nested ifs"
-
-
-def _c_if_condition(f: _File, ln: int) -> tuple[int, int] | None:
-    toks = f.line_tokens(ln)
-    if not toks or toks[0].text != "if" or len(toks) < 3 or toks[1].text != "(":
-        return None
-    if toks[-1].text != "{":
-        return None
-    open_idx = f.token_index(toks[1])
-    close_idx = match_brace(f.tokens, open_idx)
-    if line_of_offset(f.offsets, f.tokens[close_idx].start) != ln:
-        return None
-    return toks[1].end, f.tokens[close_idx].start
+    return "\n".join(lines), f.enclosing_function(ln)
 
 
 def div_if_else(f: _File, rng: random.Random):
@@ -653,9 +602,7 @@ def div_if_else(f: _File, rng: random.Random):
         a, b, c = f.tokens[i : i + 3]
         if a.text == "}" and b.text == "else" and c.text == "if":
             sites.append(i)
-    if not sites:
-        raise NotApplicable("no else-if chain")
-    i = sites[rng.randrange(len(sites))]
+    i = pick(sites, rng, "no else-if chain")
     else_tok, if_tok = f.tokens[i + 1], f.tokens[i + 2]
     # Walk the chain to its final close brace.
     j = i + 2
@@ -671,23 +618,18 @@ def div_if_else(f: _File, rng: random.Random):
         break
     ln = line_of_offset(f.offsets, else_tok.start)
     ind = f.indent_of(ln)
-    unit = f.indent_unit
-    chunk = f.text[if_tok.start : end_tok.end]
-    chunk_lines = chunk.split("\n")
-    rebuilt = [f"{ind}{unit}{chunk_lines[0]}"] + [
-        unit + cl if cl.strip() else cl for cl in chunk_lines[1:]
-    ]
-    new = "else {\n" + "\n".join(rebuilt) + f"\n{ind}}}"
+    chunk = indent_lines(f.text[if_tok.start : end_tok.end].split("\n"), f.indent_unit)
+    new = f"else {{\n{ind}" + "\n".join(chunk) + f"\n{ind}}}"
     text = splice(f.text, else_tok.start, end_tok.end, new)
-    return text, f.enclosing_function(ln), "pushed else-if chain under an else"
+    return text, f.enclosing_function(ln)
 
 
 def if_continue_to_if_else(f: _File, rng: random.Random):
     sites = []
     for fn in f.functions:
         for ln in range(fn.body_start_line, fn.body_end_line):
-            header = _go_or_c_if_header(f, ln)
-            if not header:
+            toks = f.line_tokens(ln)
+            if not toks or toks[0].text != "if":
                 continue
             rng_range = _body_range(f, ln)
             if not rng_range:
@@ -713,24 +655,13 @@ def if_continue_to_if_else(f: _File, rng: random.Random):
             if any(f.line_tokens(x) and len(f.indent_of(x)) < len(ind) for x in range(close_ln + 1, rest_end)):
                 continue  # rest is not a flat tail of this block
             sites.append((ln, close_ln, rest_end))
-    if not sites:
-        raise NotApplicable("no if-continue followed by statements")
-    ln, close_ln, rest_end = sites[rng.randrange(len(sites))]
+    ln, close_ln, rest_end = pick(sites, rng, "no if-continue followed by statements")
     ind = f.indent_of(close_ln)
     lines = f.lines[:]
     lines[close_ln] = f"{ind}}} else {{"
-    for x in range(close_ln + 1, rest_end):
-        if lines[x].strip():
-            lines[x] = f.indent_unit + lines[x]
+    lines[close_ln + 1 : rest_end] = indent_lines(lines[close_ln + 1 : rest_end], f.indent_unit)
     lines.insert(rest_end, f"{ind}}}")
-    return "\n".join(lines), f.enclosing_function(ln), "moved loop tail under else"
-
-
-def _go_or_c_if_header(f: _File, ln: int):
-    toks = f.line_tokens(ln)
-    if not toks or toks[0].text != "if" or toks[-1].text != "{":
-        return None
-    return toks
+    return "\n".join(lines), f.enclosing_function(ln)
 
 
 # ---------------------------------------------------------------------------
@@ -769,7 +700,7 @@ def for_while_transformation(f: _File, rng: random.Random):
                 if toks[0].text != "for":
                     continue
                 inner = toks[1:-1]
-                semis = _depth0_ops(f, inner, (";",))
+                semis = _depth0_ops(inner, (";",))
                 rng_range = _body_range(f, ln)
                 if not rng_range:
                     continue
@@ -788,7 +719,7 @@ def for_while_transformation(f: _File, rng: random.Random):
                     open_idx = f.token_index(toks[1])
                     close_idx = match_brace(f.tokens, open_idx)
                     inner = f.tokens[open_idx + 1 : close_idx]
-                    semis = _depth0_ops(f, inner, (";",))
+                    semis = _depth0_ops(inner, (";",))
                     if len(semis) == 2 and not _body_has_loop_continue(f, *rng_range):
                         three_clause.append((ln, inner, semis, rng_range))
                 elif toks[0].text == "while" and len(toks) > 2 and toks[1].text == "(":
@@ -808,7 +739,7 @@ def for_while_transformation(f: _File, rng: random.Random):
         ind = f.indent_of(ln)
         unit = f.indent_unit
         lines = f.lines[:]
-        body = _reindent_lines(f, lines[body_start:close_ln])
+        body = indent_lines(lines[body_start:close_ln], unit)
         if f.language is Language.GO:
             block = [f"{ind}{{"]
             if init:
@@ -828,7 +759,7 @@ def for_while_transformation(f: _File, rng: random.Random):
                 block.append(f"{ind}{unit}{unit}{post};")
             block.extend([f"{ind}{unit}}}", f"{ind}}}"])
         new_lines = lines[:ln] + block + lines[close_ln + 1 :]
-        return "\n".join(new_lines), f.enclosing_function(ln), "hoisted loop clauses around a condition loop"
+        return "\n".join(new_lines), f.enclosing_function(ln)
     if cond_only:
         ln, inner, _ = cond_only[rng.randrange(len(cond_only))]
         cond = f.text[inner[0].start : inner[-1].end]
@@ -839,7 +770,7 @@ def for_while_transformation(f: _File, rng: random.Random):
         ind = f.indent_of(ln)
         lines = f.lines[:]
         lines[ln] = ind + new
-        return "\n".join(lines), f.enclosing_function(ln), "rewrote condition loop in three-clause form"
+        return "\n".join(lines), f.enclosing_function(ln)
     raise NotApplicable("no transformable loop")
 
 
@@ -857,9 +788,7 @@ def extract_if(f: _File, rng: random.Random):
             span = _condition_span(f, ln)
             if span and span[1] > span[0]:
                 sites.append((ln, span))
-    if not sites:
-        raise NotApplicable("no extractable if condition")
-    ln, (start, end) = sites[rng.randrange(len(sites))]
+    ln, (start, end) = pick(sites, rng, "no extractable if condition")
     cond = f.text[start:end].strip()
     name = fresh(f.identifiers(), rng, PREDICATE_WORDS)
     ind = f.indent_of(ln)
@@ -869,12 +798,7 @@ def extract_if(f: _File, rng: random.Random):
         f"{ind}{f.indent_unit}return {cond}",
         f"{ind}}}",
     ]
-    cur = _File(text, f.language)
-    return (
-        _insert_lines(cur, ln, helper),
-        f.enclosing_function(ln),
-        f"extracted if condition into {name}",
-    )
+    return _insert_lines(_File(text, f.language), ln, helper), f.enclosing_function(ln)
 
 
 _GO_AND_C = (

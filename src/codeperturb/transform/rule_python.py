@@ -1,9 +1,9 @@
 """Deterministic rule-based transformations for Python sources.
 
-Each transformation analyzes the module with ast, picks one applicable
-site with the caller's seeded RNG, and splices a minimal text edit so the
-rest of the file (comments, formatting) is untouched. Every function
-returns (new_text, entry_point, notes) or raises NotApplicable.
+Each rule is rewrite(text, rng) -> (new_text, entry_point): it analyzes
+the module with ast, draws one applicable site with shared.pick (which
+raises NotApplicable when there is none), and splices a minimal text edit
+so the rest of the file (comments, formatting) is untouched.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from ..analysis import line_offsets
 from ..errors import NotApplicable, ParseError
 from ..lexing import TokenKind, lex
 from ..core import Language
-from .shared import FN_WORDS, PREDICATE_WORDS, VAR_WORDS, fresh, splice
+from .shared import FN_WORDS, PREDICATE_WORDS, VAR_WORDS, fresh, indent_lines, pick, splice
 
 INDENT = "    "
 
@@ -80,11 +80,6 @@ def _enclosing_function(tree: ast.Module, node: ast.AST) -> str:
     return best.name if best is not None else "<module>"
 
 
-def _reindent(segment: str, extra: str) -> str:
-    lines = segment.split("\n")
-    return "\n".join(extra + ln if ln.strip() else ln for ln in lines)
-
-
 def _kwarg_names(tree: ast.Module) -> set[str]:
     names = set()
     for node in ast.walk(tree):
@@ -145,11 +140,9 @@ def function_rename(text: str, rng: random.Random):
         and not n.name.startswith("__")
         and n.name not in hazards
     ]
-    if not candidates:
-        raise NotApplicable("no safely renameable module-level function")
-    old = rng.choice(sorted(candidates))
+    old = pick(sorted(candidates), rng, "no safely renameable module-level function")
     new = fresh(_identifiers(text), rng, FN_WORDS)
-    return _rename_tokens(text, old, new), new, f"renamed function {old} to {new}"
+    return _rename_tokens(text, old, new), new
 
 
 def _local_candidates(fn: ast.FunctionDef, tree: ast.Module) -> list[str]:
@@ -181,9 +174,7 @@ def variables_rename(text: str, rng: random.Random):
     offsets = line_offsets(text)
     options = [(fn, _local_candidates(fn, tree)) for fn in _functions(tree)]
     options = [(fn, names) for fn, names in options if names]
-    if not options:
-        raise NotApplicable("no function with safely renameable locals")
-    fn, names = options[rng.randrange(len(options))]
+    fn, names = pick(options, rng, "no function with safely renameable locals")
     start, end = _span(offsets, fn)
     existing = _identifiers(text)
     renames = [(old, fresh(existing, rng, VAR_WORDS)) for old in names]
@@ -192,8 +183,7 @@ def variables_rename(text: str, rng: random.Random):
         # Renames keep line structure; recompute char offsets only.
         fn2 = next(f for f in _functions(_parse(text)) if f.lineno == fn.lineno)
         start, end = _span(line_offsets(text), fn2)
-    noted = ", ".join(f"{o}->{n}" for o, n in renames)
-    return text, fn.name, f"renamed locals in {fn.name}: {noted}"
+    return text, fn.name
 
 
 def _insertion_sites(text: str, offsets: list[int], tree: ast.Module, inside_functions: bool):
@@ -229,9 +219,7 @@ def insert_junk_loop(text: str, rng: random.Random):
     tree = _parse(text)
     offsets = line_offsets(text)
     sites = _insertion_sites(text, offsets, tree, inside_functions=True)
-    if not sites:
-        raise NotApplicable("no statement to anchor a junk loop")
-    stmt = sites[rng.randrange(len(sites))]
+    stmt = pick(sites, rng, "no statement to anchor a junk loop")
     v = fresh(_identifiers(text), rng, VAR_WORDS)
     template = rng.choice(
         [
@@ -241,20 +229,18 @@ def insert_junk_loop(text: str, rng: random.Random):
         ]
     )
     entry = _enclosing_function(tree, stmt)
-    return _insert_before(text, offsets, stmt, template), entry, "inserted junk loop"
+    return _insert_before(text, offsets, stmt, template), entry
 
 
 def insert_variables(text: str, rng: random.Random):
     tree = _parse(text)
     offsets = line_offsets(text)
     sites = _insertion_sites(text, offsets, tree, inside_functions=True)
-    if not sites:
-        raise NotApplicable("no statement to anchor an unused variable")
-    stmt = sites[rng.randrange(len(sites))]
+    stmt = pick(sites, rng, "no statement to anchor an unused variable")
     v = fresh(_identifiers(text), rng, VAR_WORDS)
     value = rng.choice(["0", "1", "-1", "0.0", "''", "[]", "None"])
     entry = _enclosing_function(tree, stmt)
-    return _insert_before(text, offsets, stmt, [f"{v} = {value}"]), entry, "inserted unused variable"
+    return _insert_before(text, offsets, stmt, [f"{v} = {value}"]), entry
 
 
 def insert_junk_function(text: str, rng: random.Random):
@@ -264,7 +250,7 @@ def insert_junk_function(text: str, rng: random.Random):
     chunk = f"\n\ndef {name}():\n{INDENT}return {k}\n"
     if not text.endswith("\n"):
         chunk = "\n" + chunk
-    return text + chunk, name, "appended uncalled function"
+    return text + chunk, name
 
 
 def add_exception(text: str, rng: random.Random):
@@ -275,39 +261,33 @@ def add_exception(text: str, rng: random.Random):
         for s in _insertion_sites(text, offsets, tree, inside_functions=True)
         if not isinstance(s, (ast.Try, ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
     ]
-    if not sites:
-        raise NotApplicable("no statement to wrap in a handler")
-    stmt = sites[rng.randrange(len(sites))]
+    stmt = pick(sites, rng, "no statement to wrap in a handler")
     start, end = _span(offsets, stmt)
     indent = " " * stmt.col_offset
-    seg_lines = text[start:end].split("\n")
-    body = [indent + INDENT + seg_lines[0]] + [INDENT + ln if ln.strip() else ln for ln in seg_lines[1:]]
-    new = "try:\n" + "\n".join(body) + f"\n{indent}except Exception:\n{indent}{INDENT}raise"
+    body = "\n".join(indent_lines(text[start:end].split("\n"), INDENT))
+    new = f"try:\n{indent}{body}\n{indent}except Exception:\n{indent}{INDENT}raise"
     entry = _enclosing_function(tree, stmt)
-    return splice(text, start, end, new), entry, "wrapped statement in pass-through handler"
+    return splice(text, start, end, new), entry
 
 
 def statement_wrapping(text: str, rng: random.Random):
     tree = _parse(text)
     offsets = line_offsets(text)
     sites = _insertion_sites(text, offsets, tree, inside_functions=False)
-    if not sites:
-        raise NotApplicable("no wrappable statement")
-    stmt = sites[rng.randrange(len(sites))]
+    stmt = pick(sites, rng, "no wrappable statement")
     has_jump = any(isinstance(n, (ast.Break, ast.Continue)) for n in ast.walk(stmt))
     use_for = not has_jump and rng.random() < 0.5
     start, end = _span(offsets, stmt)
     indent = " " * stmt.col_offset
-    seg_lines = text[start:end].split("\n")
-    body = [indent + INDENT + seg_lines[0]] + [INDENT + ln if ln.strip() else ln for ln in seg_lines[1:]]
+    body = "\n".join(indent_lines(text[start:end].split("\n"), INDENT))
     if use_for:
         v = fresh(_identifiers(text), rng, VAR_WORDS)
         header = f"for {v} in range(1):"
     else:
         header = "if True:"
-    new = header + "\n" + "\n".join(body)
+    new = f"{header}\n{indent}{body}"
     entry = _enclosing_function(tree, stmt)
-    return splice(text, start, end, new), entry, f"wrapped statement with {header.split()[0]}"
+    return splice(text, start, end, new), entry
 
 
 # ---------------------------------------------------------------------------
@@ -339,9 +319,7 @@ def modify_operations(text: str, rng: random.Random):
         for n in ast.walk(tree)
         if isinstance(n, ast.AugAssign) and _pure_target(n.target) and type(n.op) in _AUG_OPS
     ]
-    if not sites:
-        raise NotApplicable("no compound assignment")
-    node = sites[rng.randrange(len(sites))]
+    node = pick(sites, rng, "no compound assignment")
     start, end = _span(offsets, node)
     target_src = ast.get_source_segment(text, node.target)
     value_src = ast.get_source_segment(text, node.value)
@@ -350,7 +328,7 @@ def modify_operations(text: str, rng: random.Random):
         value_src = f"({value_src})"
     new = f"{target_src} = {target_src} {op} {value_src}"
     entry = _enclosing_function(tree, node)
-    return splice(text, start, end, new), entry, f"expanded {op}= assignment"
+    return splice(text, start, end, new), entry
 
 
 def _int_literal_sites(tree: ast.Module):
@@ -384,15 +362,12 @@ def _int_literal_sites(tree: ast.Module):
 def equi_arithmetic_expression(text: str, rng: random.Random):
     tree = _parse(text)
     offsets = line_offsets(text)
-    sites = _int_literal_sites(tree)
-    if not sites:
-        raise NotApplicable("no integer literal to decompose")
-    node = sites[rng.randrange(len(sites))]
+    node = pick(_int_literal_sites(tree), rng, "no integer literal to decompose")
     start, end = _span(offsets, node)
     k = rng.randrange(1, min(node.value - 1, 9) + 1)
     new = f"({node.value - k} + {k})"
     entry = _enclosing_function(tree, node)
-    return splice(text, start, end, new), entry, f"decomposed literal {node.value}"
+    return splice(text, start, end, new), entry
 
 
 # ---------------------------------------------------------------------------
@@ -440,9 +415,7 @@ def swap_boolean_expression(text: str, rng: random.Random):
     sites = [
         n for n in ast.walk(tree) if isinstance(n, (ast.If, ast.While)) and _swappable_compares(n.test)
     ]
-    if not sites:
-        raise NotApplicable("no comparison with safely swappable operands")
-    node = sites[rng.randrange(len(sites))]
+    node = pick(sites, rng, "no comparison with safely swappable operands")
     edits = []
     for cmp_node in _swappable_compares(node.test):
         start, end = _span(offsets, cmp_node)
@@ -453,7 +426,7 @@ def swap_boolean_expression(text: str, rng: random.Random):
     for start, end, new in sorted(edits, reverse=True):
         text = splice(text, start, end, new)
     entry = _enclosing_function(tree, node)
-    return text, entry, "mirrored comparison operands"
+    return text, entry
 
 
 def equi_boolean_logic(text: str, rng: random.Random):
@@ -465,21 +438,17 @@ def equi_boolean_logic(text: str, rng: random.Random):
         for n in sites
         if not any(isinstance(x, (ast.NamedExpr, ast.Await, ast.Yield, ast.YieldFrom)) for x in ast.walk(n.test))
     ]
-    if not sites:
-        raise NotApplicable("no condition to rewrite")
-    node = sites[rng.randrange(len(sites))]
+    node = pick(sites, rng, "no condition to rewrite")
     start, end = _span(offsets, node.test)
     test = node.test
     if isinstance(test, ast.BoolOp):
         parts = [f"not ({ast.get_source_segment(text, v)})" for v in test.values]
         joiner = " or " if isinstance(test.op, ast.And) else " and "
         new = f"not ({joiner.join(parts)})"
-        note = "applied De Morgan rewrite"
     else:
         new = f"not (not ({ast.get_source_segment(text, test)}))"
-        note = "applied double negation"
     entry = _enclosing_function(tree, node)
-    return splice(text, start, end, new), entry, note
+    return splice(text, start, end, new), entry
 
 
 # ---------------------------------------------------------------------------
@@ -506,9 +475,7 @@ def div_composed_if(text: str, rng: random.Random):
         and n.test.lineno == n.test.end_lineno
         and not any(isinstance(x, ast.NamedExpr) for x in ast.walk(n.test))
     ]
-    if not sites:
-        raise NotApplicable("no composed if without else")
-    node = sites[rng.randrange(len(sites))]
+    node = pick(sites, rng, "no composed if without else")
     start, end = _span(offsets, node)
     indent = " " * node.col_offset
     conds = [ast.get_source_segment(text, v) for v in node.test.values]
@@ -520,10 +487,10 @@ def div_composed_if(text: str, rng: random.Random):
     headers = [f"if {conds[0]}:"] + [
         indent + (INDENT * i) + f"if {c}:" for i, c in enumerate(conds[1:], start=1)
     ]
-    body = _reindent(body_src.rstrip("\n"), INDENT * (depth - 1))
-    new = "\n".join(headers) + "\n" + body
+    body = indent_lines(body_src.rstrip("\n").split("\n"), INDENT * (depth - 1))
+    new = "\n".join(headers + body)
     entry = _enclosing_function(tree, node)
-    return splice(text, start, end, new), entry, f"split composed condition into {depth} nested ifs"
+    return splice(text, start, end, new), entry
 
 
 def div_if_else(text: str, rng: random.Random):
@@ -537,18 +504,16 @@ def div_if_else(text: str, rng: random.Random):
         and isinstance(n.orelse[0], ast.If)
         and _starts_with(text, offsets, n.orelse[0], "elif")
     ]
-    if not sites:
-        raise NotApplicable("no elif chain")
-    node = sites[rng.randrange(len(sites))]
+    node = pick(sites, rng, "no elif chain")
     elif_node = node.orelse[0]
     start, end = _span(offsets, elif_node)
     indent = " " * elif_node.col_offset
     segment = text[start:end]
     assert segment.startswith("elif")
     segment = "if" + segment[len("elif") :]
-    new = "else:\n" + indent + INDENT + _reindent(segment, INDENT).lstrip()
+    new = f"else:\n{indent}" + "\n".join(indent_lines(segment.split("\n"), INDENT))
     entry = _enclosing_function(tree, node)
-    return splice(text, start, end, new), entry, "pushed elif chain under an else"
+    return splice(text, start, end, new), entry
 
 
 def if_continue_to_if_else(text: str, rng: random.Random):
@@ -567,16 +532,14 @@ def if_continue_to_if_else(text: str, rng: random.Random):
                 and _own_line(text, offsets, block[idx + 1])
             ):
                 sites.append((stmt, block[idx + 1 :]))
-    if not sites:
-        raise NotApplicable("no if-continue followed by statements")
-    stmt, rest = sites[rng.randrange(len(sites))]
+    stmt, rest = pick(sites, rng, "no if-continue followed by statements")
     indent = " " * stmt.col_offset
     rest_start = offsets[rest[0].lineno - 1]
     rest_end = _span(offsets, rest[-1])[1]
     rest_src = text[rest_start:rest_end]
-    new = indent + "else:\n" + _reindent(rest_src, INDENT)
+    new = indent + "else:\n" + "\n".join(indent_lines(rest_src.split("\n"), INDENT))
     entry = _enclosing_function(tree, stmt)
-    return splice(text, rest_start, rest_end, new), entry, "moved loop tail under else"
+    return splice(text, rest_start, rest_end, new), entry
 
 
 # ---------------------------------------------------------------------------
@@ -594,9 +557,7 @@ def for_while_transformation(text: str, rng: random.Random):
         and _own_line(text, offsets, n)
         and n.body[0].lineno > n.lineno
     ]
-    if not sites:
-        raise NotApplicable("no plain for loop")
-    node = sites[rng.randrange(len(sites))]
+    node = pick(sites, rng, "no plain for loop")
     start, end = _span(offsets, node)
     indent = " " * node.col_offset
     it = fresh(_identifiers(text), rng, VAR_WORDS)
@@ -615,7 +576,7 @@ def for_while_transformation(text: str, rng: random.Random):
         f"{indent}{INDENT}{INDENT}break\n" + body_src
     )
     entry = _enclosing_function(tree, node)
-    return splice(text, start, end, new), entry, "desugared for loop into while"
+    return splice(text, start, end, new), entry
 
 
 # ---------------------------------------------------------------------------
@@ -639,9 +600,7 @@ def extract_if(text: str, rng: random.Random):
         for n in ast.walk(tree)
         if isinstance(n, ast.If) and _starts_with(text, offsets, n, "if") and usable(n.test)
     ]
-    if not sites:
-        raise NotApplicable("no extractable if condition")
-    node = sites[rng.randrange(len(sites))]
+    node = pick(sites, rng, "no extractable if condition")
     free: list[str] = []
     for x in ast.walk(node.test):
         if isinstance(x, ast.Name) and isinstance(x.ctx, ast.Load) and x.id not in free:
@@ -661,7 +620,7 @@ def extract_if(text: str, rng: random.Random):
     text = splice(text, tstart, tend, call)
     text = text[:insert_at] + helper + text[insert_at:]
     entry = _enclosing_function(tree, node)
-    return text, entry, f"extracted if condition into {name}"
+    return text, entry
 
 
 RULES = {

@@ -11,8 +11,20 @@ FN_WORDS = ["helper", "worker", "routine", "shim", "stage", "piece", "chunk", "r
 PREDICATE_WORDS = ["check", "cond", "gate", "test"]
 
 
+def pick(sites: list, rng: random.Random, reason: str):
+    """One site drawn with the seeded RNG; NotApplicable(reason) if none."""
+    if not sites:
+        raise NotApplicable(reason)
+    return sites[rng.randrange(len(sites))]
+
+
 def splice(text: str, start: int, end: int, replacement: str) -> str:
     return text[:start] + replacement + text[end:]
+
+
+def indent_lines(lines: list[str], prefix: str) -> list[str]:
+    """Prefix every line that is not blank."""
+    return [prefix + ln if ln.strip() else ln for ln in lines]
 
 
 def fresh(existing: set[str], rng: random.Random, words: list[str]) -> str:

@@ -257,11 +257,8 @@ def execution_equivalence(
 ) -> bool:
     """Byte-compare stdout and exit status over the whole input suite.
 
-    Extra function parameters with neutral defaults (spec.extra_params_allowed)
-    never surface at the process boundary, so no special handling is needed
-    beyond comparing program-level behavior. A failure or timeout of the
-    original raises OriginalUnrunnable; one of the candidate propagates as
-    is and rejects only that candidate.
+    A failure or timeout of the original raises OriginalUnrunnable; one of
+    the candidate propagates as is and rejects only that candidate.
     """
     if not spec.input_suite:
         raise ConfigError("equivalence spec has an empty input suite")

@@ -43,7 +43,6 @@ class MarkerEngine:
             method=method,
             engine_used=EngineKind.RULE_BASED,
             entry_point="main",
-            notes="synthetic marker",
         )
 
 

@@ -3,6 +3,7 @@ import json
 import subprocess
 import sys
 import tempfile
+import time
 import warnings
 from pathlib import Path
 
@@ -11,6 +12,7 @@ import pytest
 from codeperturb import cli
 from codeperturb.cli import main
 from codeperturb.corpusio import read_jsonl
+from codeperturb.errors import EngineFailure
 from codeperturb.verify import Toolchain
 
 from .conftest import load_fixture_corpus, write_corpus_jsonl
@@ -80,6 +82,24 @@ def test_perturb_command(small_corpus, tmp_path, capsys):
     skipped = [r for r in outcomes if not r["applied"]]
     assert all("reason" in r for r in skipped)
     assert (out / "manifest.json").exists()
+
+
+def test_perturb_records_a_pair_without_a_rule_as_not_applied(tmp_path, capsys):
+    path = tmp_path / "corpus.jsonl"
+    write_corpus_jsonl(path, load_fixture_corpus())
+    out = tmp_path / "out"
+    code = run_cli(
+        "perturb", "--method", "add_exception", "--corpus", path, "--engine", "rule",
+        "--seed", "3", "--equivalence", "stub", "--no-compile", "--output-dir", out,
+    )
+    assert code == 0
+    outcomes = read_jsonl(out / "outcomes.jsonl")
+    c_records = [r for r in outcomes if r["sample_id"].endswith(".c")]
+    assert len(c_records) == 8
+    for r in c_records:
+        assert r["applied"] is False and "error" not in r
+        assert "cannot apply add_exception to c_cpp" in r["reason"]
+    assert not any("error" in r for r in outcomes)
 
 
 def test_perturb_unknown_method(small_corpus, tmp_path, capsys):
@@ -220,6 +240,31 @@ def test_failed_sample_keeps_its_partial_trace(tmp_path, capsys):
     trace = failure["partial_trace"]
     assert [r["phase"] for r in trace[:2]] == ["rename", "rename"]
     assert [r["method_id"] for r in trace[:2]] == ["function_rename", "variables_rename"]
+
+
+def test_failures_are_listed_in_corpus_order(tmp_path, monkeypatch, capsys):
+    corpus = load_fixture_corpus(languages={Language.PYTHON})[:3]
+    slow, fast = corpus[0][0].id, corpus[1][0].id
+    real_run = cli.run
+
+    def optimizer(sample, engine, catalog, cfg, verifier):
+        if sample.id == slow:
+            time.sleep(0.2)
+        if sample.id in (slow, fast):
+            raise EngineFailure(f"{sample.id} failed")
+        return real_run(sample, engine, catalog, cfg, verifier)
+
+    monkeypatch.setattr(cli, "run", optimizer)
+    path = tmp_path / "corpus.jsonl"
+    write_corpus_jsonl(path, corpus)
+    out = tmp_path / "out"
+    code = run_cli(
+        "peso-run", "--corpus", path, "--engine", "rule", "--seed", "1", "--max-iter", "1",
+        "--jobs", "2", "--equivalence", "stub", "--no-compile", "--output-dir", out,
+    )
+    assert code == 2
+    assert [f["sample_id"] for f in read_jsonl(out / "failures.jsonl")] == [slow, fast]
+    assert [s["sample_id"] for s in read_jsonl(out / "summary.jsonl")] == [corpus[2][0].id]
 
 
 def test_a_sample_whose_original_times_out_fails_once(tmp_path, monkeypatch, capsys):

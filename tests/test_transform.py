@@ -1,4 +1,5 @@
 import ast
+import hashlib
 import json
 
 import pytest
@@ -8,10 +9,12 @@ from codeperturb.errors import (
     EngineFailure,
     MalformedAnswer,
     NotApplicable,
+    ParseError,
     UnsupportedCombination,
 )
 from codeperturb.similarity import tokenize
 from codeperturb.transform import (
+    RULES,
     HybridEngine,
     RuleEngine,
     parse_llm_answer,
@@ -20,6 +23,9 @@ from codeperturb.transform import (
     synthesize_prompt,
 )
 from codeperturb.transform.llm import LlmEngine, ReplayTransport
+
+from .conftest import load_fixture_corpus
+from .test_transform_go_golden import CHAIN_SRC, LOOP_SRC
 
 CATALOG = build_catalog()
 
@@ -85,7 +91,8 @@ def test_extract_if_introduces_predicate_function():
     s = sample("def g(a, b):\n    if a < b:\n        return a\n    return b\n")
     out = rule_engine_apply(s, method("extract_if"), seed=4)
     text = out.candidate.text
-    helper = out.notes.split()[-1]
+    helper = text.split("def ", 1)[1].split("(", 1)[0]
+    assert helper != "g"
     assert f"def {helper}(a, b):" in text
     assert f"if {helper}(a, b):" in text
     assert "return a < b" in text
@@ -316,3 +323,32 @@ def test_hybrid_sends_rust_to_the_llm(tmp_path):
     rust = sample('fn main() {\n    println!("hi");\n}\n', Language.RUST_LANG, "m.rs")
     out = perturb(hybrid, rust, method("function_rename"), seed=0)
     assert out.engine_used is EngineKind.LLM
+
+
+# ---------------------------------------------------------------------------
+# Frozen rule outputs
+# ---------------------------------------------------------------------------
+
+# sha256 of every rule's outcome on the fixtures and the Go golden sources,
+# seeds 0-4. A change that alters a rule's output on purpose updates this
+# constant and says why in CHANGES.md.
+RULE_OUTPUT_DIGEST = "c21abb770e98e11b0f7b7973b4d44a4490179c9a61a1eb782c22b1476e60d528"
+
+
+def test_every_rule_output_is_frozen():
+    inputs = [(s.id, s.language, s.text) for s, _ in load_fixture_corpus()]
+    inputs += [("go/loop", Language.GO, LOOP_SRC), ("go/chain", Language.GO, CHAIN_SRC)]
+    digest = hashlib.sha256()
+    cases = 0
+    for sid, language, text in inputs:
+        for mid in sorted(RULES[language]):
+            for seed in range(5):
+                try:
+                    out = rule_engine_apply(sample(text, language, sid), method(mid), seed)
+                    row = [sid, mid, seed, out.candidate.text, out.entry_point]
+                except (NotApplicable, ParseError) as exc:
+                    row = [sid, mid, seed, type(exc).__name__, str(exc)]
+                digest.update(json.dumps(row).encode() + b"\n")
+                cases += 1
+    assert cases == 1830
+    assert digest.hexdigest() == RULE_OUTPUT_DIGEST
