@@ -32,14 +32,9 @@ from .lexing import lex, normalize_token
 
 @dataclass(frozen=True)
 class TokenStream:
-    """Normalized lexical tokens plus their (start, end) offsets in the text."""
+    """Normalized lexical tokens of a text."""
 
     tokens: tuple[str, ...]
-    source_spans: tuple[tuple[int, int], ...]
-
-    def __post_init__(self):
-        if len(self.tokens) != len(self.source_spans):
-            raise ValueError("tokens and source_spans must have equal length")
 
     def __len__(self) -> int:
         return len(self.tokens)
@@ -58,11 +53,7 @@ def tokenize(sample: CodeSample) -> TokenStream:
     Renaming an identifier consistently leaves the stream unchanged.
     Raises LexError (with offset) on unlexable input.
     """
-    toks = lex(sample.text, sample.language)
-    return TokenStream(
-        tokens=tuple(normalize_token(t) for t in toks),
-        source_spans=tuple((t.start, t.end) for t in toks),
-    )
+    return TokenStream(tokens=tuple(normalize_token(t) for t in lex(sample.text, sample.language)))
 
 
 def _common_prefix_len(a: str, b: str) -> int:

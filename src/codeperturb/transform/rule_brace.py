@@ -1,10 +1,17 @@
 """Deterministic rule-based transformations for the brace languages.
 
-Go and C share one token/line-level engine; where the two differ, a rule
-branches on the file's language (`f.language`). Each rule takes a lexed
-_File and the seeded RNG, draws one site with shared.pick (NotApplicable
-when there is none) and returns (new_text, entry_point); RULES wraps each
-as rewrite(text, rng). Sites are only selected where the surrounding
+Go and C share one token/line-level engine. The Go/C facts that many rules
+read live on _File: `indent_unit`, `semi` (the statement terminator, empty
+in Go), `loop` (the condition-only loop keyword), `cond()` (parenthesize a
+condition where the language needs it) and `terminated()`. `_header` parses
+one-line if/for/while headers for both languages, and `_body_lines` walks
+function bodies. Only the rules whose parses or templates differ beyond
+that (function and local-variable discovery, the inserted snippets) still
+branch on `f.language`.
+
+Each rule takes a lexed _File and the seeded RNG, draws one site with
+shared.pick (NotApplicable when there is none) and returns
+(new_text, entry_point); RULES wraps each as rewrite(text, rng). Sites are only selected where the surrounding
 layout is unambiguous (one statement per line, K&R braces, the way gofmt
 and most C formatters emit code); anything else is simply not offered as
 a site.
@@ -20,7 +27,9 @@ from ..analysis import FunctionSpan, find_functions, line_offsets, line_of_offse
 from ..core import Language
 from ..errors import NotApplicable
 from ..lexing import Token, TokenKind, lex
-from .shared import FN_WORDS, PREDICATE_WORDS, VAR_WORDS, fresh, indent_lines, pick, splice
+from .shared import (
+    FN_WORDS, PREDICATE_WORDS, VAR_WORDS, fresh, indent_lines, pick, replace_tokens, splice,
+)
 
 _C_TYPE_KEYWORDS = {
     "int", "long", "float", "double", "char", "unsigned", "signed", "short", "void", "bool",
@@ -37,7 +46,10 @@ class _File:
         self.offsets = line_offsets(self.text)
         self.lines = self.text.split("\n")
         self.functions = find_functions(self.text, self.language)
-        self.indent_unit = "\t" if self.language is Language.GO else "    "
+        go = self.language is Language.GO
+        self.indent_unit = "\t" if go else "    "
+        self.semi = "" if go else ";"
+        self.loop = "for" if go else "while"
         by_line: dict[int, list[Token]] = {}
         for t in self.tokens:
             by_line.setdefault(line_of_offset(self.offsets, t.start), []).append(t)
@@ -45,6 +57,14 @@ class _File:
 
     def line_tokens(self, ln: int) -> list[Token]:
         return self.by_line.get(ln, [])
+
+    def cond(self, text: str) -> str:
+        """A condition as an if/loop header spells it."""
+        return text if self.language is Language.GO else f"({text})"
+
+    def terminated(self, toks: list[Token]) -> bool:
+        """Whether a line ends with the statement terminator, if there is one."""
+        return not self.semi or toks[-1].text == self.semi
 
     def indent_of(self, ln: int) -> str:
         line = self.lines[ln]
@@ -90,6 +110,15 @@ def _stmt_start_line(f: _File, ln: int) -> bool:
     return _ends_statement(f, f.line_tokens(prev)[-1])
 
 
+def _body_lines(f: _File):
+    """(function, line, tokens) for every non-blank line of a function body."""
+    for fn in f.functions:
+        for ln in range(fn.body_start_line, fn.body_end_line + 1):
+            toks = f.line_tokens(ln)
+            if toks:
+                yield fn, ln, toks
+
+
 def _insertion_lines(f: _File) -> list[int]:
     """Lines a new statement line can be inserted before, inside functions."""
     return sorted(
@@ -102,10 +131,9 @@ def _insertion_lines(f: _File) -> list[int]:
     )
 
 
-def _insert_lines(f: _File, at_line: int, new_lines: list[str]) -> str:
-    lines = f.lines[:]
-    for i, ln in enumerate(new_lines):
-        lines.insert(at_line + i, ln)
+def _insert_lines(text: str, at_line: int, new_lines: list[str]) -> str:
+    lines = text.split("\n")
+    lines[at_line:at_line] = new_lines
     return "\n".join(lines)
 
 
@@ -123,33 +151,26 @@ def _depth0_ops(toks: list[Token], texts: tuple[str, ...]) -> list[Token]:
     return found
 
 
-def _close_brace_line(f: _File, brace_tok: Token) -> int:
-    idx = f.token_index(brace_tok)
-    close = match_brace(f.tokens, idx)
-    return line_of_offset(f.offsets, f.tokens[close].start)
-
-
 # ---------------------------------------------------------------------------
 # Renames
 # ---------------------------------------------------------------------------
 
-def _top_level_names(f: _File) -> set[str]:
-    names = set()
+def _top_level(f: _File):
+    """(index, token) for every token outside all braces, braces excluded."""
     depth = 0
-    for t in f.tokens:
+    for i, t in enumerate(f.tokens):
         if t.kind is TokenKind.OP and t.text in "{}":
             depth += 1 if t.text == "{" else -1
-        elif depth == 0 and t.kind is TokenKind.IDENT:
-            names.add(t.text)
-    return names
+        elif depth == 0:
+            yield i, t
 
 
-def _rename_ident(f: _File, old: str, new: str, start: int = 0, end: int | None = None) -> str:
+def _rename_ident(f: _File, renames: dict[str, str], start: int = 0, end: int | None = None) -> str:
+    """Rename identifiers within [start, end) by the {old: new} map, in one pass."""
     end = len(f.text) if end is None else end
-    text = f.text
-    edits = []
+    hits = []
     for i, t in enumerate(f.tokens):
-        if t.kind is not TokenKind.IDENT or t.text != old:
+        if t.kind is not TokenKind.IDENT or t.text not in renames:
             continue
         if not (start <= t.start and t.end <= end):
             continue
@@ -164,33 +185,27 @@ def _rename_ident(f: _File, old: str, new: str, start: int = 0, end: int | None 
             and nxt.text == ":"
         ):
             continue  # keyed struct literal field
-        edits.append((t.start, t.end))
-    if not edits:
-        raise NotApplicable(f"no occurrences of {old!r}")
-    for s, e in reversed(edits):
-        text = text[:s] + new + text[e:]
-    return text
+        hits.append(t)
+    return replace_tokens(f.text, hits, renames, "no occurrences of {!r}")
 
 
 def function_rename(f: _File, rng: random.Random):
-    reserved = {"main", "init"}
-    candidates = []
-    depth = 0
-    for i, t in enumerate(f.tokens):
-        if t.kind is TokenKind.OP and t.text in "{}":
-            depth += 1 if t.text == "{" else -1
-            continue
-        if depth != 0:
-            continue
-        if f.language is Language.GO and t.kind is TokenKind.KEYWORD and t.text == "func":
-            nxt = f.tokens[i + 1] if i + 1 < len(f.tokens) else None
-            if nxt is not None and nxt.kind is TokenKind.IDENT and nxt.text not in reserved:
-                candidates.append(nxt.text)
-    if f.language is Language.C_CPP:
-        candidates = [fn.name for fn in f.functions if fn.name not in reserved]
-    old = pick(sorted(set(candidates)), rng, "no renameable function")
+    if f.language is Language.GO:
+        # `func name`: methods (`func (r T) name`) are called after a '.',
+        # which renames skip.
+        candidates = {
+            f.tokens[i + 1].text
+            for i, t in _top_level(f)
+            if t.kind is TokenKind.KEYWORD
+            and t.text == "func"
+            and i + 1 < len(f.tokens)
+            and f.tokens[i + 1].kind is TokenKind.IDENT
+        }
+    else:
+        candidates = {fn.name for fn in f.functions}
+    old = pick(sorted(candidates - {"main", "init"}), rng, "no renameable function")
     new = fresh(f.identifiers(), rng, FN_WORDS)
-    return _rename_ident(f, old, new), new
+    return _rename_ident(f, {old: new}), new
 
 
 def _go_local_decls(f: _File, fn: FunctionSpan) -> set[str]:
@@ -247,26 +262,19 @@ def _c_local_decls(f: _File, fn: FunctionSpan) -> set[str]:
 
 
 def variables_rename(f: _File, rng: random.Random):
-    top = _top_level_names(f)
+    top = {t.text for _, t in _top_level(f) if t.kind is TokenKind.IDENT}
+    local_decls = _go_local_decls if f.language is Language.GO else _c_local_decls
     options = []
     for fn in f.functions:
-        decls = (
-            _go_local_decls(f, fn) if f.language is Language.GO else _c_local_decls(f, fn)
-        )
-        decls = {d for d in decls if d not in top and d != "_"}
+        decls = {d for d in local_decls(f, fn) if d not in top and d != "_"}
         if decls:
             options.append((fn, sorted(decls)))
     fn, names = pick(options, rng, "no function with renameable locals")
     existing = f.identifiers()
-    renames = [(old, fresh(existing, rng, VAR_WORDS)) for old in names]
-    text = f.text
-    for old, new in renames:
-        cur = _File(text, f.language)
-        cur_fn = next(x for x in cur.functions if x.start_line == fn.start_line)
-        start = cur.offsets[cur_fn.start_line]
-        end = cur.offsets[min(cur_fn.end_line + 1, len(cur.offsets) - 1)]
-        text = _rename_ident(cur, old, new, start, end)
-    return text, fn.name
+    renames = {old: fresh(existing, rng, VAR_WORDS) for old in names}
+    start = f.offsets[fn.start_line]
+    end = f.offsets[min(fn.end_line + 1, len(f.offsets) - 1)]
+    return _rename_ident(f, renames, start, end), fn.name
 
 
 # ---------------------------------------------------------------------------
@@ -281,7 +289,7 @@ def insert_junk_loop(f: _File, rng: random.Random):
         new = [f"{ind}for {v} := 0; {v} < 0; {v}++ {{", f"{ind}}}"]
     else:
         new = [f"{ind}for (int {v} = 0; {v} < 0; ++{v}) {{", f"{ind}}}"]
-    return _insert_lines(f, ln, new), f.enclosing_function(ln)
+    return _insert_lines(f.text, ln, new), f.enclosing_function(ln)
 
 
 def insert_variables(f: _File, rng: random.Random):
@@ -293,7 +301,7 @@ def insert_variables(f: _File, rng: random.Random):
         new = [f"{ind}{v} := {k}", f"{ind}_ = {v}"]
     else:
         new = [f"{ind}int {v} = {k};", f"{ind}(void){v};"]
-    return _insert_lines(f, ln, new), f.enclosing_function(ln)
+    return _insert_lines(f.text, ln, new), f.enclosing_function(ln)
 
 
 def insert_junk_function(f: _File, rng: random.Random):
@@ -313,29 +321,23 @@ def statement_wrapping(f: _File, rng: random.Random):
         "package", "import", "return", "case", "default", "else", "goto", "struct",
     }
     sites = []
-    for fn in f.functions:
-        for ln in range(fn.body_start_line, fn.body_end_line + 1):
-            toks = f.line_tokens(ln)
-            if not toks or not _stmt_start_line(f, ln):
-                continue
-            if not _ends_statement(f, toks[-1]) or toks[-1].text in ("{", ":"):
-                continue
-            first = toks[0]
-            if first.text in banned_first:
-                continue
-            if first.kind is TokenKind.KEYWORD and f.language is Language.C_CPP and first.text in _C_TYPE_KEYWORDS:
-                continue  # declaration: braces would change its scope
-            if len(toks) > 1 and toks[1].text == ":":
-                continue  # label
-            if any(t.text in (":=",) for t in toks) or (
-                f.language is Language.GO and toks[0].text in ("var", "const")
-            ):
-                continue
-            if f.language is Language.C_CPP and toks[-1].text != ";":
-                continue
-            if f.language is Language.C_CPP and len(toks) > 1 and toks[0].kind is TokenKind.IDENT and toks[1].kind is TokenKind.IDENT:
-                continue  # typedef'd declaration
-            sites.append(ln)
+    for _, ln, toks in _body_lines(f):
+        if not _stmt_start_line(f, ln) or not f.terminated(toks):
+            continue
+        if not _ends_statement(f, toks[-1]) or toks[-1].text in ("{", ":"):
+            continue
+        first = toks[0]
+        if first.text in banned_first:
+            continue
+        if first.kind is TokenKind.KEYWORD and first.text in _C_TYPE_KEYWORDS:
+            continue  # declaration: braces would change its scope
+        if len(toks) > 1 and toks[1].text == ":":
+            continue  # label
+        if any(t.text == ":=" for t in toks):
+            continue
+        if f.language is Language.C_CPP and len(toks) > 1 and toks[0].kind is TokenKind.IDENT and toks[1].kind is TokenKind.IDENT:
+            continue  # typedef'd declaration
+        sites.append(ln)
     ln = pick(sites, rng, "no wrappable single-line statement")
     ind = f.indent_of(ln)
     header = "if true {" if f.language is Language.GO else "if (1) {"
@@ -355,52 +357,48 @@ _AUG_OPS = ("+=", "-=", "*=", "/=", "%=", "&=", "|=", "^=", "<<=", ">>=")
 
 def modify_operations(f: _File, rng: random.Random):
     sites = []
-    for fn in f.functions:
-        for ln in range(fn.body_start_line, fn.body_end_line + 1):
-            toks = f.line_tokens(ln)
-            if not toks or not _stmt_start_line(f, ln):
-                continue
-            if f.language is Language.C_CPP and (not toks or toks[-1].text != ";"):
-                continue
-            # Leading target: IDENT(.IDENT)*
-            j = 0
-            if toks[j].kind is not TokenKind.IDENT:
-                continue
-            j += 1
-            while j + 1 < len(toks) and toks[j].text == "." and toks[j + 1].kind is TokenKind.IDENT:
-                j += 2
-            if j >= len(toks):
-                continue
-            op = toks[j]
-            body_end = len(toks) - (1 if f.language is Language.C_CPP else 0)
-            if op.kind is TokenKind.OP and op.text in _AUG_OPS and j + 1 <= body_end - 1:
-                sites.append((ln, j, op, body_end))
-            elif (
-                op.kind is TokenKind.OP
-                and op.text in ("++", "--")
-                and j + 1 == body_end
-            ):
-                sites.append((ln, j, op, body_end))
+    for _, ln, toks in _body_lines(f):
+        if not _stmt_start_line(f, ln) or not f.terminated(toks):
+            continue
+        # Leading target: IDENT(.IDENT)*
+        j = 0
+        if toks[j].kind is not TokenKind.IDENT:
+            continue
+        j += 1
+        while j + 1 < len(toks) and toks[j].text == "." and toks[j + 1].kind is TokenKind.IDENT:
+            j += 2
+        if j >= len(toks):
+            continue
+        op = toks[j]
+        body_end = len(toks) - len(f.semi)
+        if op.kind is TokenKind.OP and op.text in _AUG_OPS and j + 1 <= body_end - 1:
+            sites.append((ln, j, op, body_end))
+        elif (
+            op.kind is TokenKind.OP
+            and op.text in ("++", "--")
+            and j + 1 == body_end
+        ):
+            sites.append((ln, j, op, body_end))
     ln, j, op, body_end = pick(sites, rng, "no compound assignment statement")
     toks = f.line_tokens(ln)
     target = f.text[toks[0].start : toks[j - 1].end]
     ind = f.indent_of(ln)
-    semi = ";" if f.language is Language.C_CPP else ""
     if op.text in ("++", "--"):
         base_op = "+" if op.text == "++" else "-"
-        stmt = f"{target} = {target} {base_op} 1{semi}"
+        stmt = f"{target} = {target} {base_op} 1{f.semi}"
     else:
         value = f.text[toks[j + 1].start : toks[body_end - 1].end]
         base_op = op.text[:-1]
         if body_end - (j + 1) > 1:
             value = f"({value})"
-        stmt = f"{target} = {target} {base_op} {value}{semi}"
+        stmt = f"{target} = {target} {base_op} {value}{f.semi}"
     lines = f.lines[:]
     lines[ln] = ind + stmt
     return "\n".join(lines), f.enclosing_function(ln)
 
 
-_PLAIN_INT = re.compile(r"^[0-9][0-9_]*$")
+# Decimal only: a leading 0 makes an octal literal in C and Go.
+_PLAIN_INT = re.compile(r"^[1-9][0-9_]*$")
 
 
 def equi_arithmetic_expression(f: _File, rng: random.Random):
@@ -412,8 +410,7 @@ def equi_arithmetic_expression(f: _File, rng: random.Random):
         if not (2 <= value <= 10**9):
             continue
         ln = line_of_offset(f.offsets, t.start)
-        line_toks = f.line_tokens(ln)
-        if f.language is Language.C_CPP and line_toks and line_toks[0].text == "#":
+        if f.line_tokens(ln)[0].text == "#":
             continue  # preprocessor directives want plain literals
         sites.append((t, value, ln))
     tok, value, ln = pick(sites, rng, "no integer literal to decompose")
@@ -486,32 +483,32 @@ def swap_boolean_expression(f: _File, rng: random.Random):
     return text, f.enclosing_function(ln)
 
 
-def _condition_span(f: _File, ln: int) -> tuple[int, int] | None:
-    """Char span of the condition of a single-line if/for/while header."""
+def _header(f: _File, ln: int) -> list[Token] | None:
+    """Clause tokens of a one-line if/for/while header: inside the
+    parentheses in C, between the keyword and '{' in Go."""
     toks = f.line_tokens(ln)
-    if not toks or toks[0].kind is not TokenKind.KEYWORD:
-        return None
-    kw = toks[0].text
     if f.language is Language.GO:
-        if kw not in ("if", "for") or toks[-1].text != "{":
-            return None
-        inner = toks[1:-1]
-        if not inner or _depth0_ops(inner, (";",)):
-            return None  # init clause or three-clause for
-        if any(t.kind is TokenKind.KEYWORD and t.text == "range" for t in inner):
-            return None
-        if any(t.text == ":=" for t in inner):
-            return None
-        return inner[0].start, inner[-1].end
-    if kw not in ("if", "while") or len(toks) < 4 or toks[1].text != "(":
+        return toks[1:-1] if toks[-1].text == "{" else None
+    if len(toks) < 3 or toks[1].text != "(":
         return None
     open_idx = f.token_index(toks[1])
     close_idx = match_brace(f.tokens, open_idx)
-    close_tok = f.tokens[close_idx]
-    if line_of_offset(f.offsets, close_tok.start) != ln:
+    if line_of_offset(f.offsets, f.tokens[close_idx].start) != ln:
         return None
-    inner_start = toks[1].end
-    return inner_start, close_tok.start
+    return f.tokens[open_idx + 1 : close_idx]
+
+
+def _condition_span(f: _File, ln: int) -> tuple[int, int] | None:
+    """Char span of the condition of a single-line if or condition-only loop header."""
+    toks = f.line_tokens(ln)
+    if not toks or toks[0].kind is not TokenKind.KEYWORD or toks[0].text not in ("if", f.loop):
+        return None
+    inner = _header(f, ln)
+    if not inner or _depth0_ops(inner, (";",)):
+        return None  # init clause or three-clause for
+    if any(t.text == ":=" or (t.kind is TokenKind.KEYWORD and t.text == "range") for t in inner):
+        return None
+    return inner[0].start, inner[-1].end
 
 
 def equi_boolean_logic(f: _File, rng: random.Random):
@@ -519,7 +516,7 @@ def equi_boolean_logic(f: _File, rng: random.Random):
     for fn in f.functions:
         for ln in range(fn.start_line, fn.end_line + 1):
             span = _condition_span(f, ln)
-            if span and span[1] > span[0]:
+            if span:
                 sites.append((ln, span))
     ln, (start, end) = pick(sites, rng, "no rewritable condition")
     cond = f.text[start:end].strip()
@@ -551,45 +548,36 @@ def _body_range(f: _File, header_ln: int) -> tuple[int, int] | None:
     toks = f.line_tokens(header_ln)
     if not toks or toks[-1].text != "{":
         return None
-    close_ln = _close_brace_line(f, toks[-1])
+    close = f.tokens[match_brace(f.tokens, f.token_index(toks[-1]))]
+    close_ln = line_of_offset(f.offsets, close.start)
     close_toks = f.line_tokens(close_ln)
     if close_ln <= header_ln or close_toks[0].text != "}":
         return None
     return header_ln + 1, close_ln
 
 
-def _followed_by_else(f: _File, close_ln: int) -> bool:
-    toks = f.line_tokens(close_ln)
-    return any(t.kind is TokenKind.KEYWORD and t.text == "else" for t in toks)
-
-
 def div_composed_if(f: _File, rng: random.Random):
     sites = []
-    for fn in f.functions:
-        for ln in range(fn.body_start_line, fn.body_end_line + 1):
-            toks = f.line_tokens(ln)
-            if not toks or toks[0].text != "if":
-                continue
-            span = _condition_span(f, ln)
-            if not span:
-                continue
-            inner = [t for t in f.tokens if span[0] <= t.start and t.end <= span[1]]
-            ands = _depth0_ops(inner, ("&&",))
-            if not ands or _depth0_ops(inner, ("||",)):
-                continue
-            rng_range = _body_range(f, ln)
-            if not rng_range or _followed_by_else(f, rng_range[1]):
-                continue
-            sites.append((ln, span, ands[0], rng_range))
+    for _, ln, toks in _body_lines(f):
+        if toks[0].text != "if":
+            continue
+        span = _condition_span(f, ln)
+        if not span:
+            continue
+        inner = [t for t in f.tokens if span[0] <= t.start and t.end <= span[1]]
+        ands = _depth0_ops(inner, ("&&",))
+        if not ands or _depth0_ops(inner, ("||",)):
+            continue
+        rng_range = _body_range(f, ln)
+        if not rng_range or any(t.text == "else" for t in f.line_tokens(rng_range[1])):
+            continue
+        sites.append((ln, span, ands[0], rng_range))
     ln, (start, end), and_tok, (body_start, close_ln) = pick(sites, rng, "no composed if without else")
     ind = f.indent_of(ln)
     unit = f.indent_unit
     first = f.text[start : and_tok.start].strip()
     rest = f.text[and_tok.end : end].strip()
-    if f.language is Language.GO:
-        headers = [f"{ind}if {first} {{", f"{ind}{unit}if {rest} {{"]
-    else:
-        headers = [f"{ind}if ({first}) {{", f"{ind}{unit}if ({rest}) {{"]
+    headers = [f"{ind}if {f.cond(first)} {{", f"{ind}{unit}if {f.cond(rest)} {{"]
     body = indent_lines(f.lines[body_start:close_ln], unit)
     new_lines = headers + body + [f"{ind}{unit}}}", f"{ind}}}"]
     lines = f.lines[:ln] + new_lines + f.lines[close_ln + 1 :]
@@ -626,35 +614,32 @@ def div_if_else(f: _File, rng: random.Random):
 
 def if_continue_to_if_else(f: _File, rng: random.Random):
     sites = []
-    for fn in f.functions:
-        for ln in range(fn.body_start_line, fn.body_end_line):
-            toks = f.line_tokens(ln)
-            if not toks or toks[0].text != "if":
-                continue
-            rng_range = _body_range(f, ln)
-            if not rng_range:
-                continue
-            body_start, close_ln = rng_range
-            body_toks = [t for bl in range(body_start, close_ln) for t in f.line_tokens(bl)]
-            want = ["continue"] if f.language is Language.GO else ["continue", ";"]
-            if [t.text for t in body_toks] != want:
-                continue
-            if len(f.line_tokens(close_ln)) != 1:
-                continue
-            # Enclosing block close: first line after close_ln at strictly
-            # smaller indent that is just '}' (plus optional 'while' for C do).
-            ind = f.indent_of(ln)
-            rest_end = None
-            for after in range(close_ln + 1, fn.end_line + 1):
-                toks = f.line_tokens(after)
-                if toks and toks[0].text == "}" and len(f.indent_of(after)) < len(ind):
-                    rest_end = after
-                    break
-            if rest_end is None or rest_end == close_ln + 1:
-                continue
-            if any(f.line_tokens(x) and len(f.indent_of(x)) < len(ind) for x in range(close_ln + 1, rest_end)):
-                continue  # rest is not a flat tail of this block
-            sites.append((ln, close_ln, rest_end))
+    for fn, ln, toks in _body_lines(f):
+        if toks[0].text != "if":
+            continue
+        rng_range = _body_range(f, ln)
+        if not rng_range:
+            continue
+        body_start, close_ln = rng_range
+        body_toks = [t for bl in range(body_start, close_ln) for t in f.line_tokens(bl)]
+        if [t.text for t in body_toks] != f"continue {f.semi}".split():
+            continue
+        if len(f.line_tokens(close_ln)) != 1:
+            continue
+        # Enclosing block close: first line after close_ln at strictly
+        # smaller indent that is just '}' (plus optional 'while' for C do).
+        ind = f.indent_of(ln)
+        rest_end = None
+        for after in range(close_ln + 1, fn.end_line + 1):
+            toks = f.line_tokens(after)
+            if toks and toks[0].text == "}" and len(f.indent_of(after)) < len(ind):
+                rest_end = after
+                break
+        if rest_end is None or rest_end == close_ln + 1:
+            continue
+        if any(f.line_tokens(x) and len(f.indent_of(x)) < len(ind) for x in range(close_ln + 1, rest_end)):
+            continue  # rest is not a flat tail of this block
+        sites.append((ln, close_ln, rest_end))
     ln, close_ln, rest_end = pick(sites, rng, "no if-continue followed by statements")
     ind = f.indent_of(close_ln)
     lines = f.lines[:]
@@ -691,43 +676,19 @@ def _body_has_loop_continue(f: _File, body_start: int, close_ln: int) -> bool:
 def for_while_transformation(f: _File, rng: random.Random):
     three_clause = []
     cond_only = []
-    for fn in f.functions:
-        for ln in range(fn.body_start_line, fn.body_end_line + 1):
-            toks = f.line_tokens(ln)
-            if not toks or toks[-1].text != "{":
-                continue
-            if f.language is Language.GO:
-                if toks[0].text != "for":
-                    continue
-                inner = toks[1:-1]
-                semis = _depth0_ops(inner, (";",))
-                rng_range = _body_range(f, ln)
-                if not rng_range:
-                    continue
-                if len(semis) == 2:
-                    if not _body_has_loop_continue(f, *rng_range):
-                        three_clause.append((ln, inner, semis, rng_range))
-                elif not semis and inner and not any(
-                    t.text == ":=" or (t.kind is TokenKind.KEYWORD and t.text == "range") for t in inner
-                ):
-                    cond_only.append((ln, inner, rng_range))
-            else:
-                rng_range = _body_range(f, ln)
-                if not rng_range:
-                    continue
-                if toks[0].text == "for" and len(toks) > 2 and toks[1].text == "(":
-                    open_idx = f.token_index(toks[1])
-                    close_idx = match_brace(f.tokens, open_idx)
-                    inner = f.tokens[open_idx + 1 : close_idx]
-                    semis = _depth0_ops(inner, (";",))
-                    if len(semis) == 2 and not _body_has_loop_continue(f, *rng_range):
-                        three_clause.append((ln, inner, semis, rng_range))
-                elif toks[0].text == "while" and len(toks) > 2 and toks[1].text == "(":
-                    open_idx = f.token_index(toks[1])
-                    close_idx = match_brace(f.tokens, open_idx)
-                    inner = f.tokens[open_idx + 1 : close_idx]
-                    if inner:
-                        cond_only.append((ln, inner, rng_range))
+    for _, ln, toks in _body_lines(f):
+        if toks[0].text not in ("for", f.loop):
+            continue
+        rng_range = _body_range(f, ln)
+        if not rng_range:
+            continue
+        span = _condition_span(f, ln) if toks[0].text == f.loop else None
+        if span:
+            cond_only.append((ln, span))
+        elif toks[0].text == "for" and (inner := _header(f, ln)):
+            semis = _depth0_ops(inner, (";",))
+            if len(semis) == 2 and not _body_has_loop_continue(f, *rng_range):
+                three_clause.append((ln, inner, semis, rng_range))
     if three_clause:
         ln, inner, semis, (body_start, close_ln) = three_clause[rng.randrange(len(three_clause))]
         s1, s2 = semis
@@ -738,31 +699,18 @@ def for_while_transformation(f: _File, rng: random.Random):
             raise NotApplicable("loop without condition")
         ind = f.indent_of(ln)
         unit = f.indent_unit
-        lines = f.lines[:]
-        body = indent_lines(lines[body_start:close_ln], unit)
-        if f.language is Language.GO:
-            block = [f"{ind}{{"]
-            if init:
-                block.append(f"{ind}{unit}{init}")
-            block.append(f"{ind}{unit}for {cond} {{")
-            block.extend(body)
-            if post:
-                block.append(f"{ind}{unit}{unit}{post}")
-            block.extend([f"{ind}{unit}}}", f"{ind}}}"])
-        else:
-            block = [f"{ind}{{"]
-            if init:
-                block.append(f"{ind}{unit}{init};")
-            block.append(f"{ind}{unit}while ({cond}) {{")
-            block.extend(body)
-            if post:
-                block.append(f"{ind}{unit}{unit}{post};")
-            block.extend([f"{ind}{unit}}}", f"{ind}}}"])
-        new_lines = lines[:ln] + block + lines[close_ln + 1 :]
-        return "\n".join(new_lines), f.enclosing_function(ln)
+        block = [f"{ind}{{"]
+        if init:
+            block.append(f"{ind}{unit}{init}{f.semi}")
+        block.append(f"{ind}{unit}{f.loop} {f.cond(cond)} {{")
+        block.extend(indent_lines(f.lines[body_start:close_ln], unit))
+        if post:
+            block.append(f"{ind}{unit}{unit}{post}{f.semi}")
+        block.extend([f"{ind}{unit}}}", f"{ind}}}"])
+        return "\n".join(f.lines[:ln] + block + f.lines[close_ln + 1 :]), f.enclosing_function(ln)
     if cond_only:
-        ln, inner, _ = cond_only[rng.randrange(len(cond_only))]
-        cond = f.text[inner[0].start : inner[-1].end]
+        ln, (start, end) = cond_only[rng.randrange(len(cond_only))]
+        cond = f.text[start:end]
         if f.language is Language.GO:
             new = f"for ; {cond}; {{"
         else:
@@ -780,14 +728,10 @@ def for_while_transformation(f: _File, rng: random.Random):
 
 def extract_if(f: _File, rng: random.Random):
     sites = []
-    for fn in f.functions:
-        for ln in range(fn.body_start_line, fn.body_end_line + 1):
-            toks = f.line_tokens(ln)
-            if not toks or toks[0].text != "if":
-                continue
-            span = _condition_span(f, ln)
-            if span and span[1] > span[0]:
-                sites.append((ln, span))
+    for _, ln, toks in _body_lines(f):
+        span = _condition_span(f, ln) if toks[0].text == "if" else None
+        if span:
+            sites.append((ln, span))
     ln, (start, end) = pick(sites, rng, "no extractable if condition")
     cond = f.text[start:end].strip()
     name = fresh(f.identifiers(), rng, PREDICATE_WORDS)
@@ -798,7 +742,7 @@ def extract_if(f: _File, rng: random.Random):
         f"{ind}{f.indent_unit}return {cond}",
         f"{ind}}}",
     ]
-    return _insert_lines(_File(text, f.language), ln, helper), f.enclosing_function(ln)
+    return _insert_lines(text, ln, helper), f.enclosing_function(ln)
 
 
 _GO_AND_C = (

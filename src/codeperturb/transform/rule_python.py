@@ -12,10 +12,12 @@ import ast
 import random
 
 from ..analysis import line_offsets
-from ..errors import NotApplicable, ParseError
+from ..errors import ParseError
 from ..lexing import TokenKind, lex
 from ..core import Language
-from .shared import FN_WORDS, PREDICATE_WORDS, VAR_WORDS, fresh, indent_lines, pick, splice
+from .shared import (
+    FN_WORDS, PREDICATE_WORDS, VAR_WORDS, fresh, indent_lines, pick, replace_tokens, splice,
+)
 
 INDENT = "    "
 
@@ -107,18 +109,15 @@ def _attribute_names(tree: ast.Module) -> set[str]:
     return {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
 
 
-def _rename_tokens(text: str, old: str, new: str, start: int = 0, end: int | None = None) -> str:
-    """Uniformly rename identifier tokens within [start, end)."""
+def _rename_tokens(text: str, renames: dict[str, str], start: int = 0, end: int | None = None) -> str:
+    """Rename identifier tokens within [start, end) by the {old: new} map, in one pass."""
     end = len(text) if end is None else end
-    edits = []
-    for tok in lex(text, Language.PYTHON):
-        if tok.kind is TokenKind.IDENT and tok.text == old and start <= tok.start and tok.end <= end:
-            edits.append((tok.start, tok.end))
-    if not edits:
-        raise NotApplicable(f"no occurrences of {old!r} to rename")
-    for s, e in reversed(edits):
-        text = text[:s] + new + text[e:]
-    return text
+    hits = [
+        tok
+        for tok in lex(text, Language.PYTHON)
+        if tok.kind is TokenKind.IDENT and tok.text in renames and start <= tok.start and tok.end <= end
+    ]
+    return replace_tokens(text, hits, renames, "no occurrences of {!r} to rename")
 
 
 # ---------------------------------------------------------------------------
@@ -142,7 +141,7 @@ def function_rename(text: str, rng: random.Random):
     ]
     old = pick(sorted(candidates), rng, "no safely renameable module-level function")
     new = fresh(_identifiers(text), rng, FN_WORDS)
-    return _rename_tokens(text, old, new), new
+    return _rename_tokens(text, {old: new}), new
 
 
 def _local_candidates(fn: ast.FunctionDef, tree: ast.Module) -> list[str]:
@@ -171,19 +170,12 @@ def _local_candidates(fn: ast.FunctionDef, tree: ast.Module) -> list[str]:
 
 def variables_rename(text: str, rng: random.Random):
     tree = _parse(text)
-    offsets = line_offsets(text)
     options = [(fn, _local_candidates(fn, tree)) for fn in _functions(tree)]
     options = [(fn, names) for fn, names in options if names]
     fn, names = pick(options, rng, "no function with safely renameable locals")
-    start, end = _span(offsets, fn)
     existing = _identifiers(text)
-    renames = [(old, fresh(existing, rng, VAR_WORDS)) for old in names]
-    for old, new in renames:
-        text = _rename_tokens(text, old, new, start, end)
-        # Renames keep line structure; recompute char offsets only.
-        fn2 = next(f for f in _functions(_parse(text)) if f.lineno == fn.lineno)
-        start, end = _span(line_offsets(text), fn2)
-    return text, fn.name
+    renames = {old: fresh(existing, rng, VAR_WORDS) for old in names}
+    return _rename_tokens(text, renames, *_span(line_offsets(text), fn)), fn.name
 
 
 def _insertion_sites(text: str, offsets: list[int], tree: ast.Module, inside_functions: bool):

@@ -22,6 +22,23 @@ def splice(text: str, start: int, end: int, replacement: str) -> str:
     return text[:start] + replacement + text[end:]
 
 
+def replace_tokens(text: str, hits: list, renames: dict[str, str], missing: str) -> str:
+    """Replace each hit token (in text order) by renames[token.text].
+
+    Raises NotApplicable(missing.format(old)) for the first old name in
+    `renames` that no hit carries.
+    """
+    found = {t.text for t in hits}
+    for old in renames:
+        if old not in found:
+            raise NotApplicable(missing.format(old))
+    pieces, pos = [], 0
+    for t in hits:
+        pieces += [text[pos : t.start], renames[t.text]]
+        pos = t.end
+    return "".join(pieces) + text[pos:]
+
+
 def indent_lines(lines: list[str], prefix: str) -> list[str]:
     """Prefix every line that is not blank."""
     return [prefix + ln if ln.strip() else ln for ln in lines]

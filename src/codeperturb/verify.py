@@ -382,5 +382,5 @@ def verify(original: CodeSample, candidate: CodeSample, policy: VerifyPolicy) ->
         vote_list, votes_pass, vote_diags = vote_equivalence(original, candidate, policy.voters)
         votes = tuple(vote_list)
         diagnostics.extend(vote_diags)
-    passed = syntax_ok and compile_ok is not False and votes_pass
-    return VerificationReport(syntax_ok, compile_ok, votes, passed, tuple(diagnostics))
+    # Both earlier stages passed, or the function returned already.
+    return VerificationReport(syntax_ok, compile_ok, votes, votes_pass, tuple(diagnostics))

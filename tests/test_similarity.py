@@ -38,7 +38,7 @@ def sample(text, lang=Language.PYTHON, sid="s"):
 
 
 def stream(tokens):
-    return TokenStream(tokens=tuple(tokens), source_spans=tuple((i, i + 1) for i in range(len(tokens))))
+    return TokenStream(tokens=tuple(tokens))
 
 
 # ---------------------------------------------------------------------------
@@ -136,7 +136,6 @@ def test_tokenize_strips_comments():
 def test_tokenize_spans():
     ts = tokenize(sample("a+b"))
     assert len(ts) == 3
-    assert ts.source_spans == ((0, 1), (1, 2), (2, 3))
 
 
 def test_tokenize_lex_error():

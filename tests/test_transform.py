@@ -1,9 +1,12 @@
 import ast
 import hashlib
 import json
+import re
+import sys
 
 import pytest
 
+from codeperturb import lexing
 from codeperturb.core import CodeSample, EngineKind, Language, build_catalog
 from codeperturb.errors import (
     EngineFailure,
@@ -231,6 +234,71 @@ def test_go_for_while_preserves_token_multiset_mostly():
 
 
 # ---------------------------------------------------------------------------
+# Octal literals, C++17 init statements, one-pass renames
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize(
+    "lang,src",
+    [
+        (Language.C_CPP, "int main(void) {\n    int mode = 010;\n    return mode - 8;\n}\n"),
+        (Language.GO, "package main\n\nfunc main() {\n\tmode := 010\n\tprintln(mode - 8)\n}\n"),
+    ],
+    ids=["c", "go"],
+)
+def test_octal_literals_keep_their_value(lang, src):
+    for seed in range(10):
+        out = rule_engine_apply(sample(src, lang), method("equi_arithmetic_expression"), seed)
+        assert "010" in out.candidate.text and "mode - 8" not in out.candidate.text
+
+
+CPP17_IF_SRC = """int main() {
+    int a = 3;
+    if (int b = a * 2; b > 3 && a > 0) {
+        return 1;
+    }
+    return 0;
+}
+"""
+
+
+@pytest.mark.parametrize("mid", ["equi_boolean_logic", "div_composed_if"])
+def test_an_if_with_an_init_statement_is_not_rewritten(mid):
+    with pytest.raises(NotApplicable):
+        rule_engine_apply(sample(CPP17_IF_SRC, Language.C_CPP), method(mid), seed=0)
+
+
+def _locals_src(lang, n):
+    total = " + ".join(f"v{i}" for i in range(n))
+    if lang is Language.C_CPP:
+        decls = "".join(f"    int v{i} = {i};\n" for i in range(n))
+        return f"int main(void) {{\n{decls}    return {total};\n}}\n"
+    body = "".join(f"    v{i} = {i}\n" for i in range(n))
+    return f"def f():\n{body}    return {total}\n\n\nprint(f())\n"
+
+
+@pytest.mark.parametrize("lang,fixture", [(Language.C_CPP, "table.c"), (Language.PYTHON, "grade_stats.py")])
+def test_variables_rename_lexes_as_often_for_any_number_of_locals(lang, fixture, monkeypatch):
+    calls = []
+    real_lex = lexing.lex
+
+    def counting_lex(text, language):
+        calls.append(language)
+        return real_lex(text, language)
+
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("codeperturb") and getattr(mod, "lex", None) is real_lex:
+            monkeypatch.setattr(mod, "lex", counting_lex)
+    fixture_text = next(s.text for s, _ in load_fixture_corpus() if s.id == fixture)
+    counts = []
+    for text in (_locals_src(lang, 2), _locals_src(lang, 5), fixture_text):
+        calls.clear()
+        out = rule_engine_apply(sample(text, lang), method("variables_rename"), seed=0)
+        assert not any(re.search(rf"\bv{i}\b", out.candidate.text) for i in range(5))
+        counts.append(len(calls))
+    assert counts[0] == counts[1] == counts[2]
+
+
+# ---------------------------------------------------------------------------
 # Prompt synthesis and answer parsing
 # ---------------------------------------------------------------------------
 
@@ -329,15 +397,77 @@ def test_hybrid_sends_rust_to_the_llm(tmp_path):
 # Frozen rule outputs
 # ---------------------------------------------------------------------------
 
-# sha256 of every rule's outcome on the fixtures and the Go golden sources,
-# seeds 0-4. A change that alters a rule's output on purpose updates this
-# constant and says why in CHANGES.md.
-RULE_OUTPUT_DIGEST = "c21abb770e98e11b0f7b7973b4d44a4490179c9a61a1eb782c22b1476e60d528"
+# Two more sources that reach the branches the fixtures miss: a Go method
+# receiver, a `var` list, a condition-only `for`, a keyed struct literal;
+# C preprocessor lines, a typedef'd local, a brace-less `if`. The C one
+# builds with `gcc -Wall`.
+GO_RECEIVER_SRC = """package main
+
+import "fmt"
+
+type counter struct {
+\thits  int
+\tlimit int
+}
+
+func (c *counter) bump(n int) int {
+\tvar a, b = 0, 1
+\tif a >= 0 && n > 0 {
+\t\tc.hits += n
+\t}
+\tx := 0
+\tfor x < n {
+\t\ta, b = b, a+b
+\t\tx++
+\t}
+\treturn a + b + c.hits
+}
+
+func main() {
+\tc := counter{hits: 2, limit: 10}
+\tfmt.Println(c.bump(5), c.limit)
+}
+"""
+
+C_MACRO_SRC = """#include <stdio.h>
+
+#define LIMIT 12
+
+typedef long wide;
+
+static int scale(int a, int b) {
+    if (a > LIMIT) return a - LIMIT;
+    wide acc = 3;
+    while (a && b) {
+        acc += a * 2;
+        a--;
+        b = b / 2;
+    }
+    return (int)acc;
+}
+
+int main(void) {
+    int total = 0;
+    int k = 5;
+    while (k > 0) {
+        total += scale(k, 7);
+        k--;
+    }
+    printf("%d\\n", total);
+    return 0;
+}
+"""
+
+# sha256 of every rule's outcome on the fixtures, the Go golden sources and
+# the two sources above, seeds 0-4. A change that alters a rule's output on
+# purpose updates this constant and says why in CHANGES.md.
+RULE_OUTPUT_DIGEST = "7de95daa3cc2252a81e383513379afd9106476bb3dbbd905a5ddb32a2e6eac97"
 
 
 def test_every_rule_output_is_frozen():
     inputs = [(s.id, s.language, s.text) for s, _ in load_fixture_corpus()]
     inputs += [("go/loop", Language.GO, LOOP_SRC), ("go/chain", Language.GO, CHAIN_SRC)]
+    inputs += [("go/receiver", Language.GO, GO_RECEIVER_SRC), ("c/macro", Language.C_CPP, C_MACRO_SRC)]
     digest = hashlib.sha256()
     cases = 0
     for sid, language, text in inputs:
@@ -350,5 +480,5 @@ def test_every_rule_output_is_frozen():
                     row = [sid, mid, seed, type(exc).__name__, str(exc)]
                 digest.update(json.dumps(row).encode() + b"\n")
                 cases += 1
-    assert cases == 1830
+    assert cases == 1975
     assert digest.hexdigest() == RULE_OUTPUT_DIGEST
