@@ -56,7 +56,7 @@ from .peso import derive_seed, run, run_random_baseline
 from .similarity import score_pair
 from .transform import HybridEngine, RuleEngine, perturb
 from .transform.llm import HttpTransport, LlmConfig, LlmEngine, ReplayTransport
-from .verify import ProgramRunner, VerifyPolicy, default_toolchains, verify
+from .verify import ProgramRunner, ServerPool, VerifyPolicy, default_toolchains, verify
 
 
 class _Parser(argparse.ArgumentParser):
@@ -183,11 +183,13 @@ def _build_engine(args, rest: dict, catalog):
     return llm if kind == "llm" else HybridEngine(rule, llm)
 
 
-def _verifier_for(args, sample: CodeSample, spec: EquivalenceSpec | None):
+def _verifier_for(args, sample: CodeSample, spec: EquivalenceSpec | None, servers: ServerPool | None = None):
     """The sample's verifier and its ProgramRunner (None without a
-    toolchain); the caller closes the runner when the sample ends."""
+    toolchain), which runs programs on `servers`; the caller closes the
+    runner when the sample ends and stops the servers when the command
+    ends."""
     toolchain = default_toolchains().get(sample.language)
-    runner = ProgramRunner(toolchain) if toolchain else None
+    runner = ProgramRunner(toolchain, servers) if toolchain else None
     policy = VerifyPolicy(runner=runner, compile_stage=not getattr(args, "no_compile", False))
     mode = getattr(args, "equivalence", "auto")
     if mode in ("auto", "exec") and spec and spec.input_suite and runner:
@@ -228,10 +230,12 @@ def _run_over_corpus(args, optimizer) -> int:
     traces_dir = out / "traces"
     traces_dir.mkdir(parents=True, exist_ok=True)
 
+    servers = ServerPool()
+
     def one(item):
         sample, spec = item
         cfg = dataclasses.replace(config, rng_seed=derive_seed(config.rng_seed, sample.id))
-        verifier, runner = _verifier_for(args, sample, spec)
+        verifier, runner = _verifier_for(args, sample, spec, servers)
         try:
             return optimizer(sample, engine, catalog, cfg, verifier)
         finally:
@@ -240,17 +244,20 @@ def _run_over_corpus(args, optimizer) -> int:
 
     failures = []
     results = []
-    with concurrent.futures.ThreadPoolExecutor(max_workers=max(1, args.jobs)) as pool:
-        futures = [(item[0], pool.submit(one, item)) for item in samples]
-        for sample, future in futures:
-            try:
-                results.append((sample, future.result()))
-            except CodePerturbError as exc:
-                failures.append({
-                    "sample_id": sample.id,
-                    "error": str(exc),
-                    "partial_trace": [r.to_dict() for r in getattr(exc, "partial_trace", ())],
-                })
+    try:
+        with concurrent.futures.ThreadPoolExecutor(max_workers=max(1, args.jobs)) as pool:
+            futures = [(item[0], pool.submit(one, item)) for item in samples]
+            for sample, future in futures:
+                try:
+                    results.append((sample, future.result()))
+                except CodePerturbError as exc:
+                    failures.append({
+                        "sample_id": sample.id,
+                        "error": str(exc),
+                        "partial_trace": [r.to_dict() for r in getattr(exc, "partial_trace", ())],
+                    })
+    finally:
+        servers.stop()
 
     summaries, pairs, perturbed = [], [], []
     for sample, result in results:
@@ -313,38 +320,42 @@ def cmd_perturb(args) -> int:
     _write_manifest(out, "perturb", config, rest, corpus_digest(samples), args)
     outcomes = []
     failures = 0
-    for sample, spec in samples:
-        seed = derive_seed(config.rng_seed, sample.id)
-        verifier, runner = _verifier_for(args, sample, spec)
-        record = {"sample_id": sample.id, "method": method.id}
-        try:
-            outcome = perturb(engine, sample, method, seed)
-            report = verifier(sample, outcome.candidate)
-            score = score_pair(sample, outcome.candidate, config) if report.passed else None
-            record.update(
-                {
-                    "applied": True,
-                    "entry_point": outcome.entry_point,
-                    "engine": outcome.engine_used.value,
-                    "verified": report.passed,
-                    "verification": report.to_dict(),
-                    "content": outcome.candidate.text,
-                    "score": None
-                    if score is None
-                    else {"s1": score.s1, "s2": score.s2, "ss": score.ss},
-                }
-            )
-        except (NotApplicable, UnsupportedCombination) as exc:
-            # A legitimate outcome: the method has no site in this sample,
-            # or the engine has no rule for this sample's language.
-            record.update({"applied": False, "reason": str(exc)})
-        except CodePerturbError as exc:
-            record.update({"applied": False, "error": f"{type(exc).__name__}: {exc}"})
-            failures += 1
-        finally:
-            if runner:
-                runner.close()
-        outcomes.append(record)
+    servers = ServerPool()
+    try:
+        for sample, spec in samples:
+            seed = derive_seed(config.rng_seed, sample.id)
+            verifier, runner = _verifier_for(args, sample, spec, servers)
+            record = {"sample_id": sample.id, "method": method.id}
+            try:
+                outcome = perturb(engine, sample, method, seed)
+                report = verifier(sample, outcome.candidate)
+                score = score_pair(sample, outcome.candidate, config) if report.passed else None
+                record.update(
+                    {
+                        "applied": True,
+                        "entry_point": outcome.entry_point,
+                        "engine": outcome.engine_used.value,
+                        "verified": report.passed,
+                        "verification": report.to_dict(),
+                        "content": outcome.candidate.text,
+                        "score": None
+                        if score is None
+                        else {"s1": score.s1, "s2": score.s2, "ss": score.ss},
+                    }
+                )
+            except (NotApplicable, UnsupportedCombination) as exc:
+                # A legitimate outcome: the method has no site in this sample,
+                # or the engine has no rule for this sample's language.
+                record.update({"applied": False, "reason": str(exc)})
+            except CodePerturbError as exc:
+                record.update({"applied": False, "error": f"{type(exc).__name__}: {exc}"})
+                failures += 1
+            finally:
+                if runner:
+                    runner.close()
+            outcomes.append(record)
+    finally:
+        servers.stop()
     write_jsonl(out / "outcomes.jsonl", outcomes)
     applied = sum(1 for r in outcomes if r.get("applied"))
     print(f"applied {method.id} to {applied}/{len(outcomes)} sample(s) -> {out/'outcomes.jsonl'}")

@@ -76,20 +76,27 @@ class OptimizerState:
     name_map: dict[str, str] = field(default_factory=dict)
     entry_points: set[str] = field(default_factory=set)
     best_score: SimilarityScore | None = None
+    # Function names of `current`; None when find_functions failed on it.
+    current_names: list[str] | None = None
 
     @classmethod
     def fresh(cls, original: CodeSample, catalog: MethodCatalog, config: PesoConfig) -> "OptimizerState":
-        try:
-            names = [f.name for f in find_functions(original.text, original.language)]
-        except Exception:
-            names = []
+        names = _function_names(original)
         return cls(
             original=original,
             current=original,
             catalog=catalog,
             rng=random.Random(config.rng_seed),
-            name_map={n: n for n in names},
+            name_map={n: n for n in names or ()},
+            current_names=names,
         )
+
+
+def _function_names(sample: CodeSample) -> list[str] | None:
+    try:
+        return [f.name for f in find_functions(sample.text, sample.language)]
+    except Exception:
+        return None
 
 
 @dataclass(frozen=True)
@@ -191,12 +198,12 @@ def gain_update(
     return og, accepted
 
 
-def _update_name_map(state: OptimizerState, before_text: str, after_text: str) -> None:
-    lang = state.original.language
-    try:
-        before = [f.name for f in find_functions(before_text, lang)]
-        after = [f.name for f in find_functions(after_text, lang)]
-    except Exception:
+def _update_name_map(state: OptimizerState) -> None:
+    """Follow a rename between the function names of the text before the
+    acceptance and those of the accepted `state.current`."""
+    before, after = state.current_names, _function_names(state.current)
+    state.current_names = after
+    if before is None or after is None:
         return
     removed = [n for n in before if n not in after]
     added = [n for n in after if n not in before]
@@ -220,7 +227,6 @@ def _attempt(
     record_probs: tuple[float, ...] | None = None,
 ) -> None:
     seed = state.rng.getrandbits(32)
-    before_text = state.current.text
     entry_point = None
     verified = False
     score = None
@@ -248,7 +254,7 @@ def _attempt(
         og, accepted = gain_update(state, outcome.candidate, report, score, update_ledger)
         entry_point = outcome.entry_point
         if accepted:
-            _update_name_map(state, before_text, state.current.text)
+            _update_name_map(state)
             original_name = next(
                 (orig for orig, cur in state.name_map.items() if cur == entry_point), None
             )

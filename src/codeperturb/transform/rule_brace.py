@@ -315,14 +315,31 @@ def insert_junk_function(f: _File, rng: random.Random):
     return text + chunk, name
 
 
+def _type_body_lines(f: _File) -> set[int]:
+    """Lines inside a struct, union, enum or interface body, through the
+    line of its closing brace; a statement may not stand there."""
+    inside: set[int] = set()
+    toks = f.tokens
+    for i, t in enumerate(toks):
+        if t.kind is not TokenKind.KEYWORD or t.text not in ("struct", "union", "enum", "interface"):
+            continue
+        j = i + 1 if i + 1 < len(toks) and toks[i + 1].kind is TokenKind.IDENT else i
+        if j + 1 < len(toks) and toks[j + 1].text == "{":
+            first = line_of_offset(f.offsets, toks[j + 1].start) + 1
+            last = line_of_offset(f.offsets, toks[match_brace(toks, j + 1)].start)
+            inside.update(range(first, last + 1))
+    return inside
+
+
 def statement_wrapping(f: _File, rng: random.Random):
     banned_first = {
         "if", "for", "switch", "select", "while", "do", "func", "var", "const", "type",
         "package", "import", "return", "case", "default", "else", "goto", "struct",
     }
+    type_bodies = _type_body_lines(f)
     sites = []
     for _, ln, toks in _body_lines(f):
-        if not _stmt_start_line(f, ln) or not f.terminated(toks):
+        if ln in type_bodies or not _stmt_start_line(f, ln) or not f.terminated(toks):
             continue
         if not _ends_statement(f, toks[-1]) or toks[-1].text in ("{", ":"):
             continue

@@ -8,13 +8,31 @@ precedence: an execution oracle when a runner plus input suite is
 configured, else a majority vote of the voters the caller supplies, else
 none. There is no built-in LLM judge: a voter is any object with an ``id``
 and a ``vote(original, candidate)`` method. A candidate that fails any stage
-is simply discarded by the optimizer; an original that fails or times out
-under the oracle fails its whole sample instead (OriginalUnrunnable).
+is simply discarded by the optimizer; an original that fails, times out or
+is nondeterministic under the oracle fails its whole sample instead
+(OriginalUnrunnable).
+
+Compiles run through ``subprocess.run``. Every program run goes through a
+fork server (``forkserver.py``, POSIX only): a warm interpreter started
+with the flags of the toolchain's ``run_argv``, one per worker thread and
+hash seed, started on the thread's first run and stopped by its
+ServerPool. The server forks a child per run, in its own process group and
+limited in CPU time (``run_timeout`` + 1 s), address space (4 GiB) and file
+size (64 MiB). The child runs a ``[sys.executable, "{file}"]`` toolchain's
+file in-process as ``__main__`` and execs any other command; the server
+kills the child's process group once it outlives ``run_timeout``. All
+children of one server share its hash seed, so set iteration order no
+longer tells an original from its candidates; instead the oracle runs the
+original's first input once more on a second server with another
+``PYTHONHASHSEED`` and fails the sample when the two results differ.
 """
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
+import json
+import os
 import shutil
 import subprocess
 import sys
@@ -150,21 +168,98 @@ def _write_sample(sample: CodeSample, directory: Path, toolchain: Toolchain) -> 
     return path
 
 
+_SERVER_FILE = Path(__file__).with_name("forkserver.py")
+
+
+def _other_hash_seed() -> str:
+    """A PYTHONHASHSEED unlike the one a server started now inherits."""
+    current = os.environ.get("PYTHONHASHSEED", "random")
+    return str((int(current) + 1) % 2**32) if current.isdigit() else "1"
+
+
+class ForkServer:
+    """One fork server process; launch() is the only way a program runs."""
+
+    def __init__(self, interpreter: tuple[str, ...], hash_seed: str | None = None):
+        self.hash_seed = hash_seed
+        env = None if hash_seed is None else {**os.environ, "PYTHONHASHSEED": hash_seed}
+        self.proc = subprocess.Popen(
+            [*interpreter, str(_SERVER_FILE)],
+            stdin=subprocess.PIPE, stdout=subprocess.PIPE, env=env,
+        )
+
+    def launch(self, request: dict) -> dict:
+        """Send one request and wait for its reply (see forkserver.py)."""
+        try:
+            self.proc.stdin.write(json.dumps(request).encode() + b"\n")
+            self.proc.stdin.flush()
+            line = self.proc.stdout.readline()
+        except OSError:
+            line = b""
+        if not line:
+            self.stop()  # reap it, so that its pool starts another
+            raise RunnerFailure("fork server exited")
+        return json.loads(line)
+
+    def stop(self) -> None:
+        """End of input stops the server; then reap it."""
+        for pipe in (self.proc.stdin, self.proc.stdout):
+            with contextlib.suppress(OSError):
+                pipe.close()
+        try:
+            self.proc.wait(timeout=5)
+        except subprocess.TimeoutExpired:
+            self.proc.kill()
+            self.proc.wait()
+
+
+class ServerPool:
+    """The fork servers of one owner: one per worker thread, interpreter
+    command and hash seed, each started on its first run. stop() ends them
+    all; a pool that ran nothing started nothing."""
+
+    def __init__(self):
+        self._lock = threading.Lock()
+        self._servers: dict[tuple, ForkServer] = {}
+
+    def server(self, interpreter: tuple[str, ...], reseeded: bool) -> ForkServer:
+        key = (threading.get_ident(), interpreter, reseeded)
+        with self._lock:
+            server = self._servers.get(key)
+            if server is not None and server.proc.poll() is not None:
+                server.stop()  # it died; start another
+                server = None
+            if server is None:
+                server = ForkServer(interpreter, _other_hash_seed() if reseeded else None)
+                self._servers[key] = server
+            return server
+
+    def stop(self) -> None:
+        with self._lock:
+            servers = list(self._servers.values())
+            self._servers.clear()
+        for server in servers:
+            server.stop()
+
+
 class ProgramRunner:
     """Writes, compiles and runs the programs of one sample.
 
     Each distinct text is written to its own subdirectory of one scratch
     directory and compiled at most once; compile results, outputs and
-    timeouts are memoized per text (and per input). close() removes the
-    scratch directory.
+    timeouts are memoized per text (and per input). Programs run through
+    the fork servers of `servers`; without one the runner keeps its own
+    pool. close() removes the scratch directory and stops an own pool.
     """
 
-    def __init__(self, toolchain: Toolchain):
+    def __init__(self, toolchain: Toolchain, servers: ServerPool | None = None):
         self.toolchain = toolchain
+        self._own_servers = servers is None
+        self.servers = ServerPool() if servers is None else servers
         self._lock = threading.Lock()
         self._scratch: tempfile.TemporaryDirectory | None = None
         self._builds: dict[str, tuple[bool | None, list[str], Path, str]] = {}
-        self._outputs: dict[tuple[str, str], tuple[bytes, int] | str] = {}
+        self._outputs: dict[tuple[str, str, bool], tuple[bytes, int] | str] = {}
 
     def _prepare(self, sample: CodeSample) -> tuple[bool | None, list[str], Path, str]:
         key = hashlib.sha256(sample.text.encode()).hexdigest()
@@ -208,45 +303,58 @@ class ProgramRunner:
         ok, diagnostics, _, _ = self._prepare(sample)
         return ok, list(diagnostics)
 
-    def _execute(self, sample: CodeSample, stdin_text: str) -> tuple[bytes, int] | str:
+    def _execute(self, sample: CodeSample, stdin_text: str, reseeded: bool) -> tuple[bytes, int] | str:
         ok, diagnostics, path, exe = self._prepare(sample)
         if ok is False:
             raise RunnerFailure("candidate does not compile: " + "\n".join(diagnostics[1:]))
-        argv = _fill(self.toolchain.run_argv, str(path), str(path.parent), exe)
-        try:
-            proc = subprocess.run(
-                argv,
-                input=stdin_text.encode(),
-                capture_output=True,
-                timeout=self.toolchain.run_timeout,
-                cwd=path.parent,
-            )
-        except FileNotFoundError as exc:
-            raise RunnerFailure(f"cannot run {argv[0]!r}: {exc}") from exc
-        except subprocess.TimeoutExpired:
+        template = self.toolchain.run_argv
+        argv = _fill(template, str(path), str(path.parent), exe)
+        if template[0] == sys.executable and template[-1] == "{file}":
+            interpreter, request = tuple(argv[:-1]), {"file": str(path)}
+        else:
+            interpreter, request = (sys.executable,), {"argv": argv}
+        stdin_file = path.parent / f"stdin-{threading.get_ident()}"
+        stdout_file = path.parent / f"stdout-{threading.get_ident()}"
+        stdin_file.write_bytes(stdin_text.encode())
+        request.update(stdin=str(stdin_file), stdout=str(stdout_file), cwd=str(path.parent),
+                       timeout=self.toolchain.run_timeout)
+        reply = self.servers.server(interpreter, reseeded).launch(request)
+        if "error" in reply:
+            raise RunnerFailure(f"cannot run {argv[0]!r}: {reply['error']}")
+        if "timeout" in reply:
             return f"{sample.id}: input {stdin_text[:30]!r} exceeded {self.toolchain.run_timeout}s"
-        return proc.stdout, proc.returncode
+        return stdout_file.read_bytes(), reply["status"]
 
-    def run(self, sample: CodeSample, stdin_text: str) -> tuple[bytes, int]:
-        """(stdout, exit status) of the program on one input."""
-        key = (hashlib.sha256(sample.text.encode()).hexdigest(), stdin_text)
+    def _result(self, sample: CodeSample, stdin_text: str, reseeded: bool) -> tuple[bytes, int]:
+        key = (hashlib.sha256(sample.text.encode()).hexdigest(), stdin_text, reseeded)
         with self._lock:
             result = self._outputs.get(key)
         if result is None:
-            result = self._execute(sample, stdin_text)
+            result = self._execute(sample, stdin_text, reseeded)
             with self._lock:
                 self._outputs[key] = result
         if isinstance(result, str):  # the message of a memoized timeout
             raise ExecutionTimeout(result)
         return result
 
+    def run(self, sample: CodeSample, stdin_text: str) -> tuple[bytes, int]:
+        """(stdout, exit status) of the program on one input."""
+        return self._result(sample, stdin_text, reseeded=False)
+
+    def rerun(self, sample: CodeSample, stdin_text: str) -> tuple[bytes, int]:
+        """run() once more, on a fork server with another hash seed."""
+        return self._result(sample, stdin_text, reseeded=True)
+
     def close(self) -> None:
-        """Remove every file this runner wrote; later calls rebuild."""
+        """Remove every file this runner wrote and stop its own servers;
+        later calls rebuild."""
         with self._lock:
             if self._scratch is not None:
                 self._scratch.cleanup()
                 self._scratch = None
             self._builds.clear()
+        if self._own_servers:
+            self.servers.stop()
 
 
 def execution_equivalence(
@@ -258,17 +366,25 @@ def execution_equivalence(
     """Byte-compare stdout and exit status over the whole input suite.
 
     A failure or timeout of the original raises OriginalUnrunnable; one of
-    the candidate propagates as is and rejects only that candidate.
+    the candidate propagates as is and rejects only that candidate. The
+    original's first input also runs once more, before any candidate, on a
+    server with another hash seed (ProgramRunner.rerun); another result
+    there raises OriginalUnrunnable as well.
     """
     if not spec.input_suite:
         raise ConfigError("equivalence spec has an empty input suite")
-    for stdin_text in spec.input_suite:
+    for i, stdin_text in enumerate(spec.input_suite):
         try:
-            out_a, code_a = runner.run(original, stdin_text)
+            expected = runner.run(original, stdin_text)
+            repeatable = i > 0 or runner.rerun(original, stdin_text) == expected
         except (RunnerFailure, ToolchainUnavailable) as exc:
             raise OriginalUnrunnable(f"original cannot be run: {exc}") from exc
-        out_b, code_b = runner.run(candidate, stdin_text)
-        if out_a != out_b or code_a != code_b:
+        if not repeatable:
+            raise OriginalUnrunnable(
+                f"original is nondeterministic: input {stdin_text[:30]!r} gives another"
+                " (stdout, status) under another hash seed"
+            )
+        if runner.run(candidate, stdin_text) != expected:
             return False
     return True
 
@@ -357,6 +473,16 @@ class VerifyPolicy:
 
 
 def verify(original: CodeSample, candidate: CodeSample, policy: VerifyPolicy) -> VerificationReport:
+    """Syntax, then compile, then equivalence; the first failing stage
+    rejects the candidate.
+
+    Under the execution oracle every run of one thread goes through one
+    fork server, so the original and its candidates share that server's
+    hash seed: a program whose output hangs on the iteration order of a
+    set of strings gives the same output in both. The oracle therefore runs the original's
+    first input once more under another PYTHONHASHSEED and raises
+    OriginalUnrunnable when the results differ.
+    """
     syntax_ok, diagnostics = syntax_check(candidate)
     if not syntax_ok:
         return VerificationReport(False, None, (), False, tuple(diagnostics))

@@ -13,7 +13,7 @@ from codeperturb import cli
 from codeperturb.cli import main
 from codeperturb.corpusio import read_jsonl
 from codeperturb.errors import EngineFailure
-from codeperturb.verify import Toolchain
+from codeperturb.verify import ForkServer, Toolchain
 
 from .conftest import load_fixture_corpus, write_corpus_jsonl
 from codeperturb.core import CodeSample, EquivalenceSpec, Language
@@ -207,6 +207,9 @@ def test_peso_run_removes_its_scratch_directories(tmp_path, monkeypatch, capsys)
     scratch = tmp_path / "tmp"
     scratch.mkdir()
     monkeypatch.setattr(tempfile, "tempdir", str(scratch))
+    servers = []
+    real_init = ForkServer.__init__
+    monkeypatch.setattr(ForkServer, "__init__", lambda self, *a: servers.append(self) or real_init(self, *a))
     # A directory left to the garbage collector is removed with a
     # ResourceWarning, so the warnings show whether each runner was closed.
     with warnings.catch_warnings(record=True) as caught:
@@ -220,6 +223,8 @@ def test_peso_run_removes_its_scratch_directories(tmp_path, monkeypatch, capsys)
     assert len(summaries) == 2
     assert not list(scratch.glob("codeperturb-*"))
     assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
+    # Every fork server the command started has exited and been reaped.
+    assert servers and all(s.proc.returncode is not None for s in servers)
 
 
 def test_failed_sample_keeps_its_partial_trace(tmp_path, capsys):
@@ -271,8 +276,8 @@ def test_a_sample_whose_original_times_out_fails_once(tmp_path, monkeypatch, cap
     chain = Toolchain(run_argv=(sys.executable, "{file}"), extension=".py", run_timeout=0.5)
     monkeypatch.setattr(cli, "default_toolchains", lambda: {Language.PYTHON: chain})
     runs = []
-    real_run = subprocess.run
-    monkeypatch.setattr(subprocess, "run", lambda argv, **kw: runs.append(argv) or real_run(argv, **kw))
+    real_launch = ForkServer.launch
+    monkeypatch.setattr(ForkServer, "launch", lambda self, req: runs.append(req) or real_launch(self, req))
     text = "import time\ncount = int(input())\ntime.sleep(30)\nprint(count)\n"
     path = tmp_path / "corpus.jsonl"
     write_corpus_jsonl(path, [(CodeSample(id="sleepy.py", language=Language.PYTHON, text=text),
@@ -303,8 +308,9 @@ SEEDED_RUN_DIGEST = "f742e45380dc35c11356ea11ce0d3639856d8eea69d9852d2c296777369
 
 
 def test_seeded_rule_run_is_frozen(tmp_path, monkeypatch, capsys):
-    runs = []
+    runs, servers = [], []
     monkeypatch.setattr(subprocess, "run", lambda argv, **kw: runs.append(argv))
+    monkeypatch.setattr(ForkServer, "__init__", lambda self, *a, **kw: servers.append(a))
     path = tmp_path / "corpus.jsonl"
     write_corpus_jsonl(path, load_fixture_corpus())
     out = tmp_path / "out"
@@ -312,7 +318,7 @@ def test_seeded_rule_run_is_frozen(tmp_path, monkeypatch, capsys):
         "peso-run", "--corpus", path, "--engine", "rule", "--seed", "11", "--max-iter", "3",
         "--jobs", "1", "--equivalence", "stub", "--no-compile", "--output-dir", out,
     )
-    assert code == 0 and runs == []
+    assert code == 0 and runs == [] and servers == []
     files = sorted((out / "traces").glob("*.jsonl"))
     assert len(files) == 22
     digest = hashlib.sha256()

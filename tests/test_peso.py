@@ -338,3 +338,21 @@ def test_run_with_real_engine_and_scorer():
     assert accepted == sorted(accepted, reverse=True)
     assert result.summary.methods_applied
     assert result.summary.function_map
+
+
+def test_the_optimizer_lexes_each_accepted_text_for_functions_once(monkeypatch):
+    from codeperturb import peso
+
+    calls = []
+    real = peso.find_functions
+    monkeypatch.setattr(peso, "find_functions", lambda text, lang: calls.append(text) or real(text, lang))
+    cfg = PesoConfig(rng_seed=13, max_iter=5, ss_threshold=0.2)
+    original = CodeSample(id="real.py", language=Language.PYTHON, text=REAL_SRC)
+    policy = VerifyPolicy()
+    result = run(original, RuleEngine(CATALOG), CATALOG, cfg, lambda o, c: verify(o, c, policy))
+    accepted = [r for r in result.records if r.accepted]
+    assert len(accepted) >= 2
+    # One call for the original, then one per acceptance (the accepted text).
+    assert len(calls) == 1 + len(accepted)
+    assert calls[0] == REAL_SRC and calls[-1] == result.final.text
+    assert result.summary.function_map

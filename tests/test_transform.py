@@ -2,6 +2,8 @@ import ast
 import hashlib
 import json
 import re
+import shutil
+import subprocess
 import sys
 
 import pytest
@@ -214,6 +216,53 @@ def test_go_statement_wrapping_never_wraps_declarations():
         ]
         assert added
         assert ":=" not in out.candidate.text.split("if true {")[1].split("}")[0]
+
+
+GO_LOCAL_STRUCT_SRC = """package main
+
+import "fmt"
+
+func main() {
+\ttype point struct {
+\t\tx int
+\t\ty int
+\t}
+\tp := point{1, 2}
+\tfmt.Println(p.x + p.y)
+}
+"""
+
+C_LOCAL_STRUCT_SRC = """#include <stdio.h>
+
+int main(void) {
+    struct point {
+        int x;
+        int y;
+    };
+    struct point p = {1, 2};
+    printf("%d\\n", p.x + p.y);
+    return 0;
+}
+"""
+
+
+@pytest.mark.parametrize(
+    "lang,src,header",
+    [(Language.GO, GO_LOCAL_STRUCT_SRC, "\tif true {"), (Language.C_CPP, C_LOCAL_STRUCT_SRC, "    if (1) {")],
+    ids=["go", "c"],
+)
+def test_statement_wrapping_leaves_a_local_struct_body_alone(lang, src, header, tmp_path):
+    for seed in range(5):
+        text = rule_engine_apply(sample(src, lang), method("statement_wrapping"), seed=seed).candidate.text
+        lines = text.splitlines()
+        # The one wrapped statement is the print call, one level in.
+        wrapped = lines[lines.index(header) + 1].strip()
+        assert wrapped.startswith(("fmt.Println(", "printf("))
+        if lang is Language.C_CPP and shutil.which("gcc"):
+            (tmp_path / "w.c").write_text(text)
+            build = subprocess.run(["gcc", str(tmp_path / "w.c"), "-o", str(tmp_path / "w")],
+                                   capture_output=True)
+            assert build.returncode == 0, build.stderr.decode()
 
 
 @pytest.mark.parametrize(

@@ -11,6 +11,7 @@ from codeperturb.cli import _verifier_for
 from codeperturb.core import CodeSample, EquivalenceSpec, Language, Origin, PesoConfig, build_catalog
 from codeperturb.errors import ConfigError, OriginalUnrunnable, RunnerFailure, ToolchainUnavailable
 from codeperturb.verify import (
+    ForkServer,
     ProgramRunner,
     StubVoter,
     Toolchain,
@@ -274,8 +275,8 @@ def test_runner_pays_a_timeout_once(monkeypatch, make_runner):
     runner = make_runner(Toolchain(run_argv=(sys.executable, "{file}"), extension=".py", run_timeout=0.5))
     policy = VerifyPolicy(equivalence_spec=EquivalenceSpec(input_suite=("1\n",)), runner=runner)
     calls = []
-    real_run = subprocess.run
-    monkeypatch.setattr(subprocess, "run", lambda argv, **kw: calls.append(argv) or real_run(argv, **kw))
+    real_launch = ForkServer.launch
+    monkeypatch.setattr(ForkServer, "launch", lambda self, req: calls.append(req) or real_launch(self, req))
     base = sample("import time\ntime.sleep(30)\n")
     for i in (1, 2):
         with pytest.raises(OriginalUnrunnable, match="exceeded 0.5s"):
@@ -297,18 +298,21 @@ def test_cli_verifier_compiles_each_text_once_and_runs_the_original_once_per_inp
     if Language.C_CPP not in TOOLCHAINS:
         pytest.skip("no C toolchain")
     original, spec = next(item for item in load_fixture_corpus() if item[0].id == "collatz.c")
-    compiled, ran = [], []
-    real_run = subprocess.run
+    compiled, ran, reran = [], [], []
+    real_run, real_launch = subprocess.run, ForkServer.launch
 
-    def spy(argv, **kwargs):
-        if argv[0] == "gcc":
-            compiled.append(Path(argv[1]).read_text())
-        else:
-            source = next(Path(argv[0]).parent.glob("*.c")).read_text()
-            ran.append((source, kwargs["input"].decode()))
+    def compile_spy(argv, **kwargs):
+        assert argv[0] == "gcc"
+        compiled.append(Path(argv[1]).read_text())
         return real_run(argv, **kwargs)
 
-    monkeypatch.setattr(subprocess, "run", spy)
+    def launch_spy(self, request):
+        source = next(Path(request["argv"][0]).parent.glob("*.c")).read_text()
+        (reran if self.hash_seed else ran).append((source, Path(request["stdin"]).read_text()))
+        return real_launch(self, request)
+
+    monkeypatch.setattr(subprocess, "run", compile_spy)
+    monkeypatch.setattr(ForkServer, "launch", launch_spy)
     args = argparse.Namespace(equivalence="auto", no_compile=False)
     verifier, runner = _verifier_for(args, original, spec)
     catalog = build_catalog()
@@ -321,3 +325,5 @@ def test_cli_verifier_compiles_each_text_once_and_runs_the_original_once_per_inp
     assert Counter(compiled).most_common(1)[0][1] == 1
     original_runs = Counter(stdin for source, stdin in ran if source == original.text)
     assert original_runs == Counter(spec.input_suite)
+    # The one check run of the first input on a server with another hash seed.
+    assert reran == [(original.text, spec.input_suite[0])]
