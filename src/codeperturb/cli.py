@@ -74,7 +74,6 @@ def build_parser() -> _Parser:
             p.add_argument("--corpus", required=True, help="corpus JSONL ({id, language, content})")
         p.add_argument("--config", help="JSON config file")
         p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--jobs", type=int, default=os.cpu_count() or 1)
         p.add_argument("--output-dir", default="out")
         p.add_argument("--engine", choices=["rule", "llm", "hybrid"], default=None)
         p.add_argument("--replay-dir", help="canned LLM replies for offline runs")
@@ -99,6 +98,7 @@ def build_parser() -> _Parser:
     for name in ("peso-run", "random-run"):
         p = sub.add_parser(name, help=f"{name} over a corpus")
         common(p)
+        p.add_argument("--jobs", type=int, default=os.cpu_count() or 1)
         p.add_argument("--max-iter", type=int, default=None)
         p.add_argument("--threshold", type=float, default=None)
         p.add_argument("--temperature", type=float, default=None)

@@ -2,7 +2,7 @@
 per request, after AFL's fork server (Zalewski, "Fuzzing random programs
 without execve()", 2014).
 
-    python [interpreter flags] forkserver.py
+    python forkserver.py
 
 It reads one JSON request per line on stdin and answers each with one JSON
 line on stdout; end of input stops it. A request holds ``file`` (a Python

@@ -1,16 +1,24 @@
 """A small multi-language lexer.
 
 Produces raw token streams with source spans for the five language modes.
-Whitespace and comments are skipped. The lexer is deliberately permissive
-about operators (any unexpected punctuation becomes a one-character OP
-token); it raises LexError only for genuinely unlexable input such as an
-unterminated string or block comment.
+Each language has one alternation, compiled on first use, that ``lex``
+matches at every position. Its groups, in order: ``skip`` (whitespace and
+comments); one group per row of the language's literal table in ``_SYNTAX``
+(a pattern and its TokenKind); ``open``, the opener of a literal or block
+comment whose whole pattern did not match, which raises LexError at the
+quote (at the start for a Rust raw string or a block comment); ``num``;
+identifiers and keywords; operators, ``_MULTI_OPS`` in list order, else any
+single character. Three scanners stay functions: ``_scan_number``, whose
+``isdigit`` and ``isalpha`` tests have no exact ``re`` class, and Rust's
+``_scan_rust_quote`` (char literal or lifetime) and ``_block_comment_end``
+(nested block comments).
 
 Spans are (start, end) offsets into the text string.
 """
 
 from __future__ import annotations
 
+import functools
 import keyword
 import re
 from dataclasses import dataclass
@@ -83,51 +91,81 @@ _MULTI_OPS = [
     "..", "<-",
 ]
 
-_IDENT_RE = re.compile(r"[^\W\d]\w*", re.UNICODE)
-_PY_STR_PREFIX_RE = re.compile(r"(?i)(?:rb|br|rf|fr|[rbfu])?(?=['\"])")
-_NUM_START_RE = re.compile(r"\d")
+_IDENT_RE = re.compile(r"[^\W\d]\w*")
+_COMMENT_MARK_RE = re.compile(r"/\*|\*/")
+
+_PY_PREFIX = r"(?i:rb|br|rf|fr|[rbfu])?"
+# A backslash escapes the next character, newline included. One-line
+# literals stop at a newline. A quote that opens a triple quote does not open
+# an empty string, hence the lookaheads where both are tried.
+_DQ = r'"(?:\\.|[^\\\n"])*"'
+_SQ = r"'(?:\\.|[^\\\n'])*'"
+_DQ3 = r'"""(?:\\.|[^\\])*?"""'
+_SQ3 = _DQ3.replace('"', "'")
+_C_COMMENTS = r"//[^\n]*|/\*.*?\*/"
+
+# Per language: the comments to skip, the literal table of (pattern, kind),
+# and the openers of those literals and of block comments.
+_SYNTAX: dict[Language, tuple[str, list[tuple[str, TokenKind]], str]] = {
+    Language.PYTHON: (
+        r"#[^\n]*",
+        [(rf"{_PY_PREFIX}(?:{_SQ3}|{_DQ3}|(?!'''){_SQ}|(?!\"\"\"){_DQ})", TokenKind.STRING)],
+        rf"{_PY_PREFIX}(?P<quote>'''|\"\"\"|['\"])",
+    ),
+    Language.GO: (
+        _C_COMMENTS,
+        [(r"`[^`]*`", TokenKind.STRING), (_DQ, TokenKind.STRING), (_SQ, TokenKind.CHAR)],
+        r"""/\*|(?P<quote>[`"'])""",
+    ),
+    Language.C_CPP: (
+        _C_COMMENTS, [(_DQ, TokenKind.STRING), (_SQ, TokenKind.CHAR)], r"""/\*|(?P<quote>["'])"""
+    ),
+    Language.JAVA: (
+        _C_COMMENTS,
+        [(_DQ3, TokenKind.STRING), (rf'(?!"""){_DQ}', TokenKind.STRING), (_SQ, TokenKind.CHAR)],
+        r"""/\*|(?P<quote>\"\"\"|["'])""",
+    ),
+    Language.RUST_LANG: (  # a bare "/*" is skipped by _block_comment_end: they nest
+        r"//[^\n]*|/\*",
+        [(r'r(?P<hashes>#*)".*?"(?P=hashes)', TokenKind.STRING),
+         (r'b?"(?:\\.|[^\\"])*"', TokenKind.STRING)],
+        r'r#*"|b?(?P<quote>")',
+    ),
+}
 
 
-def _line_comment_end(text: str, pos: int) -> int:
-    nl = text.find("\n", pos)
-    return len(text) if nl == -1 else nl
+@functools.cache
+def _pattern(language: Language) -> tuple[re.Pattern, dict[str, TokenKind]]:
+    """The language's alternation and the token kind of each literal group."""
+    comments, literals, openers = _SYNTAX[language]
+    groups = [rf"(?P<skip>\s+|{comments})"]
+    groups += [f"(?P<lit{k}>{pattern})" for k, (pattern, _) in enumerate(literals)]
+    groups.append(f"(?P<open>{openers})")
+    if language is Language.RUST_LANG:
+        groups.append(r"(?P<rquote>')")
+    ops = "|".join(map(re.escape, _MULTI_OPS))
+    groups += [r"(?P<num>\d)", f"(?P<word>{_IDENT_RE.pattern})", f"(?P<op>{ops}|.)"]
+    kinds = {"op": TokenKind.OP} | {f"lit{k}": kind for k, (_, kind) in enumerate(literals)}
+    return re.compile("|".join(groups), re.DOTALL), kinds
 
 
-def _block_comment_end(text: str, pos: int, nested: bool) -> int:
-    """pos points at the opening slash-star. Returns offset one past the close."""
+def _block_comment_end(text: str, pos: int) -> int:
+    """pos points at the opening slash-star of a nesting (Rust) block comment.
+    Returns offset one past the close."""
     depth = 1
-    i = pos + 2
-    n = len(text)
-    while i < n - 1:
-        two = text[i : i + 2]
-        if nested and two == "/*":
-            depth += 1
-            i += 2
-        elif two == "*/":
-            depth -= 1
-            i += 2
-            if depth == 0:
-                return i
-        else:
-            i += 1
+    for m in _COMMENT_MARK_RE.finditer(text, pos + 2):
+        depth += 1 if m[0] == "/*" else -1
+        if depth == 0:
+            return m.end()
     raise LexError("unterminated block comment", pos)
 
 
-def _scan_quoted(text: str, pos: int, quote: str, allow_escapes: bool, multiline: bool) -> int:
-    """Scan past a quoted literal starting at the opening quote sequence."""
-    i = pos + len(quote)
-    n = len(text)
-    while i < n:
-        c = text[i]
-        if allow_escapes and c == "\\":
-            i += 2
-            continue
-        if text.startswith(quote, i):
-            return i + len(quote)
-        if c == "\n" and not multiline:
-            break
-        i += 1
-    raise LexError(f"unterminated {quote!r} literal", pos)
+def _unterminated(m: re.Match) -> LexError:
+    """The error for an opener whose literal or comment never closes."""
+    if m["quote"] is not None:
+        return LexError(f"unterminated {m['quote']!r} literal", m.start("quote"))
+    what = "block comment" if m["open"] == "/*" else "raw string"
+    return LexError(f"unterminated {what}", m.start())
 
 
 def _scan_number(text: str, pos: int, language: Language) -> tuple[int, TokenKind]:
@@ -199,124 +237,29 @@ def _scan_rust_quote(text: str, pos: int) -> tuple[int, TokenKind]:
 
 def lex(text: str, language: Language) -> list[Token]:
     """Tokenize text for the given language mode."""
-    tokens: list[Token] = []
+    pattern, kinds = _pattern(language)
     kw = KEYWORDS[language]
+    tokens: list[Token] = []
     i = 0
-    n = len(text)
-    while i < n:
-        c = text[i]
-        if c.isspace():
-            i += 1
+    while i < len(text):
+        m = pattern.match(text, i)
+        group, end = m.lastgroup, m.end()
+        if group == "skip":
+            i = _block_comment_end(text, i) if m[0] == "/*" else end
             continue
-        # Comments
-        if language is Language.PYTHON:
-            if c == "#":
-                i = _line_comment_end(text, i)
-                continue
-        else:
-            if text.startswith("//", i):
-                i = _line_comment_end(text, i)
-                continue
-            if text.startswith("/*", i):
-                i = _block_comment_end(text, i, nested=(language is Language.RUST_LANG))
-                continue
-        # Strings and chars
-        start = i
-        if language is Language.PYTHON and (c in "'\"" or _is_py_prefixed_string(text, i)):
-            m = _PY_STR_PREFIX_RE.match(text, i)
-            qpos = m.end() if m else i
-            if qpos < n and text[qpos] in "'\"":
-                q3 = text[qpos] * 3
-                if text.startswith(q3, qpos):
-                    end = _scan_quoted(text, qpos, q3, allow_escapes=True, multiline=True)
-                else:
-                    end = _scan_quoted(text, qpos, text[qpos], allow_escapes=True, multiline=False)
-                tokens.append(Token(TokenKind.STRING, text[start:end], start, end))
-                i = end
-                continue
-        elif language is Language.GO:
-            if c == "`":
-                end = _scan_quoted(text, i, "`", allow_escapes=False, multiline=True)
-                tokens.append(Token(TokenKind.STRING, text[start:end], start, end))
-                i = end
-                continue
-            if c == '"':
-                end = _scan_quoted(text, i, '"', allow_escapes=True, multiline=False)
-                tokens.append(Token(TokenKind.STRING, text[start:end], start, end))
-                i = end
-                continue
-            if c == "'":
-                end = _scan_quoted(text, i, "'", allow_escapes=True, multiline=False)
-                tokens.append(Token(TokenKind.CHAR, text[start:end], start, end))
-                i = end
-                continue
-        elif language is Language.RUST_LANG:
-            rm = re.match(r"r(#*)\"", text[i:]) if c == "r" else None
-            if rm:
-                closer = '"' + rm.group(1)
-                end = text.find(closer, i + rm.end())
-                if end == -1:
-                    raise LexError("unterminated raw string", i)
-                end += len(closer)
-                tokens.append(Token(TokenKind.STRING, text[start:end], start, end))
-                i = end
-                continue
-            if c == '"' or (c == "b" and text.startswith('b"', i)):
-                qpos = i if c == '"' else i + 1
-                end = _scan_quoted(text, qpos, '"', allow_escapes=True, multiline=True)
-                tokens.append(Token(TokenKind.STRING, text[start:end], start, end))
-                i = end
-                continue
-            if c == "'":
-                end, kind = _scan_rust_quote(text, i)
-                tokens.append(Token(kind, text[start:end], start, end))
-                i = end
-                continue
-        elif language in (Language.C_CPP, Language.JAVA):
-            if language is Language.JAVA and text.startswith('"""', i):
-                end = _scan_quoted(text, i, '"""', allow_escapes=True, multiline=True)
-                tokens.append(Token(TokenKind.STRING, text[start:end], start, end))
-                i = end
-                continue
-            if c == '"':
-                end = _scan_quoted(text, i, '"', allow_escapes=True, multiline=False)
-                tokens.append(Token(TokenKind.STRING, text[start:end], start, end))
-                i = end
-                continue
-            if c == "'":
-                end = _scan_quoted(text, i, "'", allow_escapes=True, multiline=False)
-                tokens.append(Token(TokenKind.CHAR, text[start:end], start, end))
-                i = end
-                continue
-        # Numbers
-        if _NUM_START_RE.match(c):
+        if group == "open":
+            raise _unterminated(m)
+        if group == "num":
             end, kind = _scan_number(text, i, language)
-            tokens.append(Token(kind, text[i:end], i, end))
-            i = end
-            continue
-        # Identifiers / keywords
-        m = _IDENT_RE.match(text, i)
-        if m:
-            word = m.group(0)
-            kind = TokenKind.KEYWORD if word in kw else TokenKind.IDENT
-            tokens.append(Token(kind, word, i, m.end()))
-            i = m.end()
-            continue
-        # Operators and punctuation
-        for op in _MULTI_OPS:
-            if text.startswith(op, i):
-                tokens.append(Token(TokenKind.OP, op, i, i + len(op)))
-                i += len(op)
-                break
+        elif group == "rquote":
+            end, kind = _scan_rust_quote(text, i)
+        elif group == "word":
+            kind = TokenKind.KEYWORD if m[0] in kw else TokenKind.IDENT
         else:
-            tokens.append(Token(TokenKind.OP, c, i, i + 1))
-            i += 1
+            kind = kinds[group]
+        tokens.append(Token(kind, text[i:end], i, end))
+        i = end
     return tokens
-
-
-def _is_py_prefixed_string(text: str, pos: int) -> bool:
-    m = _PY_STR_PREFIX_RE.match(text, pos)
-    return bool(m and m.group(0))
 
 
 _NORMAL_BY_KIND = {

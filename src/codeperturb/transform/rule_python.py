@@ -581,7 +581,8 @@ def extract_if(text: str, rng: random.Random):
 
     def usable(test: ast.expr) -> bool:
         for x in ast.walk(test):
-            if isinstance(x, (ast.NamedExpr, ast.Await, ast.Yield, ast.YieldFrom)):
+            if isinstance(x, (ast.NamedExpr, ast.Await, ast.Yield, ast.YieldFrom, ast.ListComp,
+                              ast.SetComp, ast.DictComp, ast.GeneratorExp, ast.Lambda)):
                 return False
             if isinstance(x, ast.Name) and x.id == "super":
                 return False

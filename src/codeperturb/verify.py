@@ -13,13 +13,13 @@ is nondeterministic under the oracle fails its whole sample instead
 (OriginalUnrunnable).
 
 Compiles run through ``subprocess.run``. Every program run goes through a
-fork server (``forkserver.py``, POSIX only): a warm interpreter started
-with the flags of the toolchain's ``run_argv``, one per worker thread and
-hash seed, started on the thread's first run and stopped by its
-ServerPool. The server forks a child per run, in its own process group and
-limited in CPU time (``run_timeout`` + 1 s), address space (4 GiB) and file
-size (64 MiB). The child runs a ``[sys.executable, "{file}"]`` toolchain's
-file in-process as ``__main__`` and execs any other command; the server
+fork server (``forkserver.py``, POSIX only): ``sys.executable`` on that
+file, one per worker thread and hash seed, started on the thread's first
+run and stopped by its ServerPool. The server forks a child per run, in its
+own process group and limited in CPU time (``run_timeout`` + 1 s), address
+space (4 GiB) and file size (64 MiB). The child runs the file in-process as
+``__main__`` when the toolchain's ``run_argv`` is exactly
+``(sys.executable, "{file}")`` and execs any other command; the server
 kills the child's process group once it outlives ``run_timeout``. All
 children of one server share its hash seed, so set iteration order no
 longer tells an original from its candidates; instead the oracle runs the
@@ -180,11 +180,11 @@ def _other_hash_seed() -> str:
 class ForkServer:
     """One fork server process; launch() is the only way a program runs."""
 
-    def __init__(self, interpreter: tuple[str, ...], hash_seed: str | None = None):
+    def __init__(self, hash_seed: str | None = None):
         self.hash_seed = hash_seed
         env = None if hash_seed is None else {**os.environ, "PYTHONHASHSEED": hash_seed}
         self.proc = subprocess.Popen(
-            [*interpreter, str(_SERVER_FILE)],
+            [sys.executable, str(_SERVER_FILE)],
             stdin=subprocess.PIPE, stdout=subprocess.PIPE, env=env,
         )
 
@@ -214,23 +214,23 @@ class ForkServer:
 
 
 class ServerPool:
-    """The fork servers of one owner: one per worker thread, interpreter
-    command and hash seed, each started on its first run. stop() ends them
-    all; a pool that ran nothing started nothing."""
+    """The fork servers of one owner: one per worker thread and hash seed,
+    each started on its first run. stop() ends them all; a pool that ran
+    nothing started nothing."""
 
     def __init__(self):
         self._lock = threading.Lock()
         self._servers: dict[tuple, ForkServer] = {}
 
-    def server(self, interpreter: tuple[str, ...], reseeded: bool) -> ForkServer:
-        key = (threading.get_ident(), interpreter, reseeded)
+    def server(self, reseeded: bool) -> ForkServer:
+        key = (threading.get_ident(), reseeded)
         with self._lock:
             server = self._servers.get(key)
             if server is not None and server.proc.poll() is not None:
                 server.stop()  # it died; start another
                 server = None
             if server is None:
-                server = ForkServer(interpreter, _other_hash_seed() if reseeded else None)
+                server = ForkServer(_other_hash_seed() if reseeded else None)
                 self._servers[key] = server
             return server
 
@@ -307,18 +307,15 @@ class ProgramRunner:
         ok, diagnostics, path, exe = self._prepare(sample)
         if ok is False:
             raise RunnerFailure("candidate does not compile: " + "\n".join(diagnostics[1:]))
-        template = self.toolchain.run_argv
-        argv = _fill(template, str(path), str(path.parent), exe)
-        if template[0] == sys.executable and template[-1] == "{file}":
-            interpreter, request = tuple(argv[:-1]), {"file": str(path)}
-        else:
-            interpreter, request = (sys.executable,), {"argv": argv}
+        argv = _fill(self.toolchain.run_argv, str(path), str(path.parent), exe)
+        in_process = self.toolchain.run_argv == (sys.executable, "{file}")
+        request = {"file": str(path)} if in_process else {"argv": argv}
         stdin_file = path.parent / f"stdin-{threading.get_ident()}"
         stdout_file = path.parent / f"stdout-{threading.get_ident()}"
         stdin_file.write_bytes(stdin_text.encode())
         request.update(stdin=str(stdin_file), stdout=str(stdout_file), cwd=str(path.parent),
                        timeout=self.toolchain.run_timeout)
-        reply = self.servers.server(interpreter, reseeded).launch(request)
+        reply = self.servers.server(reseeded).launch(request)
         if "error" in reply:
             raise RunnerFailure(f"cannot run {argv[0]!r}: {reply['error']}")
         if "timeout" in reply:

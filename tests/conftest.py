@@ -1,4 +1,5 @@
 import json
+import shutil
 from pathlib import Path
 
 import pytest
@@ -6,6 +7,15 @@ import pytest
 from codeperturb.core import CodeSample, EquivalenceSpec, Language
 
 FIXTURES = Path(__file__).parent / "fixtures"
+
+
+def pytest_report_header(config):
+    """Name the toolchains found, so a run says which outputs it builds and runs."""
+    found = [name for name in ("gcc", "rustc", "go") if shutil.which(name)]
+    lines = [f"toolchains: {', '.join(found) or 'none'}"]
+    if "go" not in found:
+        lines.append("go not found: Go rule outputs are checked by golden tests only")
+    return lines
 
 
 def load_fixture_corpus(languages=None):

@@ -111,6 +111,15 @@ def test_perturb_unknown_method(small_corpus, tmp_path, capsys):
     assert "no_such_method" in capsys.readouterr().err
 
 
+def test_perturb_has_no_jobs_option(small_corpus, tmp_path, capsys):
+    code = run_cli(
+        "perturb", "--method", "modify_operations", "--corpus", small_corpus,
+        "--jobs", "2", "--output-dir", tmp_path / "o",
+    )
+    assert code == 1
+    assert "--jobs" in capsys.readouterr().err
+
+
 def test_llm_engine_without_endpoint_is_config_error(small_corpus, tmp_path, capsys):
     code = run_cli(
         "peso-run", "--corpus", small_corpus, "--engine", "llm",

@@ -1,3 +1,8 @@
+import hashlib
+import json
+import random
+from pathlib import Path
+
 import pytest
 
 from codeperturb.core import Language
@@ -116,6 +121,32 @@ def test_lex_error_has_offset():
         lex("/* never closed", Language.GO)
 
 
+@pytest.mark.parametrize(
+    "language, text, message, offset",
+    [
+        (Language.PYTHON, "s = '''doc\n", "unterminated \"'''\" literal", 4),
+        (Language.PYTHON, 'x = """a""', "unterminated '\"\"\"' literal", 4),
+        (Language.PYTHON, "s = rb'x\n'", "unterminated \"'\" literal", 6),
+        (Language.PYTHON, 'y = f"{a}', "unterminated '\"' literal", 5),
+        (Language.GO, "s := `raw\n", "unterminated '`' literal", 5),
+        (Language.GO, "c := 'a\n'", "unterminated \"'\" literal", 5),
+        (Language.C_CPP, "char c = 'a;", "unterminated \"'\" literal", 9),
+        (Language.C_CPP, 'p("a\n");', "unterminated '\"' literal", 2),
+        (Language.C_CPP, "int x; /* y */ /* z", "unterminated block comment", 15),
+        (Language.JAVA, 'String s = """\nabc"";', "unterminated '\"\"\"' literal", 11),
+        (Language.JAVA, "c = 'a", "unterminated \"'\" literal", 4),
+        (Language.RUST_LANG, 'let s = r#"abc"', "unterminated raw string", 8),
+        (Language.RUST_LANG, 'let b = b"abc', "unterminated '\"' literal", 9),
+        (Language.RUST_LANG, "/* a /* b */ c", "unterminated block comment", 0),
+    ],
+)
+def test_unterminated_forms(language, text, message, offset):
+    with pytest.raises(LexError) as err:
+        lex(text, language)
+    assert str(err.value) == f"{message} (offset {offset})"
+    assert err.value.offset == offset
+
+
 def test_check_balance():
     assert check_balance(lex("f(a[1]) { }", Language.GO)) is None
     assert "unclosed" in check_balance(lex("f(a", Language.GO))
@@ -126,3 +157,36 @@ def test_preprocessor_line_lexes():
     toks = lex("#include <stdio.h>\nint main(void) { return 0; }", Language.C_CPP)
     assert toks[0].text == "#"
     assert check_balance(toks) is None
+
+
+# The pieces where lexers go wrong: every quote and opener, string prefixes,
+# comment markers, escapes, number edges and non-ASCII letters and digits
+# (superscript two is a digit to str.isdigit but not to \d).
+_HAZARDS = [
+    "'", '"', "`", "'''", '"""', "rb", "f", 'b"', 'r#"', '"#', "r", "#", "/*", "*/",
+    "//", "\\", "\n", " ", "0x", "1.", "..", "1", "e5", "_", "x", "'a", "u{", "}", "+",
+    "é", "Ω", "中", "٣", "²", "\u2028",
+]
+
+LEX_OUTPUT_DIGEST = "28987859bd2fe66acb25204ac07db69ac6efe0d8a35fd95e6a2450fccfd40ecf"
+
+
+def _hazard_texts(count=5000, seed=9):
+    rng = random.Random(seed)
+    return ["".join(rng.choices(_HAZARDS, k=rng.randint(1, 10))) for _ in range(count)]
+
+
+def test_lex_output_is_frozen():
+    fixtures = Path(__file__).parent / "fixtures"
+    manifest = json.loads((fixtures / "manifest.json").read_text())
+    texts = [(fixtures / r["path"]).read_text() for r in manifest["programs"]]
+    texts += _hazard_texts()
+    digest = hashlib.sha256()
+    for language in Language:
+        for text in texts:
+            try:
+                out = [(t.kind.value, t.start, t.end) for t in lex(text, language)]
+            except LexError as err:
+                out = (str(err), err.offset)
+            digest.update(repr(out).encode())
+    assert digest.hexdigest() == LEX_OUTPUT_DIGEST

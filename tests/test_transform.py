@@ -1,5 +1,7 @@
 import ast
+import contextlib
 import hashlib
+import io
 import json
 import re
 import shutil
@@ -101,6 +103,35 @@ def test_extract_if_introduces_predicate_function():
     assert f"def {helper}(a, b):" in text
     assert f"if {helper}(a, b):" in text
     assert "return a < b" in text
+
+
+COMPREHENSION_IF_SRC = """def f(xs):
+    if any(x > 2 for x in xs):
+        return 1
+    if [y for y in xs if y < 0] or {z: z for z in xs} == {0: 0}:
+        return 2
+    if {w for w in xs} == {5} or (lambda v: v)(xs) == [4]:
+        return 3
+    if sum(xs) > 10:
+        return 4
+    return 0
+
+
+print(f([1, 2, 3]), f([-1]), f([0]), f([5]), f([4]), f([2, 2, 2, 2, 2, 1]), f([]))
+"""
+
+
+def _stdout_of(text):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        exec(compile(text, "<candidate>", "exec"), {"__name__": "__main__"})
+    return out.getvalue()
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_extract_if_never_passes_comprehension_or_lambda_bound_names(seed):
+    out = rule_engine_apply(sample(COMPREHENSION_IF_SRC), method("extract_if"), seed=seed)
+    assert _stdout_of(out.candidate.text) == _stdout_of(COMPREHENSION_IF_SRC)
 
 
 def test_rule_engine_deterministic():
