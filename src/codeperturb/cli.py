@@ -13,7 +13,6 @@ import dataclasses
 import datetime
 import json
 import os
-import re
 import sys
 from pathlib import Path
 
@@ -43,6 +42,7 @@ from .corpusio import (
     read_completions,
     read_corpus,
     read_jsonl,
+    safe_name,
     write_jsonl,
 )
 from .errors import (
@@ -90,6 +90,13 @@ def build_parser() -> _Parser:
             action="store_true",
             help="skip the compile stage (the execution oracle still compiles the programs it runs)",
         )
+        p.add_argument(
+            "--jobs",
+            type=int,
+            default=os.cpu_count() or 1,
+            help="worker threads, each running one sample at a time; outputs do not depend on it"
+            " (default: the number of CPUs)",
+        )
 
     p = sub.add_parser("perturb", help="apply one method once per sample")
     common(p)
@@ -98,7 +105,6 @@ def build_parser() -> _Parser:
     for name in ("peso-run", "random-run"):
         p = sub.add_parser(name, help=f"{name} over a corpus")
         common(p)
-        p.add_argument("--jobs", type=int, default=os.cpu_count() or 1)
         p.add_argument("--max-iter", type=int, default=None)
         p.add_argument("--threshold", type=float, default=None)
         p.add_argument("--temperature", type=float, default=None)
@@ -183,26 +189,33 @@ def _build_engine(args, rest: dict, catalog):
     return llm if kind == "llm" else HybridEngine(rule, llm)
 
 
-def _verifier_for(args, sample: CodeSample, spec: EquivalenceSpec | None, servers: ServerPool | None = None):
-    """The sample's verifier and its ProgramRunner (None without a
-    toolchain), which runs programs on `servers`; the caller closes the
-    runner when the sample ends and stops the servers when the command
-    ends."""
-    toolchain = default_toolchains().get(sample.language)
-    runner = ProgramRunner(toolchain, servers) if toolchain else None
-    policy = VerifyPolicy(runner=runner, compile_stage=not getattr(args, "no_compile", False))
+def _oracle_spec(args, sample: CodeSample, spec: EquivalenceSpec | None, toolchains) -> EquivalenceSpec | None:
+    """The spec the execution oracle runs `sample` against, or None when
+    it runs none; ConfigError when --equivalence exec cannot run it."""
     mode = getattr(args, "equivalence", "auto")
-    if mode in ("auto", "exec") and spec and spec.input_suite and runner:
-        policy.equivalence_spec = spec
-    elif mode == "exec":
+    if mode in ("auto", "exec") and spec and spec.input_suite and sample.language in toolchains:
+        return spec
+    if mode == "exec":
         raise ConfigError(
             f"--equivalence exec needs an input_suite and a toolchain for {sample.language.value}"
         )
+    return None
+
+
+def _verifier_for(args, sample: CodeSample, spec: EquivalenceSpec | None, toolchains,
+                  servers: ServerPool | None = None):
+    """The sample's verifier, with `spec` (from _oracle_spec) for its
+    execution oracle, and its ProgramRunner (None without a toolchain in
+    `toolchains`), which runs programs on `servers`; the caller closes the
+    runner when the sample ends."""
+    toolchain = toolchains.get(sample.language)
+    runner = ProgramRunner(toolchain, servers) if toolchain else None
+    policy = VerifyPolicy(
+        equivalence_spec=spec,
+        runner=runner,
+        compile_stage=not getattr(args, "no_compile", False),
+    )
     return (lambda original, candidate: verify(original, candidate, policy)), runner
-
-
-def _safe_name(sample_id: str) -> str:
-    return re.sub(r"[^A-Za-z0-9._-]", "_", sample_id)
 
 
 def _write_manifest(out: Path, command: str, config: PesoConfig, rest: dict, digest: str, args) -> None:
@@ -220,6 +233,32 @@ def _write_manifest(out: Path, command: str, config: PesoConfig, rest: dict, dig
     (out / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
 
+def _each_sample(args, samples, work) -> list[concurrent.futures.Future]:
+    """Run `work(sample, verifier)` for every (sample, spec) of `samples` on
+    --jobs threads, and return the futures in corpus order once all are
+    done. A ConfigError for any sample is raised before any work starts.
+    The samples share one ServerPool and one toolchain lookup; each
+    sample's runner is closed when its work ends, and the servers when the
+    last one has."""
+    toolchains = default_toolchains()
+    specs = [_oracle_spec(args, sample, spec, toolchains) for sample, spec in samples]
+    servers = ServerPool()
+
+    def one(sample, spec):
+        verifier, runner = _verifier_for(args, sample, spec, toolchains, servers)
+        try:
+            return work(sample, verifier)
+        finally:
+            if runner:
+                runner.close()
+
+    try:
+        with concurrent.futures.ThreadPoolExecutor(max_workers=max(1, args.jobs)) as pool:
+            return [pool.submit(one, sample, spec) for (sample, _), spec in zip(samples, specs)]
+    finally:
+        servers.stop()
+
+
 def _run_over_corpus(args, optimizer) -> int:
     catalog = build_catalog()
     config, rest = _peso_config(args)
@@ -230,39 +269,26 @@ def _run_over_corpus(args, optimizer) -> int:
     traces_dir = out / "traces"
     traces_dir.mkdir(parents=True, exist_ok=True)
 
-    servers = ServerPool()
-
-    def one(item):
-        sample, spec = item
+    def work(sample, verifier):
         cfg = dataclasses.replace(config, rng_seed=derive_seed(config.rng_seed, sample.id))
-        verifier, runner = _verifier_for(args, sample, spec, servers)
-        try:
-            return optimizer(sample, engine, catalog, cfg, verifier)
-        finally:
-            if runner:
-                runner.close()
+        return optimizer(sample, engine, catalog, cfg, verifier)
 
     failures = []
     results = []
-    try:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=max(1, args.jobs)) as pool:
-            futures = [(item[0], pool.submit(one, item)) for item in samples]
-            for sample, future in futures:
-                try:
-                    results.append((sample, future.result()))
-                except CodePerturbError as exc:
-                    failures.append({
-                        "sample_id": sample.id,
-                        "error": str(exc),
-                        "partial_trace": [r.to_dict() for r in getattr(exc, "partial_trace", ())],
-                    })
-    finally:
-        servers.stop()
+    for (sample, _), future in zip(samples, _each_sample(args, samples, work)):
+        try:
+            results.append((sample, future.result()))
+        except CodePerturbError as exc:
+            failures.append({
+                "sample_id": sample.id,
+                "error": str(exc),
+                "partial_trace": [r.to_dict() for r in getattr(exc, "partial_trace", ())],
+            })
 
     summaries, pairs, perturbed = [], [], []
     for sample, result in results:
         write_jsonl(
-            traces_dir / f"{_safe_name(sample.id)}.jsonl",
+            traces_dir / f"{safe_name(sample.id)}.jsonl",
             (r.to_dict() for r in result.records),
         )
         summary = result.summary.to_dict()
@@ -318,48 +344,39 @@ def cmd_perturb(args) -> int:
     samples = read_corpus(args.corpus)
     out = Path(args.output_dir)
     _write_manifest(out, "perturb", config, rest, corpus_digest(samples), args)
-    outcomes = []
-    failures = 0
-    servers = ServerPool()
-    try:
-        for sample, spec in samples:
-            seed = derive_seed(config.rng_seed, sample.id)
-            verifier, runner = _verifier_for(args, sample, spec, servers)
-            record = {"sample_id": sample.id, "method": method.id}
-            try:
-                outcome = perturb(engine, sample, method, seed)
-                report = verifier(sample, outcome.candidate)
-                score = score_pair(sample, outcome.candidate, config) if report.passed else None
-                record.update(
-                    {
-                        "applied": True,
-                        "entry_point": outcome.entry_point,
-                        "engine": outcome.engine_used.value,
-                        "verified": report.passed,
-                        "verification": report.to_dict(),
-                        "content": outcome.candidate.text,
-                        "score": None
-                        if score is None
-                        else {"s1": score.s1, "s2": score.s2, "ss": score.ss},
-                    }
-                )
-            except (NotApplicable, UnsupportedCombination) as exc:
-                # A legitimate outcome: the method has no site in this sample,
-                # or the engine has no rule for this sample's language.
-                record.update({"applied": False, "reason": str(exc)})
-            except CodePerturbError as exc:
-                record.update({"applied": False, "error": f"{type(exc).__name__}: {exc}"})
-                failures += 1
-            finally:
-                if runner:
-                    runner.close()
-            outcomes.append(record)
-    finally:
-        servers.stop()
+
+    def work(sample, verifier):
+        record = {"sample_id": sample.id, "method": method.id}
+        try:
+            outcome = perturb(engine, sample, method, derive_seed(config.rng_seed, sample.id))
+            report = verifier(sample, outcome.candidate)
+            score = score_pair(sample, outcome.candidate, config) if report.passed else None
+            record.update(
+                {
+                    "applied": True,
+                    "entry_point": outcome.entry_point,
+                    "engine": outcome.engine_used.value,
+                    "verified": report.passed,
+                    "verification": report.to_dict(),
+                    "content": outcome.candidate.text,
+                    "score": None
+                    if score is None
+                    else {"s1": score.s1, "s2": score.s2, "ss": score.ss},
+                }
+            )
+        except (NotApplicable, UnsupportedCombination) as exc:
+            # A legitimate outcome: the method has no site in this sample,
+            # or the engine has no rule for this sample's language.
+            record.update({"applied": False, "reason": str(exc)})
+        except CodePerturbError as exc:
+            record.update({"applied": False, "error": f"{type(exc).__name__}: {exc}"})
+        return record
+
+    outcomes = [future.result() for future in _each_sample(args, samples, work)]
     write_jsonl(out / "outcomes.jsonl", outcomes)
     applied = sum(1 for r in outcomes if r.get("applied"))
     print(f"applied {method.id} to {applied}/{len(outcomes)} sample(s) -> {out/'outcomes.jsonl'}")
-    return 2 if failures else 0
+    return 2 if any("error" in r for r in outcomes) else 0
 
 
 def cmd_filter(args) -> int:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import re
 from pathlib import Path
 
 from .core import CodeSample, EquivalenceSpec, Language
@@ -78,3 +79,9 @@ def corpus_digest(samples) -> str:
         h.update(sample.text.encode())
         h.update(b"\0")
     return h.hexdigest()
+
+
+def safe_name(sample_id: str) -> str:
+    """A file name for a sample id: its characters outside [A-Za-z0-9._-]
+    become "_" (trace files and per-sample replay directories)."""
+    return re.sub(r"[^A-Za-z0-9._-]", "_", sample_id)

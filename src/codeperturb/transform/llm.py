@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from ..core import CodeSample, EngineKind, Language, Origin, PerturbationMethod
+from ..corpusio import safe_name
 from ..errors import ConfigError, EngineFailure
 from .prompts import parse_llm_answer, synthesize_prompt
 
@@ -36,7 +37,7 @@ class HttpTransport:
         self.config = config
         self._gate = threading.Semaphore(config.max_in_flight)
 
-    def complete(self, system: str, user: str, request_id: str) -> str:
+    def complete(self, system: str, user: str, request_id: str, sample_id: str) -> str:
         import requests
 
         token = os.environ.get(self.config.api_key_env, "")
@@ -67,37 +68,49 @@ class HttpTransport:
                 return resp.json()["choices"][0]["message"]["content"]
             except Exception as exc:  # transport, HTTP, or shape errors
                 last_error = exc
-        raise EngineFailure(f"LLM request {request_id} failed: {last_error}") from last_error
+        raise EngineFailure(
+            f"LLM request {request_id} for {sample_id} failed: {last_error}"
+        ) from last_error
 
 
 class ReplayTransport:
     """Serves canned replies from a directory for offline runs.
 
-    For a request tagged with method id m, the next unconsumed file
-    matching m*.json (sorted) is returned. Each file holds either the raw
-    reply string or {"content": "..."}.
+    A sample's replies are the m*.json files (sorted, for method id m) in
+    the subdirectory named by its safe_name, or, when it has none, in the
+    directory itself, which then serves every such sample the same
+    replies. The k-th request of one sample for m gets the k-th file, so
+    which sample gets which reply does not depend on the order in which
+    samples ask. Each file holds either the raw reply string or
+    {"content": "..."}.
     """
 
     def __init__(self, directory: str | Path):
         self.directory = Path(directory)
-        self._consumed: set[Path] = set()
+        self._cursors: dict[tuple[str, str], int] = {}
         self._lock = threading.Lock()
 
-    def complete(self, system: str, user: str, request_id: str) -> str:
+    def complete(self, system: str, user: str, request_id: str, sample_id: str) -> str:
         with self._lock:
-            for path in sorted(self.directory.glob(f"{request_id}*.json")):
-                if path in self._consumed:
-                    continue
-                self._consumed.add(path)
-                raw = path.read_text(encoding="utf-8")
-                try:
-                    obj = json.loads(raw)
-                except json.JSONDecodeError:
-                    return raw
-                if isinstance(obj, dict) and "content" in obj:
-                    return obj["content"]
-                return raw
-        raise EngineFailure(f"no canned reply for {request_id} in {self.directory}")
+            k = self._cursors.get((sample_id, request_id), 0)
+            self._cursors[(sample_id, request_id)] = k + 1
+        directory = self.directory / safe_name(sample_id)
+        if not directory.is_dir():
+            directory = self.directory
+        paths = sorted(directory.glob(f"{request_id}*.json"))
+        if k >= len(paths):
+            raise EngineFailure(
+                f"no canned reply for {request_id} in {directory}"
+                f" (request {k + 1} of {sample_id}, {len(paths)} file(s))"
+            )
+        raw = paths[k].read_text(encoding="utf-8")
+        try:
+            obj = json.loads(raw)
+        except json.JSONDecodeError:
+            return raw
+        if isinstance(obj, dict) and "content" in obj:
+            return obj["content"]
+        return raw
 
 
 class LlmEngine:
@@ -115,7 +128,9 @@ class LlmEngine:
         from . import PerturbationOutcome
 
         bundle = synthesize_prompt(sample, method)
-        reply = self.transport.complete(bundle.role, bundle.render(), request_id=method.id)
+        reply = self.transport.complete(
+            bundle.role, bundle.render(), request_id=method.id, sample_id=sample.id
+        )
         code, entry_point = parse_llm_answer(reply)
         return PerturbationOutcome(
             candidate=sample.derive(code, method.id, Origin.INTERMEDIATE),

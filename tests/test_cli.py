@@ -3,6 +3,7 @@ import json
 import subprocess
 import sys
 import tempfile
+import threading
 import time
 import warnings
 from pathlib import Path
@@ -111,13 +112,62 @@ def test_perturb_unknown_method(small_corpus, tmp_path, capsys):
     assert "no_such_method" in capsys.readouterr().err
 
 
-def test_perturb_has_no_jobs_option(small_corpus, tmp_path, capsys):
+def test_perturb_output_does_not_depend_on_jobs(tmp_path, capsys):
+    path = tmp_path / "corpus.jsonl"
+    write_corpus_jsonl(path, load_fixture_corpus())
+    for method in ("insert_junk_loop", "equi_arithmetic_expression"):
+        outcomes = []
+        for jobs in ("1", "2"):
+            out = tmp_path / f"{method}-{jobs}"
+            code = run_cli(
+                "perturb", "--method", method, "--corpus", path, "--engine", "rule",
+                "--seed", "1", "--equivalence", "exec", "--jobs", jobs, "--output-dir", out,
+            )
+            assert code == 0
+            outcomes.append((out / "outcomes.jsonl").read_bytes())
+        assert outcomes[0] == outcomes[1]
+        assert any(r.get("verified") for r in read_jsonl(tmp_path / f"{method}-1" / "outcomes.jsonl"))
+
+
+def test_perturb_runs_samples_concurrently(tmp_path, monkeypatch, capsys):
+    # Each sample waits for the other, so the command finishes only when
+    # two samples are in flight at once.
+    barrier = threading.Barrier(2, timeout=10)
+    real_perturb = cli.perturb
+
+    def waiting_perturb(*args):
+        barrier.wait()
+        return real_perturb(*args)
+
+    monkeypatch.setattr(cli, "perturb", waiting_perturb)
+    path = tmp_path / "two.jsonl"
+    write_corpus_jsonl(path, load_fixture_corpus(languages={Language.PYTHON})[:2])
     code = run_cli(
-        "perturb", "--method", "modify_operations", "--corpus", small_corpus,
-        "--jobs", "2", "--output-dir", tmp_path / "o",
+        "perturb", "--method", "modify_operations", "--corpus", path, "--engine", "rule",
+        "--seed", "1", "--jobs", "2", "--output-dir", tmp_path / "out",
+    )
+    assert code == 0
+    assert len(read_jsonl(tmp_path / "out" / "outcomes.jsonl")) == 2
+
+
+def test_perturb_exec_without_an_input_suite_is_a_config_error(tmp_path, monkeypatch, capsys):
+    # The bare sample comes last, yet no sample is perturbed: the check
+    # runs over the whole corpus before any work starts.
+    perturbed = []
+    real_perturb = cli.perturb
+    monkeypatch.setattr(cli, "perturb", lambda *a: perturbed.append(a[1].id) or real_perturb(*a))
+    path = tmp_path / "corpus.jsonl"
+    corpus = load_fixture_corpus(languages={Language.PYTHON})[:2]
+    write_corpus_jsonl(path, corpus + [(make_sample("bare.py", "def f(x):\n    return x + 1\n"), None)])
+    out = tmp_path / "out"
+    code = run_cli(
+        "perturb", "--method", "modify_operations", "--corpus", path, "--engine", "rule",
+        "--equivalence", "exec", "--jobs", "2", "--output-dir", out,
     )
     assert code == 1
-    assert "--jobs" in capsys.readouterr().err
+    assert "--equivalence exec needs an input_suite" in capsys.readouterr().err
+    assert not (out / "outcomes.jsonl").exists()
+    assert perturbed == []
 
 
 def test_llm_engine_without_endpoint_is_config_error(small_corpus, tmp_path, capsys):

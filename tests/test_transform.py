@@ -451,6 +451,27 @@ def test_llm_engine_replay_exhausted(tmp_path):
         engine.apply(sample(PY_SRC), method("div_loop"), seed=0)
 
 
+def test_replay_replies_are_chosen_by_sample_not_by_the_order_of_requests(tmp_path):
+    # "src/a.py" has its own replies, in the directory its safe name
+    # gives; "b.py" has none, so it gets the shared ones at the top.
+    for directory, name in ((tmp_path / "src_a.py", "a"), (tmp_path, "shared")):
+        directory.mkdir(exist_ok=True)
+        for k in range(2):
+            reply = {"code": f"def {name}{k}():\n    return {k}\n", "entry_point": f"{name}{k}"}
+            (directory / f"function_rename-{k}.json").write_text(json.dumps({"content": json.dumps(reply)}))
+    a, b = sample(PY_SRC, sid="src/a.py"), sample(PY_SRC, sid="b.py")
+    for order in ((a, b, a, b), (b, a, b, a), (b, b, a, a)):
+        engine = LlmEngine(ReplayTransport(tmp_path))
+        got = {}
+        for s in order:
+            got.setdefault(s.id, []).append(
+                engine.apply(s, method("function_rename"), seed=0).entry_point
+            )
+        assert got == {"src/a.py": ["a0", "a1"], "b.py": ["shared0", "shared1"]}
+    with pytest.raises(EngineFailure, match="request 3 of src/a.py"):
+        engine.apply(a, method("function_rename"), seed=0)
+
+
 def test_hybrid_prefers_rules(tmp_path):
     rule = RuleEngine(CATALOG)
     llm = LlmEngine(ReplayTransport(tmp_path))

@@ -314,7 +314,7 @@ def test_cli_verifier_compiles_each_text_once_and_runs_the_original_once_per_inp
     monkeypatch.setattr(subprocess, "run", compile_spy)
     monkeypatch.setattr(ForkServer, "launch", launch_spy)
     args = argparse.Namespace(equivalence="auto", no_compile=False)
-    verifier, runner = _verifier_for(args, original, spec)
+    verifier, runner = _verifier_for(args, original, spec, TOOLCHAINS)
     catalog = build_catalog()
     try:
         result = run(original, RuleEngine(catalog), catalog, PesoConfig(rng_seed=11, max_iter=3), verifier)
