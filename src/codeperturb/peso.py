@@ -247,7 +247,7 @@ def _attempt(
         except OriginalUnrunnable as exc:
             exc.partial_trace = tuple(state.trace)
             raise
-        verification = report.to_dict() if hasattr(report, "to_dict") else None
+        verification = report.to_dict()
         verified = bool(report.passed)
         if verified:
             score = scorer(state.original, outcome.candidate)

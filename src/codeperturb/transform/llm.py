@@ -10,13 +10,17 @@ from __future__ import annotations
 import json
 import os
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 from ..core import CodeSample, EngineKind, Language, Origin, PerturbationMethod
 from ..corpusio import safe_name
 from ..errors import ConfigError, EngineFailure
 from .prompts import parse_llm_answer, synthesize_prompt
+
+MAX_RETRIES = 2
+MAX_IN_FLIGHT = 4
+TEMPERATURE = 0.7
 
 
 @dataclass(frozen=True)
@@ -25,9 +29,6 @@ class LlmConfig:
     model: str = "gpt-4o"
     api_key_env: str = "CODEPERTURB_API_KEY"
     timeout: float = 60.0
-    max_retries: int = 2
-    max_in_flight: int = 4
-    temperature: float = 0.7
 
 
 class HttpTransport:
@@ -35,7 +36,7 @@ class HttpTransport:
 
     def __init__(self, config: LlmConfig):
         self.config = config
-        self._gate = threading.Semaphore(config.max_in_flight)
+        self._gate = threading.Semaphore(MAX_IN_FLIGHT)
 
     def complete(self, system: str, user: str, request_id: str, sample_id: str) -> str:
         import requests
@@ -47,7 +48,7 @@ class HttpTransport:
             )
         payload = {
             "model": self.config.model,
-            "temperature": self.config.temperature,
+            "temperature": TEMPERATURE,
             "messages": [
                 {"role": "system", "content": system},
                 {"role": "user", "content": user},
@@ -55,7 +56,7 @@ class HttpTransport:
         }
         url = self.config.base_url.rstrip("/") + "/chat/completions"
         last_error: Exception | None = None
-        for _ in range(self.config.max_retries + 1):
+        for _ in range(MAX_RETRIES + 1):
             try:
                 with self._gate:
                     resp = requests.post(

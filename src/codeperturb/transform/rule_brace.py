@@ -11,10 +11,10 @@ branch on `f.language`.
 
 Each rule takes a lexed _File and the seeded RNG, draws one site with
 shared.pick (NotApplicable when there is none) and returns
-(new_text, entry_point); RULES wraps each as rewrite(text, rng). Sites are only selected where the surrounding
-layout is unambiguous (one statement per line, K&R braces, the way gofmt
-and most C formatters emit code); anything else is simply not offered as
-a site.
+(new_text, entry_point); shared.rule_table wraps each as rewrite(text, rng)
+on a new _File. Sites are only selected where the surrounding layout is
+unambiguous (one statement per line, K&R braces, the way gofmt and most C
+formatters emit code); anything else is simply not offered as a site.
 """
 
 from __future__ import annotations
@@ -22,13 +22,14 @@ from __future__ import annotations
 import random
 import re
 from dataclasses import dataclass
+from functools import partial
 
 from ..analysis import FunctionSpan, find_functions, line_offsets, line_of_offset, match_brace
 from ..core import Language
 from ..errors import NotApplicable
 from ..lexing import Token, TokenKind, lex
 from .shared import (
-    FN_WORDS, PREDICATE_WORDS, VAR_WORDS, fresh, indent_lines, pick, replace_tokens, splice,
+    FN_WORDS, PREDICATE_WORDS, VAR_WORDS, fresh, indent_lines, pick, replace_tokens, rule_table, splice,
 )
 
 _C_TYPE_KEYWORDS = {
@@ -780,12 +781,8 @@ _GO_AND_C = (
 )
 
 
-def _on_text(fn, language: Language):
-    return lambda text, rng: fn(_File(text, language), rng)
-
-
 # Closure extraction is written for Go only; C has no nested functions.
 RULES = {
-    Language.GO: {fn.__name__: _on_text(fn, Language.GO) for fn in _GO_AND_C + (extract_if,)},
-    Language.C_CPP: {fn.__name__: _on_text(fn, Language.C_CPP) for fn in _GO_AND_C},
+    Language.GO: rule_table(partial(_File, language=Language.GO), _GO_AND_C + (extract_if,)),
+    Language.C_CPP: rule_table(partial(_File, language=Language.C_CPP), _GO_AND_C),
 }

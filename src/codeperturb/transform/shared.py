@@ -11,6 +11,15 @@ FN_WORDS = ["helper", "worker", "routine", "shim", "stage", "piece", "chunk", "r
 PREDICATE_WORDS = ["check", "cond", "gate", "test"]
 
 
+def rule_table(view, rules) -> dict:
+    """{rule name: rewrite(text, rng)}, each rule reading view(text)."""
+
+    def rewrite(fn):
+        return lambda text, rng: fn(view(text), rng)
+
+    return {fn.__name__: rewrite(fn) for fn in rules}
+
+
 def pick(sites: list, rng: random.Random, reason: str):
     """One site drawn with the seeded RNG; NotApplicable(reason) if none."""
     if not sites:

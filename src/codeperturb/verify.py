@@ -3,13 +3,13 @@ semantic-equivalence judging.
 
 One ProgramRunner per sample writes, compiles and runs every program text
 of that sample, so the compile stage and the execution oracle share each
-compile and the original's outputs. The equivalence stage is chosen by
-precedence: an execution oracle when a runner plus input suite is
-configured, else a majority vote of the voters the caller supplies, else
-none. There is no built-in LLM judge: a voter is any object with an ``id``
-and a ``vote(original, candidate)`` method. A candidate that fails any stage
-is simply discarded by the optimizer; an original that fails, times out or
-is nondeterministic under the oracle fails its whole sample instead
+compile and the original's outputs. The equivalence stage is the
+execution oracle when a runner plus input suite is configured, else none.
+``vote_equivalence`` is the paper's majority rule as a pure function: a
+voter is any object with an ``id`` and a ``vote(original, candidate)``
+method, and verify() builds none. A candidate that fails any stage is
+simply discarded by the optimizer; an original that fails, times out or is
+nondeterministic under the oracle fails its whole sample instead
 (OriginalUnrunnable).
 
 Compiles run through ``subprocess.run``. Every program run goes through a
@@ -38,7 +38,7 @@ import subprocess
 import sys
 import tempfile
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 from .analysis import has_main_function
@@ -396,18 +396,6 @@ class Vote:
     verdict: bool
 
 
-class StubVoter:
-    """Always-true stand-in for environments without judges."""
-
-    kind = "ALWAYS_TRUE_STUB"
-
-    def __init__(self, voter_id: str = "stub"):
-        self.id = voter_id
-
-    def vote(self, original: CodeSample, candidate: CodeSample) -> bool:
-        return True
-
-
 def vote_equivalence(
     original: CodeSample, candidate: CodeSample, voters: list
 ) -> tuple[list[Vote], bool, list[str]]:
@@ -458,14 +446,12 @@ class VerifyPolicy:
     """What verification stages run and with what resources.
 
     The runner, when set, serves both the compile stage and the execution
-    oracle. Equivalence precedence: execution oracle (runner + input
-    suite), then a majority of the caller's voters, then nothing
-    (syntax/compile only). No voter is built in beyond StubVoter.
+    oracle, which runs when there is also an input suite. Without one the
+    candidate is checked for syntax (and compilation) only.
     """
 
     equivalence_spec: EquivalenceSpec | None = None
     runner: ProgramRunner | None = None
-    voters: list = field(default_factory=list)
     compile_stage: bool = True
 
 
@@ -501,9 +487,5 @@ def verify(original: CodeSample, candidate: CodeSample, policy: VerifyPolicy) ->
             diagnostics.append(f"execution oracle failed: {exc}")
         votes = (Vote(voter_id="execution_oracle", verdict=verdict),)
         votes_pass = verdict
-    elif policy.voters:
-        vote_list, votes_pass, vote_diags = vote_equivalence(original, candidate, policy.voters)
-        votes = tuple(vote_list)
-        diagnostics.extend(vote_diags)
     # Both earlier stages passed, or the function returned already.
     return VerificationReport(syntax_ok, compile_ok, votes, votes_pass, tuple(diagnostics))

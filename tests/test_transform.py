@@ -3,6 +3,7 @@ import contextlib
 import hashlib
 import io
 import json
+import random
 import re
 import shutil
 import subprocess
@@ -376,6 +377,55 @@ def test_variables_rename_lexes_as_often_for_any_number_of_locals(lang, fixture,
         assert not any(re.search(rf"\bv{i}\b", out.candidate.text) for i in range(5))
         counts.append(len(calls))
     assert counts[0] == counts[1] == counts[2]
+
+
+def _many_functions_src(n):
+    """A module of n functions, each offering a site to every Python rule."""
+    fns = [
+        f"""def f{i}(a, b):
+    total = 0
+    for x in a:
+        if x == 0:
+            continue
+        if x < b and x > {i + 2}:
+            total += x
+        if x > 100:
+            total -= 1
+        elif x < -100:
+            total += 1
+    return total
+"""
+        for i in range(n)
+    ]
+    return "\n\n".join(fns) + "\n\nprint(f0([1, 2, 3], 10))\n"
+
+
+def test_each_python_rewrite_walks_the_module_at_most_three_times_and_lexes_once(monkeypatch):
+    walks, lexes = [], []
+    real_walk, real_lex = ast.walk, lexing.lex
+
+    def counting_walk(node):
+        if isinstance(node, ast.Module):
+            walks.append(node)
+        return real_walk(node)
+
+    def counting_lex(text, language):
+        lexes.append(language)
+        return real_lex(text, language)
+
+    monkeypatch.setattr(ast, "walk", counting_walk)
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("codeperturb") and getattr(mod, "lex", None) is real_lex:
+            monkeypatch.setattr(mod, "lex", counting_lex)
+    text = _many_functions_src(30)
+    counts = {}
+    for mid, rewrite in sorted(RULES[Language.PYTHON].items()):
+        walks.clear()
+        lexes.clear()
+        new_text, _ = rewrite(text, random.Random(0))
+        assert new_text != text, mid
+        counts[mid] = (len(walks), len(lexes))
+    assert {mid: c for mid, c in counts.items() if c[0] > 3 or c[1] > 1} == {}
 
 
 # ---------------------------------------------------------------------------

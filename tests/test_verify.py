@@ -13,7 +13,6 @@ from codeperturb.errors import ConfigError, OriginalUnrunnable, RunnerFailure, T
 from codeperturb.verify import (
     ForkServer,
     ProgramRunner,
-    StubVoter,
     Toolchain,
     VerifyPolicy,
     default_toolchains,
@@ -220,12 +219,16 @@ def test_verify_short_circuits_on_syntax():
     broken = derived(base, "def f(:\n")
     calls = []
 
-    class SpyVoter(StubVoter):
-        def vote(self, original, candidate):
-            calls.append(1)
-            return True
+    class SpyRunner:
+        def compile(self, sample):
+            calls.append("compile")
+            return True, []
 
-    policy = VerifyPolicy(voters=[SpyVoter(), SpyVoter(), SpyVoter()])
+        def run(self, sample, stdin_text):
+            calls.append("run")
+            return "", 0
+
+    policy = VerifyPolicy(equivalence_spec=EquivalenceSpec(input_suite=("4\n",)), runner=SpyRunner())
     report = verify(base, broken, policy)
     assert not report.passed and not report.syntax_ok
     assert report.compile_ok is None and report.votes == ()
@@ -242,14 +245,6 @@ def test_verify_execution_oracle_path(make_runner):
     report = verify(base, good, policy)
     assert report.passed
     assert [v.voter_id for v in report.votes] == ["execution_oracle"]
-
-
-def test_verify_vote_path_majority_fail():
-    base = sample(PY_PROG)
-    cand = derived(base, PY_PROG + "\n")
-    policy = VerifyPolicy(voters=[FixedVoter("a", True), FixedVoter("b", False), FixedVoter("c", False)])
-    report = verify(base, cand, policy)
-    assert report.syntax_ok and not report.passed
 
 
 def test_verify_passed_implies_syntax_ok():
