@@ -2,11 +2,18 @@
 
 Function discovery works from the AST for Python and from token scanning
 with brace matching for the brace languages. Line numbers are 0-based.
+
+A Python text is parsed once into a PythonView, which python_view keeps in
+a cache of PYTHON_VIEWS entries: the rule that rewrites a text, the check
+of the rule's output, the syntax stage of verification and the optimizer's
+function lookup all read the same view of a candidate.
 """
 
 from __future__ import annotations
 
 import ast
+import functools
+import threading
 from dataclasses import dataclass
 
 from .core import Language
@@ -26,9 +33,10 @@ class FunctionSpan:
 def line_offsets(text: str) -> list[int]:
     """Char offset of each line start, plus a final sentinel at len(text)."""
     offsets = [0]
-    for i, c in enumerate(text):
-        if c == "\n":
-            offsets.append(i + 1)
+    i = text.find("\n")
+    while i >= 0:
+        offsets.append(i + 1)
+        i = text.find("\n", i + 1)
     offsets.append(len(text))
     return offsets
 
@@ -61,23 +69,75 @@ def match_brace(tokens: list[Token], open_idx: int) -> int:
     raise ParseError(f"unmatched {opener!r} at offset {tokens[open_idx].start}")
 
 
+PYTHON_VIEWS = 2  # views python_view keeps; each holds a whole syntax tree
+
+# CPython 3.11 counts the recursion depth of conversions between C syntax
+# trees and ast objects in interpreter-wide state, so two threads converting
+# at once can fail with SystemError ("AST constructor recursion depth
+# mismatch"). ast.parse and compile() of an ast tree both convert; they run
+# under this lock.
+AST_LOCK = threading.Lock()
+
+
+class PythonView:
+    """One Python text, parsed once. Read-only once built: it is shared
+    through python_view's cache.
+
+    `tree` is the module's syntax tree, `nodes` every node of it in
+    ast.walk order, `functions` every def in that order and `offsets` the
+    line starts (analysis.line_offsets). ast gives columns in UTF-8 bytes;
+    `position` and `span` turn them into offsets into `text`, converting
+    only on lines that are not ASCII. The constructor raises SyntaxError
+    when the text does not parse.
+    """
+
+    def __init__(self, text: str):
+        self.text = text
+        with AST_LOCK:
+            self.tree = ast.parse(text)
+        self.offsets = line_offsets(text)
+        self.nodes = list(ast.walk(self.tree))
+        self.functions = [n for n in self.nodes if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef))]
+        self._wide_lines = frozenset() if text.isascii() else frozenset(
+            k for k, line in enumerate(text.split("\n"), start=1) if not line.isascii()
+        )
+
+    def position(self, lineno: int, col_offset: int) -> int:
+        """Offset in `text` of a (1-based line, UTF-8 byte column) pair."""
+        start = self.offsets[lineno - 1]
+        if lineno in self._wide_lines:
+            line = self.text[start : self.offsets[lineno]]
+            col_offset = len(line.encode()[:col_offset].decode())
+        return start + col_offset
+
+    def span(self, node: ast.AST) -> tuple[int, int]:
+        """The [start, end) offsets of a node's source in `text`."""
+        return (self.position(node.lineno, node.col_offset),
+                self.position(node.end_lineno, node.end_col_offset))
+
+
+@functools.lru_cache(maxsize=PYTHON_VIEWS)
+def python_view(text: str) -> PythonView:
+    """The parsed view of a Python text, kept for the last few texts; a
+    text that does not parse raises SyntaxError on every call."""
+    return PythonView(text)
+
+
 def _python_functions(text: str) -> list[FunctionSpan]:
     try:
-        tree = ast.parse(text)
+        view = python_view(text)
     except SyntaxError as exc:
         raise ParseError(f"cannot parse: {exc}") from exc
-    spans: list[FunctionSpan] = []
-    for node in ast.walk(tree):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            spans.append(
-                FunctionSpan(
-                    name=node.name,
-                    start_line=node.lineno - 1,
-                    end_line=node.end_lineno - 1,
-                    body_start_line=node.body[0].lineno - 1,
-                    body_end_line=node.end_lineno - 1,
-                )
-            )
+    spans = [
+        FunctionSpan(
+            name=node.name,
+            start_line=node.lineno - 1,
+            end_line=node.end_lineno - 1,
+            body_start_line=node.body[0].lineno - 1,
+            body_end_line=node.end_lineno - 1,
+        )
+        for node in view.functions
+    ]
     spans.sort(key=lambda s: s.start_line)
     return spans
 

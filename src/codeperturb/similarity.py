@@ -2,8 +2,22 @@
 
 Surface similarity is normalized Levenshtein over raw text. The common
 prefix and suffix of the two texts are stripped first, which leaves the
-distance unchanged; the Myers/Hyyroe bit-parallel loop then runs over the
-differing middle only, so a local edit of a long text costs little.
+distance unchanged, and only the differing middle is aligned. A candidate
+usually differs from its original by a few sparse edits, so its distance k
+is small against the middle's length m. The middle is therefore first
+aligned on a diagonal band only (Ukkonen 1985, "Algorithms for approximate
+string matching"): a path of cost at most k never leaves the diagonals
+within about k/2 of the two corners' diagonals, so a band of about k+1 rows
+per column decides whether the distance is at most k, and gives it exactly
+when it is. The band runs as one bit vector of k+1 bits (Hyyroe 2003, "A
+bit-vector algorithm for computing Levenshtein and Damerau edit
+distances"), so a column costs O(k/w) word operations instead of O(m/w).
+The first pass takes k = max(64, |len(a) - len(b)|); it stops as soon as
+the cell on the corner diagonal exceeds k, since values never fall along a
+diagonal, and the next pass doubles k. Once the band would be wider than a
+quarter of the shorter middle, the Myers/Hyyroe loop over the full middle
+runs instead: a dissimilar pair pays that loop plus its failed band passes,
+which cost about a tenth of it on the benchmark's shuffled curve pairs.
 
 Semantic similarity is greedy string tiling coverage over normalized token
 streams, so consistent identifier renames are invisible to it. The maximal
@@ -24,6 +38,7 @@ from __future__ import annotations
 import functools
 import heapq
 from dataclasses import dataclass
+from itertools import chain, islice, repeat
 
 from .core import CodeSample, PesoConfig
 from .errors import EmptyStream, LanguageMismatch
@@ -68,9 +83,14 @@ def _common_prefix_len(a: str, b: str) -> int:
     return lo
 
 
+_FIRST_BAND = 64  # the cutoff k of the first banded pass
+_CHUNK = 128  # columns between re-anchoring the band's pattern masks
+
+
 def levenshtein_distance(a: str, b: str) -> int:
-    """Exact edit distance via the bit-parallel algorithm, run on what is
-    left once the common prefix and suffix are stripped."""
+    """Exact edit distance, computed on what is left once the common prefix
+    and suffix are stripped: on doubling diagonal bands while they stay
+    narrow, else by the bit-parallel loop over the full middle."""
     if a == b:
         return 0
     head = _common_prefix_len(a, b)
@@ -83,6 +103,17 @@ def levenshtein_distance(a: str, b: str) -> int:
         return len(a)
     if len(a) > len(b):
         a, b = b, a
+    k = max(_FIRST_BAND, len(b) - len(a))
+    while 4 * (k + 1) <= len(a):
+        distance = _banded(a, b, k)
+        if distance is not None:
+            return distance
+        k *= 2
+    return _full_width(a, b)
+
+
+def _full_width(a: str, b: str) -> int:
+    """Myers/Hyyroe bit-parallel edit distance, one bit per character of a."""
     m = len(a)
     mask = (1 << m) - 1
     high = 1 << (m - 1)
@@ -107,6 +138,66 @@ def levenshtein_distance(a: str, b: str) -> int:
         vp = hn | (~(d0 | hp) & mask)
         vn = hp & d0
     return score
+
+
+def _banded(a: str, b: str, k: int) -> int | None:
+    """The edit distance of a and b (len(a) <= len(b)) if it is at most k,
+    else None.
+
+    Row i aligns a[:i] and column j aligns b[:j]. The band holds the
+    diagonals j - i from -x to d + x, d = len(b) - len(a) and
+    x = (k - d) // 2: every path of cost at most k stays on them. Bit p of
+    column j stands for row j - top + p, top = d + x, so the band moves down
+    one row per column: the vertical deltas carry over unshifted and D0
+    shifts right by one to meet them, where the full-width loop shifts HP
+    and HN left instead. Rows at or above row 0 keep all-zero vectors, which
+    makes row 0's horizontal delta +1. Bit x of column j is the corner
+    diagonal's cell (j - d, j), one more than its diagonal predecessor
+    exactly when its D0 bit is clear, so the count of clear bits is its
+    value: the first d columns count d, since rows at or above 0 never set
+    that bit.
+    """
+    m, n = len(a), len(b)
+    x = (k - (n - m)) // 2
+    width = n - m + 2 * x + 1
+    top = n - m + x
+    mask = (1 << width) - 1
+    corner = 1 << x
+    # Each character's row mask, in the frame of the current chunk's first
+    # column: column j reads it shifted right by its distance from there,
+    # and ORs in the bit of the row it brings into the band's bottom. Rows
+    # 1 .. x+1 are in the band at column 1. Every _CHUNK columns the masks
+    # move to the next chunk's frame, so they stay near width + _CHUNK bits;
+    # the exit test runs there too.
+    peq: dict[str | None, int] = {}
+    for idx, ch in enumerate(a[: x + 1]):
+        peq[ch] = peq.get(ch, 0) | (1 << (idx + top))
+    get = peq.get
+    # Column j >= 2 brings row j + x into the band's bottom bit.
+    columns = zip(b, chain((None,), a[x + 1 :], repeat(None)))
+    vp = mask ^ ((1 << top) - 1)
+    vn = 0
+    misses = 0
+    for _ in range(0, n, _CHUNK):
+        shift, bottom = 0, 1 << (width - 1)
+        for cb, ca in islice(columns, _CHUNK):
+            peq[ca] = get(ca, 0) | bottom
+            bottom <<= 1
+            eq = get(cb, 0) >> shift
+            shift += 1
+            d0 = ((((eq & vp) + vp) ^ vp) | eq | vn) & mask
+            hp = vn | ((d0 | vp) ^ mask)
+            hn = vp & d0
+            if not d0 & corner:
+                misses += 1
+            d0 >>= 1
+            vp = hn | ((d0 | hp) ^ mask)
+            vn = hp & d0
+        if misses > k:
+            return None
+        for ch in peq:
+            peq[ch] >>= _CHUNK
+    return misses
 
 
 def surface_similarity(a: str, b: str) -> float:

@@ -14,10 +14,10 @@ one with shared.pick (NotApplicable when there is none) and rewrites it.
 
 from __future__ import annotations
 
-import ast
 import random
 from dataclasses import dataclass
 
+from ..analysis import python_view
 from ..core import CodeSample, EngineKind, Language, MethodCatalog, Origin, PerturbationMethod
 from ..errors import NotApplicable, ParseError, UnsupportedCombination
 from ..lexing import check_balance, lex
@@ -51,7 +51,7 @@ def _validate_output(text: str, language: Language) -> None:
     """Guard the syntactic-safety contract of the rule engine."""
     if language is Language.PYTHON:
         try:
-            ast.parse(text)
+            python_view(text)
         except SyntaxError as exc:
             raise ParseError(f"rule engine produced unparsable python: {exc}") from exc
         return

@@ -4,19 +4,21 @@ Each rule takes a parsed _Module and the seeded RNG, draws one applicable
 site with shared.pick (NotApplicable when there is none) and returns
 (new_text, entry_point); RULES wraps each as rewrite(text, rng). A rule
 splices a minimal text edit so the rest of the file (comments, formatting)
-is untouched. _Module parses the text once and lexes it at most once, on
-first use; its `functions` and `params` come from one walk of the tree, so
-no rule walks the whole module once per function.
+is untouched. _Module reads the shared parsed view of its text
+(analysis.python_view), so a text the optimizer keeps is not parsed again
+for its next rewrite, and lexes the text at most once, on first use. Rules
+scan the view's `nodes` instead of walking the tree, and `functions` and
+`params` come from that one walk, so no rule walks the whole module once
+per function.
 """
 
 from __future__ import annotations
 
 import ast
 import random
-from dataclasses import dataclass
 from functools import cached_property
 
-from ..analysis import line_offsets
+from ..analysis import python_view
 from ..errors import ParseError
 from ..lexing import Token, TokenKind, lex
 from ..core import Language
@@ -27,29 +29,22 @@ from .shared import (
 INDENT = "    "
 
 
-def _parse(text: str) -> ast.Module:
-    try:
-        return ast.parse(text)
-    except SyntaxError as exc:
-        raise ParseError(f"cannot parse python source: {exc}") from exc
-
-
-@dataclass
 class _Module:
-    """One Python source as the rules read it: parsed once per rewrite.
+    """One Python source as the rules read it during one rewrite.
 
-    `functions` holds every def in ast.walk order, the order in which
-    enclosing_function breaks ties.
+    `text`, `tree`, `offsets`, `nodes`, `functions` and `span` come from
+    the text's analysis.PythonView; `functions` holds every def in ast.walk
+    order, the order in which enclosing_function breaks ties. The tokens
+    belong to this rewrite only, so the cached view holds no token list.
     """
 
-    text: str
-
-    def __post_init__(self):
-        self.tree = _parse(self.text)
-        self.offsets = line_offsets(self.text)
-        self.functions = [
-            n for n in ast.walk(self.tree) if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef))
-        ]
+    def __init__(self, text: str):
+        try:
+            view = python_view(text)
+        except SyntaxError as exc:
+            raise ParseError(f"cannot parse python source: {exc}") from exc
+        self.text, self.tree, self.offsets = view.text, view.tree, view.offsets
+        self.nodes, self.functions, self.span = view.nodes, view.functions, view.span
 
     @cached_property
     def tokens(self) -> list[Token]:
@@ -65,20 +60,16 @@ class _Module:
             names.update(arg.arg for arg in (a.vararg, a.kwarg) if arg)
         return frozenset(names)
 
-    def span(self, node: ast.AST) -> tuple[int, int]:
-        start = self.offsets[node.lineno - 1] + node.col_offset
-        return start, self.offsets[node.end_lineno - 1] + node.end_col_offset
-
     def source(self, node: ast.AST) -> str:
-        return ast.get_source_segment(self.text, node)
+        start, end = self.span(node)
+        return self.text[start:end]
 
     def own_line(self, node: ast.stmt) -> bool:
         """The statement starts its line (nothing but whitespace before it)."""
-        line_start = self.offsets[node.lineno - 1]
-        return self.text[line_start : line_start + node.col_offset].strip() == ""
+        return self.text[self.offsets[node.lineno - 1] : self.span(node)[0]].strip() == ""
 
     def starts_with(self, node: ast.stmt, word: str) -> bool:
-        return self.text.startswith(word, self.offsets[node.lineno - 1] + node.col_offset)
+        return self.text.startswith(word, self.span(node)[0])
 
     def identifiers(self) -> set[str]:
         """A new set on each call, since shared.fresh adds to it."""
@@ -113,11 +104,11 @@ def _is_docstring(parent_body: list[ast.stmt], node: ast.stmt) -> bool:
     )
 
 
-def _blocks(tree: ast.Module):
+def _blocks(m: _Module):
     """Yield every statement list in the module (module body, function
     bodies, branch bodies, ...)."""
-    yield tree.body
-    for node in ast.walk(tree):
+    yield m.tree.body
+    for node in m.nodes:
         for field in ("body", "orelse", "finalbody"):
             block = getattr(node, field, None)
             if isinstance(block, list) and block and isinstance(block[0], ast.stmt):
@@ -132,7 +123,7 @@ def _blocks(tree: ast.Module):
 
 def function_rename(m: _Module, rng: random.Random):
     hazards = set(m.params)
-    for node in ast.walk(m.tree):
+    for node in m.nodes:
         if isinstance(node, ast.Call):
             hazards.update(kw.arg for kw in node.keywords if kw.arg)
         elif isinstance(node, ast.Attribute):
@@ -187,7 +178,7 @@ def _insertion_sites(m: _Module, inside_functions: bool):
     """Statements one can insert a new line before."""
     sites = []
     fn_ranges = [(f.lineno, f.end_lineno) for f in m.functions]
-    for block in _blocks(m.tree):
+    for block in _blocks(m):
         for stmt in block:
             if _is_docstring(block, stmt):
                 continue
@@ -295,7 +286,7 @@ def _pure_target(node: ast.expr) -> bool:
 def modify_operations(m: _Module, rng: random.Random):
     sites = [
         n
-        for n in ast.walk(m.tree)
+        for n in m.nodes
         if isinstance(n, ast.AugAssign) and _pure_target(n.target) and type(n.op) in _AUG_OPS
     ]
     node = pick(sites, rng, "no compound assignment")
@@ -309,10 +300,10 @@ def modify_operations(m: _Module, rng: random.Random):
     return splice(m.text, start, end, new), m.enclosing_function(node)
 
 
-def _int_literal_sites(tree: ast.Module):
+def _int_literal_sites(m: _Module):
     skip_spans: list[tuple[int, int]] = []
     ints = []
-    for node in ast.walk(tree):
+    for node in m.nodes:
         if isinstance(node, ast.Constant) and type(node.value) is int and 2 <= node.value <= 10**9:
             ints.append(node)
         blockers = []
@@ -332,7 +323,7 @@ def _int_literal_sites(tree: ast.Module):
 
 
 def equi_arithmetic_expression(m: _Module, rng: random.Random):
-    node = pick(_int_literal_sites(m.tree), rng, "no integer literal to decompose")
+    node = pick(_int_literal_sites(m), rng, "no integer literal to decompose")
     start, end = m.span(node)
     k = rng.randrange(1, min(node.value - 1, 9) + 1)
     new = f"({node.value - k} + {k})"
@@ -380,7 +371,7 @@ def _swappable_compares(test: ast.expr) -> list[ast.Compare]:
 
 def swap_boolean_expression(m: _Module, rng: random.Random):
     sites = [
-        n for n in ast.walk(m.tree) if isinstance(n, (ast.If, ast.While)) and _swappable_compares(n.test)
+        n for n in m.nodes if isinstance(n, (ast.If, ast.While)) and _swappable_compares(n.test)
     ]
     node = pick(sites, rng, "no comparison with safely swappable operands")
     edits = []
@@ -397,7 +388,7 @@ def swap_boolean_expression(m: _Module, rng: random.Random):
 
 
 def equi_boolean_logic(m: _Module, rng: random.Random):
-    sites = [n for n in ast.walk(m.tree) if isinstance(n, (ast.If, ast.While))]
+    sites = [n for n in m.nodes if isinstance(n, (ast.If, ast.While))]
     sites = [
         n
         for n in sites
@@ -422,7 +413,7 @@ def equi_boolean_logic(m: _Module, rng: random.Random):
 def div_composed_if(m: _Module, rng: random.Random):
     sites = [
         n
-        for n in ast.walk(m.tree)
+        for n in m.nodes
         if isinstance(n, ast.If)
         and isinstance(n.test, ast.BoolOp)
         and isinstance(n.test.op, ast.And)
@@ -452,7 +443,7 @@ def div_composed_if(m: _Module, rng: random.Random):
 def div_if_else(m: _Module, rng: random.Random):
     sites = [
         n
-        for n in ast.walk(m.tree)
+        for n in m.nodes
         if isinstance(n, ast.If)
         and len(n.orelse) == 1
         and isinstance(n.orelse[0], ast.If)
@@ -471,7 +462,7 @@ def div_if_else(m: _Module, rng: random.Random):
 
 def if_continue_to_if_else(m: _Module, rng: random.Random):
     sites = []
-    for block in _blocks(m.tree):
+    for block in _blocks(m):
         for idx, stmt in enumerate(block):
             if (
                 isinstance(stmt, ast.If)
@@ -499,7 +490,7 @@ def if_continue_to_if_else(m: _Module, rng: random.Random):
 def for_while_transformation(m: _Module, rng: random.Random):
     sites = [
         n
-        for n in ast.walk(m.tree)
+        for n in m.nodes
         if isinstance(n, ast.For)
         and not n.orelse
         and m.own_line(n)
@@ -542,7 +533,7 @@ def extract_if(m: _Module, rng: random.Random):
 
     sites = [
         n
-        for n in ast.walk(m.tree)
+        for n in m.nodes
         if isinstance(n, ast.If) and m.starts_with(n, "if") and usable(n.test)
     ]
     node = pick(sites, rng, "no extractable if condition")

@@ -41,7 +41,7 @@ import threading
 from dataclasses import dataclass
 from pathlib import Path
 
-from .analysis import has_main_function
+from .analysis import AST_LOCK, has_main_function, python_view
 from .core import CodeSample, EquivalenceSpec, Language
 from .errors import (
     ConfigError,
@@ -117,14 +117,23 @@ def _java_public_class(text: str) -> str | None:
 def syntax_check(sample: CodeSample) -> tuple[bool, list[str]]:
     """Lexical/grammar validation plus the per-language structural rules.
 
-    Python gets a true grammar parse. The other languages get lexical
-    validation (tokenizable, balanced delimiters); grammar-level checking
-    for them is the compile stage's job when a toolchain is configured.
+    Python is compiled to bytecode, which also finds the errors that only
+    the compiler reports ('return' outside a function and the like). The
+    syntax tree comes from the shared parsed view; the text itself is
+    compiled only when it does not parse, to word that failure. The other
+    languages get lexical validation (tokenizable, balanced delimiters);
+    grammar-level checking for them is the compile stage's job when a
+    toolchain is configured.
     """
     diagnostics: list[str] = []
     if sample.language is Language.PYTHON:
         try:
-            compile(sample.text, sample.id or "<sample>", "exec")
+            source = python_view(sample.text).tree
+        except SyntaxError:
+            source = sample.text
+        try:
+            with AST_LOCK:
+                compile(source, sample.id or "<sample>", "exec")
             return True, diagnostics
         except SyntaxError as exc:
             diagnostics.append(f"syntax error at line {exc.lineno}, offset {exc.offset}: {exc.msg}")

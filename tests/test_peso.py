@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -356,3 +357,74 @@ def test_the_optimizer_lexes_each_accepted_text_for_functions_once(monkeypatch):
     assert len(calls) == 1 + len(accepted)
     assert calls[0] == REAL_SRC and calls[-1] == result.final.text
     assert result.summary.function_map
+
+
+def _renamed_copies(min_tokens: int) -> str:
+    """A module of at least min_tokens tokens: copies of the Python fixtures'
+    top-level functions, each copy's functions renamed apart."""
+    import ast
+
+    from codeperturb.similarity import tokenize
+
+    from .conftest import load_fixture_corpus
+
+    groups = []
+    for fixture, _ in load_fixture_corpus(languages={Language.PYTHON}):
+        tree = ast.parse(fixture.text)
+        groups.append([n for n in tree.body if isinstance(n, ast.FunctionDef)])
+    chunks, copy = [], 0
+    while not chunks or len(tokenize(sample("\n\n\n".join(chunks)))) < min_tokens:
+        for k, group in enumerate(groups):
+            names = {fn.name: f"{fn.name}_{k}_{copy}" for fn in group}
+            for fn in group:
+                fn = ast.parse(ast.unparse(fn)).body[0]
+                for node in ast.walk(fn):
+                    if isinstance(node, ast.FunctionDef) and node.name in names:
+                        node.name = names[node.name]
+                    elif isinstance(node, ast.Name) and node.id in names:
+                        node.id = names[node.id]
+                chunks.append(ast.unparse(fn))
+        copy += 1
+    return "\n\n\n".join(chunks) + "\n"
+
+
+def _every_other_rejected(config):
+    """score_pair, but every second score is 1.0, which the optimizer rejects."""
+    calls = []
+
+    def scorer(original, candidate):
+        calls.append(candidate)
+        return triple(1.0) if len(calls) % 2 == 0 else score_pair(original, candidate, config)
+
+    return scorer
+
+
+@pytest.mark.parametrize("rejecting", [False, True])
+def test_peso_run_parses_each_python_text_once(monkeypatch, rejecting):
+    import builtins
+
+    from codeperturb.analysis import PYTHON_VIEWS, python_view
+
+    text = _renamed_copies(2000)
+    python_view.cache_clear()
+    parses = Counter()
+    real_compile = builtins.compile
+
+    def counting_compile(source, *args, **kwargs):
+        # ast.parse compiles its str source too, so this counts every parse.
+        if isinstance(source, str):
+            parses[source] += 1
+            assert python_view.cache_info().currsize <= PYTHON_VIEWS
+        return real_compile(source, *args, **kwargs)
+
+    monkeypatch.setattr(builtins, "compile", counting_compile)
+    config = PesoConfig(rng_seed=3, max_iter=3)
+    result = run(sample(text, sid="large.py"), RuleEngine(CATALOG), CATALOG, config,
+                 lambda o, c: verify(o, c, VerifyPolicy()), _every_other_rejected(config) if rejecting else None)
+    monkeypatch.undo()
+    verified = [r for r in result.records if r.verified]
+    assert len(verified) >= 5 and any(r.accepted for r in verified)
+    assert rejecting == any(not r.accepted for r in verified)
+    assert text in parses and result.final.text in parses
+    assert {t: n for t, n in parses.items() if n > 1} == {}
+    assert python_view.cache_info().maxsize == PYTHON_VIEWS

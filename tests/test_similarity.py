@@ -120,6 +120,122 @@ def test_levenshtein_single_edit_matches_dp_oracle(base, pos, op, ch):
     assert levenshtein_distance(base, other) == dp_levenshtein(base, other)
 
 
+# The banded path runs only once the stripped middle is at least four times
+# as long as the band, so these pairs are a few hundred characters long and
+# differ near both ends. "#" never occurs in code_text(), so each "#" written
+# into a copy costs exactly one edit: the copy's distance is known by
+# construction, and the oracle confirms it.
+
+def code_text(rng: random.Random, length: int) -> str:
+    words = ["def ", "return ", "total", "value", "(", ")", ":", "\n    ", " = ", " + ", "x", "1", ", "]
+    text = ""
+    while len(text) < length:
+        text += rng.choice(words)
+    return text[:length]
+
+
+def sparse_copy(text: str, rng: random.Random, substitutions: int, insertions: int = 0) -> str:
+    """text with `substitutions` characters replaced by "#" and `insertions`
+    "#" inserted, always including edits at both ends of the text."""
+    chars = list(text)
+    inner = rng.sample(range(2, len(text) - 2), substitutions - 2) if substitutions >= 2 else []
+    for pos in [0, len(text) - 1][:substitutions] + inner:
+        chars[pos] = "#"
+    for pos in sorted(rng.choices(range(len(text)), k=insertions), reverse=True):
+        chars.insert(pos, "#")
+    return "".join(chars)
+
+
+@pytest.fixture
+def band_passes(monkeypatch):
+    """(k, result) of every banded pass levenshtein_distance makes."""
+    passes = []
+    real = similarity._banded
+
+    def spy(a, b, k):
+        passes.append((k, real(a, b, k)))
+        return passes[-1][1]
+
+    monkeypatch.setattr(similarity, "_banded", spy)
+    return passes
+
+
+def expected_passes(first: int, distance: int, shorter: int) -> list:
+    """Doubling bands from `first`, each a quarter of `shorter` at most."""
+    passes, k = [], first
+    while 4 * (k + 1) <= shorter:
+        passes.append((k, distance if distance <= k else None))
+        if distance <= k:
+            break
+        k *= 2
+    return passes
+
+
+@pytest.mark.parametrize(
+    "first, distance, length",
+    [(64, 64, 600), (64, 65, 600), (64, 128, 600), (64, 129, 600),
+     (4, 4, 300), (4, 5, 300), (4, 8, 300), (4, 9, 300), (4, 16, 300),
+     (4, 17, 300), (4, 32, 300), (4, 33, 300), (4, 64, 300), (4, 65, 300)],
+)
+def test_banded_distance_is_exact_on_each_side_of_a_doubling(monkeypatch, band_passes, first, distance, length):
+    monkeypatch.setattr(similarity, "_FIRST_BAND", first)
+    rng = random.Random(distance * 1000 + length)
+    a = code_text(rng, length)
+    b = sparse_copy(a, rng, distance)
+    assert dp_levenshtein(a, b) == distance
+    assert levenshtein_distance(a, b) == distance
+    assert levenshtein_distance(b, a) == distance
+    # Neither text has a common prefix or suffix, so the whole text is the middle.
+    assert band_passes == 2 * expected_passes(first, distance, length)
+
+
+@pytest.mark.parametrize("substitutions", [0, 5])
+def test_banded_distance_when_the_length_gap_exceeds_the_first_band(band_passes, substitutions):
+    rng = random.Random(70 + substitutions)
+    a = code_text(rng, 600)
+    if substitutions:
+        b = sparse_copy(a, rng, substitutions, insertions=70)
+    else:
+        b = "#" * 35 + a + "#" * 35
+    distance = substitutions + 70
+    assert dp_levenshtein(a, b) == distance
+    assert levenshtein_distance(a, b) == levenshtein_distance(b, a) == distance
+    # The first band is the length gap, not 64.
+    assert band_passes[0][0] == 70
+    assert band_passes == 2 * expected_passes(70, distance, 600)
+
+
+def test_a_dissimilar_pair_falls_back_to_the_full_width_loop(band_passes):
+    rng = random.Random(3)
+    a, b = code_text(rng, 400), code_text(rng, 420)
+    distance = dp_levenshtein(a, b)
+    assert levenshtein_distance(a, b) == levenshtein_distance(b, a) == distance
+    assert distance > 128
+    # One failed 64-band pass per call; a 128-band would be over a quarter of 400.
+    assert band_passes == [(64, None), (64, None)]
+
+
+def test_tiny_bands_match_the_dp_oracle(monkeypatch):
+    monkeypatch.setattr(similarity, "_FIRST_BAND", 1)
+    rng = random.Random(5)
+    for _ in range(200):
+        a = "".join(rng.choice("abcé\n") for _ in range(rng.randrange(8, 60)))
+        b = list(a)
+        for _ in range(rng.randrange(1, 6)):
+            pos = rng.randrange(len(b) + 1)
+            op = rng.randrange(3)
+            if op == 0:
+                b.insert(pos, rng.choice("abcé\n"))
+            elif pos < len(b):
+                if op == 1:
+                    del b[pos]
+                else:
+                    b[pos] = rng.choice("abcé\n")
+        b = "".join(b)
+        expected = dp_levenshtein(a, b)
+        assert levenshtein_distance(a, b) == levenshtein_distance(b, a) == expected
+
+
 # ---------------------------------------------------------------------------
 # Tokenize
 # ---------------------------------------------------------------------------

@@ -428,6 +428,66 @@ def test_each_python_rewrite_walks_the_module_at_most_three_times_and_lexes_once
     assert {mid: c for mid, c in counts.items() if c[0] > 3 or c[1] > 1} == {}
 
 
+# ast reports columns in UTF-8 bytes; on a line with a non-ASCII character
+# before the site they run ahead of the character offsets the rules splice at.
+
+def test_equi_arithmetic_expression_splices_the_literal_after_a_non_ascii_character():
+    text = 'def f(x):\n    s = "é"; return x * 7 + len(s)\n'
+    new_text, entry = RULES[Language.PYTHON]["equi_arithmetic_expression"](text, random.Random(0))
+    m = re.fullmatch(r'def f\(x\):\n    s = "é"; return x \* \((\d) \+ (\d)\) \+ len\(s\)\n', new_text)
+    assert m and int(m[1]) + int(m[2]) == 7, new_text
+    assert entry == "f"
+    scope = {}
+    exec(new_text, scope)
+    assert scope["f"](3) == 22
+
+
+def test_swap_boolean_expression_mirrors_comparisons_after_a_non_ascii_character():
+    text = 'def g(x):\n    if "ü" and x > 3 and x < 10:\n        return 1\n    return 0\n'
+    new_text, entry = RULES[Language.PYTHON]["swap_boolean_expression"](text, random.Random(0))
+    assert new_text == 'def g(x):\n    if "ü" and 3 < x and 10 > x:\n        return 1\n    return 0\n'
+    assert entry == "g"
+
+
+def test_threads_sharing_the_parsed_views_rewrite_as_one_thread_does():
+    import threading
+
+    texts = [s.text for s, _ in load_fixture_corpus(languages={Language.PYTHON})][:6]
+    jobs = [(text, mid) for text in texts for mid in sorted(RULES[Language.PYTHON])]
+
+    def outcome(text, mid):
+        try:
+            return RULES[Language.PYTHON][mid](text, random.Random(len(text)))
+        except NotApplicable as exc:
+            return str(exc)
+
+    expected = {job: outcome(*job) for job in jobs}
+    found, errors = [], []
+
+    def worker(order):
+        try:
+            for job in order:
+                found.append((job, outcome(*job)))
+        except Exception as exc:  # reported by the assertion below
+            errors.append(repr(exc))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=worker, args=(random.Random(k).sample(jobs, len(jobs)),))
+                   for k in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []
+    assert len(found) == 4 * len(jobs)
+    assert [job for job, result in found if result != expected[job]] == []
+
+
 # ---------------------------------------------------------------------------
 # Prompt synthesis and answer parsing
 # ---------------------------------------------------------------------------

@@ -7,9 +7,10 @@ from pathlib import Path
 
 import pytest
 
+from codeperturb.analysis import find_functions
 from codeperturb.cli import _verifier_for
 from codeperturb.core import CodeSample, EquivalenceSpec, Language, Origin, PesoConfig, build_catalog
-from codeperturb.errors import ConfigError, OriginalUnrunnable, RunnerFailure, ToolchainUnavailable
+from codeperturb.errors import ConfigError, OriginalUnrunnable, ParseError, RunnerFailure, ToolchainUnavailable
 from codeperturb.verify import (
     ForkServer,
     ProgramRunner,
@@ -23,7 +24,7 @@ from codeperturb.verify import (
     vote_equivalence,
 )
 from codeperturb.peso import run
-from codeperturb.transform import RuleEngine
+from codeperturb.transform import RuleEngine, _validate_output
 
 from .conftest import load_fixture_corpus
 
@@ -65,6 +66,40 @@ def test_syntax_python_unbalanced_parens():
     ok, diags = syntax_check(sample("def f(:\n    pass\n"))
     assert not ok
     assert any("offset" in d for d in diags)
+
+
+# Python texts that fail the parse or only the compiler, with what
+# syntax_check, the rule engine's output guard and find_functions report:
+# None where the text parses, so that neither of the last two raises.
+SYNTAX_CASES = [
+    ("def f(:\n    pass\n", "syntax error at line 1, offset 7: invalid syntax", "invalid syntax (<unknown>, line 1)"),
+    ("x = 1\nreturn x\n", "syntax error at line 2, offset 1: 'return' outside function", None),
+    ("nonlocal x\n", "syntax error at line 1, offset 1: nonlocal declaration not allowed at module level", None),
+    ("x = 1\nif x:\n    break\n", "syntax error at line 3, offset 5: 'break' outside loop", None),
+    # The compiler counts columns in UTF-8 bytes: 'return' starts at character 9.
+    ("s = 'é'; return 1\n", "syntax error at line 1, offset 11: 'return' outside function", None),
+]
+
+
+@pytest.mark.parametrize("text, diagnostic, parse_error", SYNTAX_CASES)
+def test_python_syntax_failures_keep_their_diagnostics(text, diagnostic, parse_error):
+    assert syntax_check(sample(text)) == (False, [diagnostic])
+    if parse_error is None:
+        _validate_output(text, Language.PYTHON)
+        assert find_functions(text, Language.PYTHON) == []
+        return
+    with pytest.raises(ParseError) as guard:
+        _validate_output(text, Language.PYTHON)
+    assert str(guard.value) == f"rule engine produced unparsable python: {parse_error}"
+    with pytest.raises(ParseError) as lookup:
+        find_functions(text, Language.PYTHON)
+    assert str(lookup.value) == f"cannot parse: {parse_error}"
+
+
+def test_syntax_check_accepts_a_valid_python_text_twice():
+    text = "def f(x):\n    return x\n\n\nprint(f(2))\n"
+    assert syntax_check(sample(text)) == (True, [])
+    assert syntax_check(sample(text)) == (True, [])
 
 
 def test_syntax_rust_missing_main_notes_injection():
