@@ -365,8 +365,11 @@ def test_a_sample_whose_original_times_out_fails_once(tmp_path, monkeypatch, cap
 # in CHANGES.md.
 SEEDED_RUN_DIGEST = "f742e45380dc35c11356ea11ce0d3639856d8eea69d9852d2c296777369c7bbb"
 
+# The same digest over a seeded random-run (the uniform baseline).
+SEEDED_RANDOM_RUN_DIGEST = "67edbcd6c2cf559fe5e6d13b97c9e6d9c2a778509f45f1255413035883a2a24e"
 
-def test_seeded_rule_run_is_frozen(tmp_path, monkeypatch, capsys):
+
+def _seeded_rule_run_digest(command, tmp_path, monkeypatch):
     runs, servers = [], []
     monkeypatch.setattr(subprocess, "run", lambda argv, **kw: runs.append(argv))
     monkeypatch.setattr(ForkServer, "__init__", lambda self, *a, **kw: servers.append(a))
@@ -374,7 +377,7 @@ def test_seeded_rule_run_is_frozen(tmp_path, monkeypatch, capsys):
     write_corpus_jsonl(path, load_fixture_corpus())
     out = tmp_path / "out"
     code = run_cli(
-        "peso-run", "--corpus", path, "--engine", "rule", "--seed", "11", "--max-iter", "3",
+        command, "--corpus", path, "--engine", "rule", "--seed", "11", "--max-iter", "3",
         "--jobs", "1", "--equivalence", "stub", "--no-compile", "--output-dir", out,
     )
     assert code == 0 and runs == [] and servers == []
@@ -383,4 +386,12 @@ def test_seeded_rule_run_is_frozen(tmp_path, monkeypatch, capsys):
     digest = hashlib.sha256()
     for f in files + [out / "summary.jsonl", out / "pairs.jsonl"]:
         digest.update(f.read_bytes())
-    assert digest.hexdigest() == SEEDED_RUN_DIGEST
+    return digest.hexdigest()
+
+
+def test_seeded_rule_run_is_frozen(tmp_path, monkeypatch, capsys):
+    assert _seeded_rule_run_digest("peso-run", tmp_path, monkeypatch) == SEEDED_RUN_DIGEST
+
+
+def test_seeded_random_run_is_frozen(tmp_path, monkeypatch, capsys):
+    assert _seeded_rule_run_digest("random-run", tmp_path, monkeypatch) == SEEDED_RANDOM_RUN_DIGEST
