@@ -6,13 +6,16 @@ with brace matching for the brace languages. Line numbers are 0-based.
 A Python text is parsed once into a PythonView, which python_view keeps in
 a cache of PYTHON_VIEWS entries: the rule that rewrites a text, the check
 of the rule's output, the syntax stage of verification and the optimizer's
-function lookup all read the same view of a candidate.
+function lookup all read the same view of a candidate. A PythonView ends
+lines where ast does, at "\r\n", "\r" and "\n"; line_offsets, which the
+brace languages read, ends them at "\n" only.
 """
 
 from __future__ import annotations
 
 import ast
 import functools
+import re
 import threading
 from dataclasses import dataclass
 
@@ -79,13 +82,17 @@ PYTHON_VIEWS = 2  # views python_view keeps; each holds a whole syntax tree
 AST_LOCK = threading.Lock()
 
 
+_PYTHON_LINE_END = re.compile(r"\r\n?|\n")
+
+
 class PythonView:
     """One Python text, parsed once. Read-only once built: it is shared
     through python_view's cache.
 
     `tree` is the module's syntax tree, `nodes` every node of it in
     ast.walk order, `functions` every def in that order and `offsets` the
-    line starts (analysis.line_offsets). ast gives columns in UTF-8 bytes;
+    line starts, plus a final sentinel at len(text). Lines end where ast
+    ends them: at "\r\n", "\r" and "\n". ast gives columns in UTF-8 bytes;
     `position` and `span` turn them into offsets into `text`, converting
     only on lines that are not ASCII. The constructor raises SyntaxError
     when the text does not parse.
@@ -95,11 +102,11 @@ class PythonView:
         self.text = text
         with AST_LOCK:
             self.tree = ast.parse(text)
-        self.offsets = line_offsets(text)
+        self.offsets = [0, *(m.end() for m in _PYTHON_LINE_END.finditer(text)), len(text)]
         self.nodes = list(ast.walk(self.tree))
         self.functions = [n for n in self.nodes if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef))]
         self._wide_lines = frozenset() if text.isascii() else frozenset(
-            k for k, line in enumerate(text.split("\n"), start=1) if not line.isascii()
+            k for k in range(1, len(self.offsets)) if not text[self.offsets[k - 1] : self.offsets[k]].isascii()
         )
 
     def position(self, lineno: int, col_offset: int) -> int:

@@ -3,7 +3,8 @@
 One run: initialize (two heuristic renames, then one random method per
 category to seed the gain ledger), then up to max_iter main iterations of
 perturb -> verify -> score -> gain update -> Boltzmann reselection,
-halting early once the best similarity drops to the threshold.
+halting early once the best similarity drops to the threshold. The random
+baseline runs the same loop under a uniform law, without the init phase.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ import dataclasses
 import math
 import random
 from dataclasses import dataclass, field
+from typing import Callable, NamedTuple
 
 from .analysis import find_functions
 from .core import CodeSample, MethodCatalog, MethodCategory, Origin, PesoConfig, PerturbationMethod
@@ -46,21 +48,7 @@ class IterationRecord:
     verification: dict | None = None
 
     def to_dict(self) -> dict:
-        return {
-            "iter": self.iter,
-            "phase": self.phase,
-            "method_id": self.method_id,
-            "category": self.category.name,
-            "verified": self.verified,
-            "score": None
-            if self.score is None
-            else {"s1": self.score.s1, "s2": self.score.s2, "ss": self.score.ss},
-            "og": self.og,
-            "accepted": self.accepted,
-            "probabilities": list(self.probabilities),
-            "entry_point": self.entry_point,
-            "verification": self.verification,
-        }
+        return {**dataclasses.asdict(self), "category": self.category.name}
 
 
 @dataclass
@@ -114,19 +102,7 @@ class RunSummary:
     function_map: dict
 
     def to_dict(self) -> dict:
-        return {
-            "sample_id": self.sample_id,
-            "language": self.language,
-            "seed": self.seed,
-            "final_s1": self.final_s1,
-            "final_s2": self.final_s2,
-            "final_ss": self.final_ss,
-            "main_iterations": self.main_iterations,
-            "halted_early": self.halted_early,
-            "methods_applied": list(self.methods_applied),
-            "entry_points": list(self.entry_points),
-            "function_map": dict(self.function_map),
-        }
+        return dataclasses.asdict(self)
 
 
 @dataclass(frozen=True)
@@ -166,6 +142,30 @@ def select_method(state: OptimizerState, catalog: MethodCatalog, config: PesoCon
     category = _CATEGORY_ORDER[index]
     methods = catalog.by_category[category]
     return methods[state.rng.randrange(len(methods))]
+
+
+class _Run(NamedTuple):
+    """What stays fixed over one optimizer run. The selection law is the
+    pair `choose` (the next main-loop method) and `probabilities` (the
+    per-category law each trace record carries); `seeds_ledger` adds the
+    init phase, for a law that reads the gain ledger."""
+
+    engine: object
+    catalog: MethodCatalog
+    config: PesoConfig
+    verifier: Callable
+    scorer: Callable
+    choose: Callable[[OptimizerState], PerturbationMethod]
+    probabilities: Callable[[OptimizerState], tuple[float, ...]]
+    seeds_ledger: bool
+
+
+def _peso(engine, catalog: MethodCatalog, config: PesoConfig, verifier, scorer) -> _Run:
+    """A run under the Boltzmann law over the category gains."""
+    return _Run(engine, catalog, config, verifier, scorer or (lambda o, c: score_pair(o, c, config)),
+                choose=lambda state: select_method(state, catalog, config),
+                probabilities=lambda state: boltzmann_probabilities(state.gains, config.temperature),
+                seeds_ledger=True)
 
 
 def gain_update(
@@ -215,24 +215,17 @@ def _update_name_map(state: OptimizerState) -> None:
                 break
 
 
-def _attempt(
-    state: OptimizerState,
-    engine,
-    method: PerturbationMethod,
-    config: PesoConfig,
-    verifier,
-    scorer,
-    phase: str,
-    update_ledger: bool,
-    record_probs: tuple[float, ...] | None = None,
-) -> None:
+def _attempt(state: OptimizerState, run: _Run, method: PerturbationMethod, phase: str) -> None:
+    """Perturb, verify, score and keep or drop one candidate. Every phase
+    but the heuristic renames writes the method's category gain."""
+    update_ledger = phase != "rename"
     seed = state.rng.getrandbits(32)
     entry_point = None
     verified = False
     score = None
     verification = None
     try:
-        outcome = perturb(engine, state.current, method, seed)
+        outcome = perturb(run.engine, state.current, method, seed)
     except _RECOVERABLE as exc:
         og, accepted = 0.0, False
         verification = {"skipped": f"{type(exc).__name__}: {exc}"}
@@ -243,14 +236,14 @@ def _attempt(
         raise
     else:
         try:
-            report = verifier(state.original, outcome.candidate)
+            report = run.verifier(state.original, outcome.candidate)
         except OriginalUnrunnable as exc:
             exc.partial_trace = tuple(state.trace)
             raise
         verification = report.to_dict()
         verified = bool(report.passed)
         if verified:
-            score = scorer(state.original, outcome.candidate)
+            score = run.scorer(state.original, outcome.candidate)
         og, accepted = gain_update(state, outcome.candidate, report, score, update_ledger)
         entry_point = outcome.entry_point
         if accepted:
@@ -270,13 +263,24 @@ def _attempt(
             score=score,
             og=og,
             accepted=accepted,
-            probabilities=record_probs
-            if record_probs is not None
-            else boltzmann_probabilities(state.gains, config.temperature),
+            probabilities=run.probabilities(state),
             entry_point=entry_point,
             verification=verification,
         )
     )
+
+
+def _start(state: OptimizerState, run: _Run) -> None:
+    """The two heuristic renames (no gain-ledger writes), then, when the law
+    reads the ledger, one random method per category in listing order."""
+    if state.iter != 0 or state.mss != 1.0:
+        raise ValueError("initialize requires a fresh optimizer state")
+    for method_id in ("function_rename", "variables_rename"):
+        _attempt(state, run, run.catalog.get(method_id), "rename")
+    if run.seeds_ledger:
+        for category in _CATEGORY_ORDER:
+            methods = run.catalog.by_category[category]
+            _attempt(state, run, methods[state.rng.randrange(len(methods))], "init")
 
 
 def initialize(
@@ -287,36 +291,39 @@ def initialize(
     verifier,
     scorer,
 ) -> OptimizerState:
-    """Heuristic renames first (no gain-ledger writes), then one random
-    method per category in listing order, seeding the ledger."""
-    if state.iter != 0 or state.mss != 1.0:
-        raise ValueError("initialize requires a fresh optimizer state")
-    for method_id in ("function_rename", "variables_rename"):
-        _attempt(state, engine, catalog.get(method_id), config, verifier, scorer,
-                 phase="rename", update_ledger=False)
-    for category in _CATEGORY_ORDER:
-        methods = catalog.by_category[category]
-        method = methods[state.rng.randrange(len(methods))]
-        _attempt(state, engine, method, config, verifier, scorer,
-                 phase="init", update_ledger=True)
+    """PESO's start: the heuristic renames, then the init phase that seeds
+    the gain ledger."""
+    _start(state, _peso(engine, catalog, config, verifier, scorer))
     return state
 
 
-def _summarize(state: OptimizerState, config: PesoConfig) -> RunSummary:
-    applied = tuple(r.method_id for r in state.trace if r.accepted)
+def _optimize(original: CodeSample, run: _Run) -> RunResult:
+    """The loop both selection laws share: the start, then up to max_iter
+    main iterations, halting once the best similarity reaches the threshold."""
+    config = run.config
+    state = OptimizerState.fresh(original, run.catalog, config)
+    _start(state, run)
+    while state.iter < config.max_iter and state.mss > config.ss_threshold:
+        method = run.choose(state)
+        state.iter += 1
+        _attempt(state, run, method, "main")
     best = state.best_score
-    return RunSummary(
-        sample_id=state.original.id,
-        language=state.original.language.value,
-        seed=config.rng_seed,
-        final_s1=best.s1 if best else 1.0,
-        final_s2=best.s2 if best else 1.0,
-        final_ss=state.mss,
-        main_iterations=state.iter,
-        halted_early=state.mss <= config.ss_threshold,
-        methods_applied=applied,
-        entry_points=tuple(sorted(state.entry_points)),
-        function_map=dict(sorted(state.name_map.items())),
+    return RunResult(
+        final=state.current,
+        records=tuple(state.trace),
+        summary=RunSummary(
+            sample_id=original.id,
+            language=original.language.value,
+            seed=config.rng_seed,
+            final_s1=best.s1 if best else 1.0,
+            final_s2=best.s2 if best else 1.0,
+            final_ss=state.mss,
+            main_iterations=state.iter,
+            halted_early=state.mss <= config.ss_threshold,
+            methods_applied=tuple(r.method_id for r in state.trace if r.accepted),
+            entry_points=tuple(sorted(state.entry_points)),
+            function_map=dict(sorted(state.name_map.items())),
+        ),
     )
 
 
@@ -330,20 +337,7 @@ def run(
 ) -> RunResult:
     """Full optimization of one sample. Deterministic for a given config
     seed and a deterministic engine."""
-    if scorer is None:
-        scorer = lambda o, c: score_pair(o, c, config)
-    state = OptimizerState.fresh(original, catalog, config)
-    initialize(state, engine, catalog, config, verifier, scorer)
-    while state.iter < config.max_iter and state.mss > config.ss_threshold:
-        method = select_method(state, catalog, config)
-        state.iter += 1
-        _attempt(state, engine, method, config, verifier, scorer,
-                 phase="main", update_ledger=True)
-    return RunResult(
-        final=state.current,
-        records=tuple(state.trace),
-        summary=_summarize(state, config),
-    )
+    return _optimize(original, _peso(engine, catalog, config, verifier, scorer))
 
 
 def run_random_baseline(
@@ -355,28 +349,16 @@ def run_random_baseline(
     scorer=None,
 ) -> RunResult:
     """Same loop and acceptance rule, but each iteration picks uniformly
-    over all 26 methods: no gain ledger, no Boltzmann selection."""
-    if scorer is None:
-        scorer = lambda o, c: score_pair(o, c, config)
-    state = OptimizerState.fresh(original, catalog, config)
-    # The selection law is uniform over methods, so the per-category
-    # distribution recorded in the trace is proportional to category size.
-    sizes = tuple(
-        len(catalog.by_category[c]) / len(catalog.methods) for c in _CATEGORY_ORDER
+    over all 26 methods: no init phase, no Boltzmann selection. The trace
+    records the per-category law of that draw, proportional to category
+    size."""
+    sizes = tuple(len(catalog.by_category[c]) / len(catalog.methods) for c in _CATEGORY_ORDER)
+    uniform = _peso(engine, catalog, config, verifier, scorer)._replace(
+        choose=lambda state: catalog.methods[state.rng.randrange(len(catalog.methods))],
+        probabilities=lambda state: sizes,
+        seeds_ledger=False,
     )
-    for method_id in ("function_rename", "variables_rename"):
-        _attempt(state, engine, catalog.get(method_id), config, verifier, scorer,
-                 phase="rename", update_ledger=False, record_probs=sizes)
-    while state.iter < config.max_iter and state.mss > config.ss_threshold:
-        method = catalog.methods[state.rng.randrange(len(catalog.methods))]
-        state.iter += 1
-        _attempt(state, engine, method, config, verifier, scorer,
-                 phase="main", update_ledger=False, record_probs=sizes)
-    return RunResult(
-        final=state.current,
-        records=tuple(state.trace),
-        summary=_summarize(state, config),
-    )
+    return _optimize(original, uniform)
 
 
 def derive_seed(base_seed: int, sample_id: str) -> int:

@@ -186,7 +186,7 @@ def _rename_ident(f: _File, renames: dict[str, str], start: int = 0, end: int | 
             and nxt.text == ":"
         ):
             continue  # keyed struct literal field
-        hits.append(t)
+        hits.append((t.start, t.end, t.text))
     return replace_tokens(f.text, hits, renames, "no occurrences of {!r}")
 
 

@@ -4,23 +4,24 @@ Each rule takes a parsed _Module and the seeded RNG, draws one applicable
 site with shared.pick (NotApplicable when there is none) and returns
 (new_text, entry_point); RULES wraps each as rewrite(text, rng). A rule
 splices a minimal text edit so the rest of the file (comments, formatting)
-is untouched. _Module reads the shared parsed view of its text
+is untouched. _Module reads only the shared parsed view of its text
 (analysis.python_view), so a text the optimizer keeps is not parsed again
-for its next rewrite, and lexes the text at most once, on first use. Rules
-scan the view's `nodes` instead of walking the tree, and `functions` and
-`params` come from that one walk, so no rule walks the whole module once
-per function.
+for its next rewrite, and no rule lexes it: renames splice at the tree's
+name positions, f-strings included. Rules scan the view's `nodes` instead
+of walking the tree, and `functions`, `params` and `names` come from that
+one walk, so no rule walks the whole module once per function.
 """
 
 from __future__ import annotations
 
 import ast
 import random
+import re
+from collections import defaultdict
 from functools import cached_property
 
 from ..analysis import python_view
-from ..errors import ParseError
-from ..lexing import Token, TokenKind, lex
+from ..errors import NotApplicable, ParseError
 from ..core import Language
 from .shared import (
     FN_WORDS, PREDICATE_WORDS, VAR_WORDS, fresh, indent_lines, pick, replace_tokens, rule_table, splice,
@@ -28,14 +29,17 @@ from .shared import (
 
 INDENT = "    "
 
+_DEFINED_NAME = re.compile(r"(?:async\s+)?(?:def|class)\s+")  # what precedes a def's or class's name
+_HANDLER_NAME = re.compile(r"[\s)]*as\s+")  # what follows an except clause's type, before its name
+_SELF_DOCUMENTING = re.compile(r"\s*=(?!=)")  # f"{x=}" prints the source text of x
+
 
 class _Module:
     """One Python source as the rules read it during one rewrite.
 
     `text`, `tree`, `offsets`, `nodes`, `functions` and `span` come from
     the text's analysis.PythonView; `functions` holds every def in ast.walk
-    order, the order in which enclosing_function breaks ties. The tokens
-    belong to this rewrite only, so the cached view holds no token list.
+    order, the order in which enclosing_function breaks ties.
     """
 
     def __init__(self, text: str):
@@ -47,10 +51,6 @@ class _Module:
         self.nodes, self.functions, self.span = view.nodes, view.functions, view.span
 
     @cached_property
-    def tokens(self) -> list[Token]:
-        return lex(self.text, Language.PYTHON)
-
-    @cached_property
     def params(self) -> frozenset[str]:
         """The parameter names of every function in the module."""
         names = set()
@@ -60,20 +60,60 @@ class _Module:
             names.update(arg.arg for arg in (a.vararg, a.kwarg) if arg)
         return frozenset(names)
 
+    @cached_property
+    def names(self) -> dict[str, list[int | None]]:
+        """Each name to the start offsets of its occurrences: every ast.Name
+        and ast.arg, def or class name and except-handler name. None marks
+        one a rename cannot reach: a binding without a node of its own
+        (global, nonlocal, import, match capture), a name f"{x=}" prints and
+        an ast.Name whose span is not the name's length."""
+        names = defaultdict(list)
+
+        def after(pattern: re.Pattern, pos: int, name: str) -> None:
+            found = pattern.match(self.text, pos)
+            names[name].append(found.end() if found else None)
+
+        for node in self.nodes:
+            fixed = ()
+            if isinstance(node, ast.Name):
+                start, end = self.span(node)
+                names[node.id].append(start if end - start == len(node.id) else None)
+            elif isinstance(node, ast.arg):
+                names[node.arg].append(self.span(node)[0])
+            elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                after(_DEFINED_NAME, self.span(node)[0], node.name)
+            elif isinstance(node, ast.ExceptHandler) and node.name:
+                after(_HANDLER_NAME, self.span(node.type)[1], node.name)
+            elif isinstance(node, (ast.Global, ast.Nonlocal)):
+                fixed = node.names
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                fixed = [(alias.asname or alias.name).split(".")[0] for alias in node.names]
+            elif isinstance(node, (ast.MatchAs, ast.MatchStar, ast.MatchMapping)):
+                fixed = [node.rest if isinstance(node, ast.MatchMapping) else node.name]
+            elif isinstance(node, ast.FormattedValue) and _SELF_DOCUMENTING.match(self.text, self.span(node.value)[1]):
+                fixed = [n.id for n in ast.walk(node.value) if isinstance(n, ast.Name)]
+            for name in filter(None, fixed):
+                names[name].append(None)
+        return dict(names)
+
     def source(self, node: ast.AST) -> str:
         start, end = self.span(node)
         return self.text[start:end]
 
+    def indent(self, node: ast.stmt) -> str:
+        """The text of the statement's line before the statement."""
+        return self.text[self.offsets[node.lineno - 1] : self.span(node)[0]]
+
     def own_line(self, node: ast.stmt) -> bool:
         """The statement starts its line (nothing but whitespace before it)."""
-        return self.text[self.offsets[node.lineno - 1] : self.span(node)[0]].strip() == ""
+        return self.indent(node).strip() == ""
 
     def starts_with(self, node: ast.stmt, word: str) -> bool:
         return self.text.startswith(word, self.span(node)[0])
 
     def identifiers(self) -> set[str]:
         """A new set on each call, since shared.fresh adds to it."""
-        return {t.text for t in self.tokens if t.kind in (TokenKind.IDENT, TokenKind.KEYWORD)}
+        return set(self.names)
 
     def enclosing_function(self, node: ast.AST) -> str:
         best = None
@@ -84,14 +124,20 @@ class _Module:
         return best.name if best is not None else "<module>"
 
     def rename(self, renames: dict[str, str], start: int = 0, end: int | None = None) -> str:
-        """Rename identifier tokens within [start, end) by the {old: new} map, in one pass."""
+        """Rename the occurrences within [start, end) by the {old: new} map, in
+        one pass. Raises NotApplicable, renaming nothing, when an occurrence
+        of an old name anywhere in the module has no offset or one where the
+        text does not read as the name (f-string positions before Python
+        3.12)."""
         end = len(self.text) if end is None else end
-        hits = [
-            tok
-            for tok in self.tokens
-            if tok.kind is TokenKind.IDENT and tok.text in renames and start <= tok.start and tok.end <= end
-        ]
-        return replace_tokens(self.text, hits, renames, "no occurrences of {!r} to rename")
+        hits = []
+        for old in renames:
+            for at in self.names.get(old, ()):
+                if at is None or not self.text.startswith(old, at):
+                    raise NotApplicable(f"cannot rename every occurrence of {old!r}")
+                if start <= at and at + len(old) <= end:
+                    hits.append((at, at + len(old), old))
+        return replace_tokens(self.text, sorted(hits), renames, "no occurrences of {!r} to rename")
 
 
 def _is_docstring(parent_body: list[ast.stmt], node: ast.stmt) -> bool:
@@ -122,51 +168,52 @@ def _blocks(m: _Module):
 # ---------------------------------------------------------------------------
 
 def function_rename(m: _Module, rng: random.Random):
+    # Methods share the attribute namespace, which a rename never reaches.
     hazards = set(m.params)
     for node in m.nodes:
-        if isinstance(node, ast.Call):
-            hazards.update(kw.arg for kw in node.keywords if kw.arg)
-        elif isinstance(node, ast.Attribute):
+        if isinstance(node, ast.Attribute):
             hazards.add(node.attr)
         elif isinstance(node, ast.ClassDef):
             hazards.add(node.name)
-        elif isinstance(node, (ast.Import, ast.ImportFrom)):
-            hazards.update((alias.asname or alias.name).split(".")[0] for alias in node.names)
     candidates = [
         n.name
         for n in m.tree.body
         if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef))
         and not n.name.startswith("__")
         and n.name not in hazards
+        and None not in m.names[n.name]
     ]
     old = pick(sorted(candidates), rng, "no safely renameable module-level function")
     new = fresh(m.identifiers(), rng, FN_WORDS)
     return m.rename({old: new}), new
 
 
-def _local_candidates(fn: ast.FunctionDef, outer: frozenset[str]) -> list[str]:
-    """Names `fn` assigns, less those unsafe to rename and the `outer` ones."""
+def _local_candidates(m: _Module, fn: ast.FunctionDef, outer: frozenset[str]) -> list[str]:
+    """Names `fn`'s own scope assigns, less those unsafe to rename and the
+    `outer` ones. The walk stops at a nested def, lambda or class, and no
+    name in a nested class is renamed: the class's assignments make
+    attributes."""
     assigned: set[str] = set()
     banned: set[str] = {"_", "self", "cls"}
-    for node in ast.walk(fn):
+    stack = list(fn.body)
+    while stack:
+        node = stack.pop()
         if isinstance(node, ast.Name) and isinstance(node.ctx, (ast.Store, ast.Del)):
             assigned.add(node.id)
         elif isinstance(node, ast.ExceptHandler) and node.name:
             assigned.add(node.name)
-        elif isinstance(node, (ast.Global, ast.Nonlocal)):
-            banned.update(node.names)
-        elif isinstance(node, ast.Call):
-            banned.update(kw.arg for kw in node.keywords if kw.arg)
-        elif isinstance(node, ast.Attribute):
-            banned.add(node.attr)
-    return sorted(assigned - banned - outer)
+        elif isinstance(node, ast.ClassDef):
+            banned.update(n.id for n in ast.walk(node) if isinstance(n, ast.Name))
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda, ast.ClassDef)):
+            stack.extend(ast.iter_child_nodes(node))
+    return sorted(n for n in assigned - banned - outer if None not in m.names[n])
 
 
 def variables_rename(m: _Module, rng: random.Random):
     outer = m.params | {
         n.name for n in m.tree.body if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
     }
-    options = [(fn, _local_candidates(fn, outer)) for fn in m.functions]
+    options = [(fn, _local_candidates(m, fn, outer)) for fn in m.functions]
     options = [(fn, names) for fn, names in options if names]
     fn, names = pick(options, rng, "no function with safely renameable locals")
     existing = m.identifiers()
@@ -197,7 +244,7 @@ def _insertion_sites(m: _Module, inside_functions: bool):
 
 
 def _insert_before(m: _Module, stmt: ast.stmt, new_lines: list[str]) -> str:
-    indent = " " * stmt.col_offset
+    indent = m.indent(stmt)
     pos = m.offsets[stmt.lineno - 1]
     chunk = "".join(indent + ln + "\n" for ln in new_lines)
     return m.text[:pos] + chunk + m.text[pos:]
@@ -240,7 +287,7 @@ def add_exception(m: _Module, rng: random.Random):
     ]
     stmt = pick(sites, rng, "no statement to wrap in a handler")
     start, end = m.span(stmt)
-    indent = " " * stmt.col_offset
+    indent = m.indent(stmt)
     body = "\n".join(indent_lines(m.text[start:end].split("\n"), INDENT))
     new = f"try:\n{indent}{body}\n{indent}except Exception:\n{indent}{INDENT}raise"
     return splice(m.text, start, end, new), m.enclosing_function(stmt)
@@ -251,7 +298,7 @@ def statement_wrapping(m: _Module, rng: random.Random):
     has_jump = any(isinstance(n, (ast.Break, ast.Continue)) for n in ast.walk(stmt))
     use_for = not has_jump and rng.random() < 0.5
     start, end = m.span(stmt)
-    indent = " " * stmt.col_offset
+    indent = m.indent(stmt)
     body = "\n".join(indent_lines(m.text[start:end].split("\n"), INDENT))
     if use_for:
         v = fresh(m.identifiers(), rng, VAR_WORDS)
@@ -425,7 +472,7 @@ def div_composed_if(m: _Module, rng: random.Random):
     ]
     node = pick(sites, rng, "no composed if without else")
     start, end = m.span(node)
-    indent = " " * node.col_offset
+    indent = m.indent(node)
     conds = [m.source(v) for v in node.test.values]
     body_start = m.offsets[node.body[0].lineno - 1]
     body_src = m.text[body_start:end]
@@ -452,7 +499,7 @@ def div_if_else(m: _Module, rng: random.Random):
     node = pick(sites, rng, "no elif chain")
     elif_node = node.orelse[0]
     start, end = m.span(elif_node)
-    indent = " " * elif_node.col_offset
+    indent = m.indent(elif_node)
     segment = m.text[start:end]
     assert segment.startswith("elif")
     segment = "if" + segment[len("elif") :]
@@ -475,7 +522,7 @@ def if_continue_to_if_else(m: _Module, rng: random.Random):
             ):
                 sites.append((stmt, block[idx + 1 :]))
     stmt, rest = pick(sites, rng, "no if-continue followed by statements")
-    indent = " " * stmt.col_offset
+    indent = m.indent(stmt)
     rest_start = m.offsets[rest[0].lineno - 1]
     rest_end = m.span(rest[-1])[1]
     rest_src = m.text[rest_start:rest_end]
@@ -498,7 +545,7 @@ def for_while_transformation(m: _Module, rng: random.Random):
     ]
     node = pick(sites, rng, "no plain for loop")
     start, end = m.span(node)
-    indent = " " * node.col_offset
+    indent = m.indent(node)
     it = fresh(m.identifiers(), rng, VAR_WORDS)
     target_src = m.source(node.target)
     iter_src = m.source(node.iter)

@@ -31,20 +31,20 @@ def splice(text: str, start: int, end: int, replacement: str) -> str:
     return text[:start] + replacement + text[end:]
 
 
-def replace_tokens(text: str, hits: list, renames: dict[str, str], missing: str) -> str:
-    """Replace each hit token (in text order) by renames[token.text].
+def replace_tokens(text: str, hits: list[tuple[int, int, str]], renames: dict[str, str], missing: str) -> str:
+    """Replace each hit (start, end, old), in text order, by renames[old].
 
     Raises NotApplicable(missing.format(old)) for the first old name in
     `renames` that no hit carries.
     """
-    found = {t.text for t in hits}
+    found = {old for _, _, old in hits}
     for old in renames:
         if old not in found:
             raise NotApplicable(missing.format(old))
     pieces, pos = [], 0
-    for t in hits:
-        pieces += [text[pos : t.start], renames[t.text]]
-        pos = t.end
+    for start, end, old in hits:
+        pieces += [text[pos:start], renames[old]]
+        pos = end
     return "".join(pieces) + text[pos:]
 
 

@@ -401,14 +401,19 @@ def _every_other_rejected(config):
 
 @pytest.mark.parametrize("rejecting", [False, True])
 def test_peso_run_parses_each_python_text_once(monkeypatch, rejecting):
+    """Each distinct text is parsed once and lexed at most once (by the
+    similarity score, which reads only verified candidates)."""
     import builtins
+    import sys
 
+    from codeperturb import lexing, similarity
     from codeperturb.analysis import PYTHON_VIEWS, python_view
 
     text = _renamed_copies(2000)
     python_view.cache_clear()
-    parses = Counter()
-    real_compile = builtins.compile
+    similarity._original_stream.cache_clear()
+    parses, lexes = Counter(), Counter()
+    real_compile, real_lex = builtins.compile, lexing.lex
 
     def counting_compile(source, *args, **kwargs):
         # ast.parse compiles its str source too, so this counts every parse.
@@ -417,7 +422,14 @@ def test_peso_run_parses_each_python_text_once(monkeypatch, rejecting):
             assert python_view.cache_info().currsize <= PYTHON_VIEWS
         return real_compile(source, *args, **kwargs)
 
+    def counting_lex(source, language):
+        lexes[source] += 1
+        return real_lex(source, language)
+
     monkeypatch.setattr(builtins, "compile", counting_compile)
+    for name, module in list(sys.modules.items()):
+        if name.startswith("codeperturb") and getattr(module, "lex", None) is real_lex:
+            monkeypatch.setattr(module, "lex", counting_lex)
     config = PesoConfig(rng_seed=3, max_iter=3)
     result = run(sample(text, sid="large.py"), RuleEngine(CATALOG), CATALOG, config,
                  lambda o, c: verify(o, c, VerifyPolicy()), _every_other_rejected(config) if rejecting else None)
@@ -427,4 +439,6 @@ def test_peso_run_parses_each_python_text_once(monkeypatch, rejecting):
     assert rejecting == any(not r.accepted for r in verified)
     assert text in parses and result.final.text in parses
     assert {t: n for t, n in parses.items() if n > 1} == {}
+    assert text in lexes and result.final.text in lexes
+    assert {t: n for t, n in lexes.items() if n > 1} == {}
     assert python_view.cache_info().maxsize == PYTHON_VIEWS
