@@ -85,6 +85,27 @@ AST_LOCK = threading.Lock()
 _PYTHON_LINE_END = re.compile(r"\r\n?|\n")
 
 
+def walk(root: ast.AST) -> list[ast.AST]:
+    """Every node under root, root first, in ast.walk order: breadth first,
+    each node's children in field order. One list, read by index while it
+    grows, in place of ast.walk's queue and its generator layers."""
+    nodes = [root]
+    append = nodes.append
+    k = 0
+    while k < len(nodes):
+        node = nodes[k]
+        k += 1
+        for name in node._fields:
+            field = getattr(node, name, None)
+            if isinstance(field, list):
+                for item in field:
+                    if isinstance(item, ast.AST):
+                        append(item)
+            elif isinstance(field, ast.AST):
+                append(field)
+    return nodes
+
+
 class PythonView:
     """One Python text, parsed once. Read-only once built: it is shared
     through python_view's cache.
@@ -103,7 +124,7 @@ class PythonView:
         with AST_LOCK:
             self.tree = ast.parse(text)
         self.offsets = [0, *(m.end() for m in _PYTHON_LINE_END.finditer(text)), len(text)]
-        self.nodes = list(ast.walk(self.tree))
+        self.nodes = walk(self.tree)
         self.functions = [n for n in self.nodes if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef))]
         self._wide_lines = frozenset() if text.isascii() else frozenset(
             k for k in range(1, len(self.offsets)) if not text[self.offsets[k - 1] : self.offsets[k]].isascii()

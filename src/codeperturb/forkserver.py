@@ -12,7 +12,9 @@ source, run in the child as ``__main__``) or ``argv`` (a command to
 ``subprocess`` reports it (negative: killed by signal -n),
 ``{"timeout": true}`` once the child outlived its timeout and its process
 group was killed, or ``{"error": message}`` when the program could not be
-started.
+started. At end of input the server leaves by ``os._exit(0)``: every reply
+is flushed when written and no child outlives its request, so the
+interpreter's teardown would only cost time.
 
 Each child gets its own process group; limits on CPU time (timeout + 1 s),
 address space and file size; and fds 0, 1 and 2 on the stdin file, the
@@ -198,6 +200,7 @@ def serve() -> None:
             pass  # the child has set it already, or has exec'd
         replies.write(json.dumps(_wait(pid, request["timeout"], errors_r)).encode() + b"\n")
         replies.flush()
+    os._exit(0)
 
 
 if __name__ == "__main__":

@@ -1,17 +1,29 @@
 """A small multi-language lexer.
 
 Produces raw token streams with source spans for the five language modes.
-Each language has one alternation, compiled on first use, that ``lex``
-matches at every position. Its groups, in order: ``skip`` (whitespace and
-comments); one group per row of the language's literal table in ``_SYNTAX``
-(a pattern and its TokenKind); ``open``, the opener of a literal or block
-comment whose whole pattern did not match, which raises LexError at the
-quote (at the start for a Rust raw string or a block comment); ``num``;
-identifiers and keywords; operators, ``_MULTI_OPS`` in list order, else any
-single character. Three scanners stay functions: ``_scan_number``, whose
+``scan`` is the one lexer loop: it yields (kind, start, end) from a lexer
+position, and ``lex`` builds Tokens from it. Each language has one
+alternation, compiled on first use, that ``scan`` matches at every
+position. Its groups, in order: ``skip`` (whitespace and comments); one
+group per row of the language's literal table in ``_SYNTAX`` (a pattern
+and its TokenKind); ``open``, the opener of a literal or block comment
+whose whole pattern did not match, which raises LexError at the quote (at
+the start for a Rust raw string or a block comment); ``num``; identifiers
+and keywords; operators, ``_MULTI_OPS`` in list order, else any single
+character. Three scanners stay functions: ``_scan_number``, whose
 ``isdigit`` and ``isalpha`` tests have no exact ``re`` class, and Rust's
 ``_scan_rust_quote`` (char literal or lifetime) and ``_block_comment_end``
 (nested block comments).
+
+A lexer step, from one position to the next, depends on nothing but the
+text and its position. Two facts about a step let a caller re-lex only the
+edited part of a text (``similarity.tokenize`` does, through
+``reuse_bound``):
+
+- a step reads nothing before its position;
+- a step that returns a token ending at e reads nothing past e + 2, save
+  one: Rust's ``r`` before a run of ``#`` reads through the run and the
+  character after it, which may open a raw string.
 
 Spans are (start, end) offsets into the text string.
 """
@@ -21,6 +33,7 @@ from __future__ import annotations
 import functools
 import keyword
 import re
+from collections.abc import Iterator
 from dataclasses import dataclass
 from enum import Enum
 
@@ -235,34 +248,52 @@ def _scan_rust_quote(text: str, pos: int) -> tuple[int, TokenKind]:
     raise LexError("stray quote", pos)
 
 
-def lex(text: str, language: Language) -> list[Token]:
-    """Tokenize text for the given language mode."""
+def scan(text: str, language: Language, pos: int = 0) -> Iterator[tuple[TokenKind, int, int]]:
+    """Yield (kind, start, end) for each token of text from lexer position
+    pos on. Raises LexError where a literal or block comment never closes."""
     pattern, kinds = _pattern(language)
     kw = KEYWORDS[language]
-    tokens: list[Token] = []
-    i = 0
-    while i < len(text):
-        m = pattern.match(text, i)
+    match = pattern.match
+    n = len(text)
+    while pos < n:
+        m = match(text, pos)
         group, end = m.lastgroup, m.end()
         if group == "skip":
-            i = _block_comment_end(text, i) if m[0] == "/*" else end
+            pos = _block_comment_end(text, pos) if m[0] == "/*" else end
             continue
         if group == "open":
             raise _unterminated(m)
         if group == "num":
-            end, kind = _scan_number(text, i, language)
+            end, kind = _scan_number(text, pos, language)
         elif group == "rquote":
-            end, kind = _scan_rust_quote(text, i)
+            end, kind = _scan_rust_quote(text, pos)
         elif group == "word":
             kind = TokenKind.KEYWORD if m[0] in kw else TokenKind.IDENT
         else:
             kind = kinds[group]
-        tokens.append(Token(kind, text[i:end], i, end))
-        i = end
-    return tokens
+        yield kind, pos, end
+        pos = end
 
 
-_NORMAL_BY_KIND = {
+def reuse_bound(text: str, head: int, language: Language) -> int:
+    """An offset such that every token ending at or before it is lexed the
+    same in any text that shares text's first head characters: head - 3,
+    or less before a Rust ``r`` whose run of ``#`` reaches head."""
+    bound = head - 3
+    if language is Language.RUST_LANG:
+        run = len(text[:head].rstrip("#"))
+        if text[run - 1 : run] == "r":
+            bound = min(bound, run - 1)
+    return bound
+
+
+def lex(text: str, language: Language) -> list[Token]:
+    """Tokenize text for the given language mode."""
+    return [Token(kind, text[start:end], start, end) for kind, start, end in scan(text, language)]
+
+
+# The placeholder class of each kind that normalization collapses.
+NORMAL_BY_KIND = {
     TokenKind.IDENT: "ID",
     TokenKind.LIFETIME: "ID",
     TokenKind.INT: "INT",
@@ -275,7 +306,7 @@ _NORMAL_BY_KIND = {
 def normalize_token(token: Token) -> str:
     """Canonical class for a token: identifiers and literals collapse to
     placeholder classes, keywords and operators stay verbatim."""
-    return _NORMAL_BY_KIND.get(token.kind, token.text)
+    return NORMAL_BY_KIND.get(token.kind, token.text)
 
 
 def check_balance(tokens: list[Token]) -> str | None:

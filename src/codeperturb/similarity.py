@@ -35,14 +35,17 @@ The combined score is the weighted mean of the two.
 
 from __future__ import annotations
 
-import functools
 import heapq
+import threading
+from array import array
+from bisect import bisect_left, bisect_right
+from collections import OrderedDict
 from dataclasses import dataclass
 from itertools import chain, islice, repeat
 
-from .core import CodeSample, PesoConfig
+from .core import CodeSample, Language, PesoConfig
 from .errors import EmptyStream, LanguageMismatch
-from .lexing import lex, normalize_token
+from .lexing import NORMAL_BY_KIND, reuse_bound, scan
 
 
 @dataclass(frozen=True)
@@ -62,25 +65,93 @@ class SimilarityScore:
     ss: float
 
 
+_TOKENIZED = 8  # texts tokenize keeps, most recently used last
+_tokenized: OrderedDict[tuple[Language, str], tuple[array, tuple[str, ...]]] = OrderedDict()
+_tokenized_lock = threading.Lock()
+
+
 def tokenize(sample: CodeSample) -> TokenStream:
     """Deterministic normalized token stream for a sample.
 
     Renaming an identifier consistently leaves the stream unchanged.
     Raises LexError (with offset) on unlexable input.
+
+    The token starts and stream of the last _TOKENIZED texts are kept; a
+    LexError is not. A new text is lexed only where it differs from the kept
+    text of its language that shares the longest common prefix plus suffix
+    with it, head and tail characters long. Two facts about a lexer step (see
+    lexing) make this exact: a step reads nothing before its position, and a
+    step that returns a token ending at e reads nothing past e + 2 (Rust's
+    raw-string opener excepted). So every kept token before the last kept
+    start at or below lexing.reuse_bound (head - 3, or less before that
+    opener) is lexed the same in the new text, and the lexer reaches that
+    start; scanning from there, once a token starts inside the common
+    suffix at a kept start shifted by the length difference, the two lexers
+    stand at the same position of equal texts, and the rest is the kept
+    tail, shifted.
     """
-    return TokenStream(tokens=tuple(normalize_token(t) for t in lex(sample.text, sample.language)))
+    text, language = sample.text, sample.language
+    key = (language, text)
+    with _tokenized_lock:
+        kept = _tokenized.get(key)
+        if kept is not None:
+            _tokenized.move_to_end(key)
+            return TokenStream(kept[1])
+        bases = [(old, *entry) for (lang, old), entry in _tokenized.items() if lang is language]
+    kept = _relex(text, language, bases)
+    with _tokenized_lock:
+        _tokenized[key] = kept
+        _tokenized.move_to_end(key)
+        while len(_tokenized) > _TOKENIZED:
+            _tokenized.popitem(last=False)
+    return TokenStream(kept[1])
 
 
-def _common_prefix_len(a: str, b: str) -> int:
-    """Binary search over slice comparisons, which run at memcmp speed."""
-    lo, hi = 0, min(len(a), len(b))
+def _relex(text: str, language: Language, bases: list[tuple[str, array, tuple[str, ...]]]):
+    """(token starts, normalized tokens) of text, reusing those of the best
+    of bases, kept (text, starts, tokens) triples, as tokenize says."""
+    head, tail, old, old_starts, old_tokens = max(
+        ((*_common_affixes(old, text), old, starts, tokens) for old, starts, tokens in bases),
+        key=lambda base: base[0] + base[1], default=(0, 0, "", array("q"), ()),
+    )
+    k = bisect_right(old_starts, reuse_bound(old, head, language)) - 1
+    if k < 0:
+        k, pos = 0, 0
+    else:
+        pos = old_starts[k]
+    starts, tokens = old_starts[:k], list(old_tokens[:k])
+    delta, suffix = len(text) - len(old), len(text) - tail
+    normal = NORMAL_BY_KIND.get
+    for kind, start, end in scan(text, language, pos):
+        if start >= suffix:
+            at = bisect_left(old_starts, start - delta, k)
+            if at < len(old_starts) and old_starts[at] == start - delta:
+                starts.extend([s + delta for s in old_starts[at:]])
+                return starts, (*tokens, *old_tokens[at:])
+        starts.append(start)
+        tokens.append(normal(kind) or text[start:end])
+    return starts, tuple(tokens)
+
+
+def _longest(limit: int, agree) -> int:
+    """The largest k <= limit with agree(k), where agree holds up to some k
+    and fails above it."""
+    lo, hi = 0, limit
     while lo < hi:
         mid = (lo + hi + 1) // 2
-        if a[:mid] == b[:mid]:
+        if agree(mid):
             lo = mid
         else:
             hi = mid - 1
     return lo
+
+
+def _common_affixes(a: str, b: str) -> tuple[int, int]:
+    """The lengths of the common prefix of a and b and of the common suffix
+    of what follows it. Binary searches over slice comparisons, which run at
+    memcmp speed."""
+    head = _longest(min(len(a), len(b)), lambda k: a.startswith(b[:k]))
+    return head, _longest(min(len(a), len(b)) - head, lambda k: a.endswith(b[len(b) - k :]))
 
 
 _FIRST_BAND = 64  # the cutoff k of the first banded pass
@@ -93,10 +164,8 @@ def levenshtein_distance(a: str, b: str) -> int:
     narrow, else by the bit-parallel loop over the full middle."""
     if a == b:
         return 0
-    head = _common_prefix_len(a, b)
-    a, b = a[head:], b[head:]
-    tail = _common_prefix_len(a[::-1], b[::-1])
-    a, b = a[: len(a) - tail], b[: len(b) - tail]
+    head, tail = _common_affixes(a, b)
+    a, b = a[head : len(a) - tail], b[head : len(b) - tail]
     if not a:
         return len(b)
     if not b:
@@ -207,6 +276,23 @@ def surface_similarity(a: str, b: str) -> float:
     return 1.0 - levenshtein_distance(a, b) / max(len(a), len(b))
 
 
+def _gallop(a: str, b: str, i: int, j: int, length: int, limit: int) -> int:
+    """How far a[i:] and b[j:] agree, at most limit, knowing that they agree
+    for length: galloping slice comparisons, doubling while whole slices
+    agree, then halving."""
+    step = 8
+    while length < limit:
+        end = min(length + step, limit)
+        if a[i + length : i + end] == b[j + length : j + end]:
+            length = end
+            step *= 2
+        elif step > 1:
+            step //= 2
+        else:
+            break
+    return length
+
+
 def _maximal_runs(a: str, b: str, min_len: int) -> list[tuple[int, int, int]]:
     """All maximal equal runs of length >= min_len, as (-length, i, j).
 
@@ -230,20 +316,54 @@ def _maximal_runs(a: str, b: str, min_len: int) -> list[tuple[int, int, int]]:
             if before == before_j:
                 continue  # these diagonals continue a run that began earlier
             for i in starts:
-                # Gallop past the seed while whole slices agree, then halve.
-                length, step = min_len, 8
-                limit = min(na - i, nb - j)
-                while length < limit:
-                    end = min(length + step, limit)
-                    if a[i + length : i + end] == b[j + length : j + end]:
-                        length = end
-                        step *= 2
-                    elif step > 1:
-                        step //= 2
-                    else:
-                        break
-                runs.append((-length, i, j))
+                runs.append((-_gallop(a, b, i, j, min_len, min(na - i, nb - j)), i, j))
     return runs
+
+
+def _long_runs(a: str, b: str, min_len: int) -> list[tuple[int, int, int]]:
+    """What _maximal_runs returns, found from a's windows of w = (min_len +
+    1) // 2 characters that start at multiples of w, each run of min_len or
+    more holding one whole: a window of b that matches one lies in a run,
+    which galloping back and forth finds, unless an earlier window found it
+    already."""
+    w = (min_len + 1) // 2
+    na, nb = len(a), len(b)
+    index: dict[str, list[int]] = {}
+    for i in range(0, na - w + 1, w):
+        index.setdefault(a[i : i + w], []).append(i)
+    reached: dict[int, int] = {}  # diagonal i - j -> end in b of the last run found on it
+    runs = []
+    ra, rb = a[::-1], b[::-1]
+    for j in range(nb - w + 1):
+        for i in index.get(b[j : j + w], ()):
+            if reached.get(i - j, -1) > j:
+                continue
+            back = _gallop(ra, rb, na - i, nb - j, 0, min(i, j))
+            length = _gallop(a, b, i, j, w, min(na - i, nb - j))
+            reached[i - j] = j + length
+            if back + length >= min_len:
+                runs.append((-back - length, i - back, j - back))
+    return runs
+
+
+def _free_stretches(s: str, marked: bytearray, min_len: int, sep: str) -> tuple[str, list[int]]:
+    """The unmarked stretches of s of min_len or more, joined by sep, and the
+    offset in s of each character of the join (-1 for sep)."""
+    parts: list[str] = []
+    where: list[int] = []
+    start = marked.find(0)
+    while start >= 0:
+        end = marked.find(1, start)
+        end = len(s) if end < 0 else end
+        if end - start >= min_len:
+            parts.append(s[start:end])
+            where += range(start, end)
+            where.append(-1)
+        start = marked.find(0, end)
+    return sep.join(parts), where
+
+
+_LONG_RUNS = 64  # the shortest run greedy_tiles queues in its first pass
 
 
 def greedy_tiles(a_tokens: tuple[str, ...], b_tokens: tuple[str, ...], min_tile_len: int):
@@ -252,17 +372,42 @@ def greedy_tiles(a_tokens: tuple[str, ...], b_tokens: tuple[str, ...], min_tile_
     Policy: repeatedly take the longest common run of tokens not yet covered
     by a tile (ties broken by smallest position in a, then in b), until no
     run of at least min_tile_len remains.
+
+    Runs wait in a queue ordered by that policy, and every common run still
+    uncovered lies inside a queued one. So a popped run that is still
+    uncovered is the policy's next tile; one that is not is split around
+    the covered tokens, and its clean pieces are queued again. Two passes
+    fill the queue. The first queues the maximal runs of _LONG_RUNS tokens
+    or more, so it holds every uncovered run of that length. When its top
+    falls below _LONG_RUNS, the second queues the maximal common runs of the
+    stretches not yet covered, if both streams still hold one of
+    min_tile_len; otherwise nothing more can tile. After a similar pair's
+    long runs are tiled, those stretches are the few tokens around its
+    edits, so the second pass costs what the edits touched.
     """
     vocab: dict[str, str] = {}
     a = "".join([vocab.setdefault(t, chr(len(vocab))) for t in a_tokens])
     b = "".join([vocab.setdefault(t, chr(len(vocab))) for t in b_tokens])
 
-    heap = _maximal_runs(a, b, min_tile_len)
+    long = max(_LONG_RUNS, min_tile_len)
+    heap = _long_runs(a, b, long)
     heapq.heapify(heap)
+    short_queued = long == min_tile_len
     marked_a = bytearray(len(a))
     marked_b = bytearray(len(b))
     tiles: list[tuple[int, int, int]] = []
-    while heap:
+    while True:
+        if not short_queued and (not heap or -heap[0][0] < long):
+            # Separators that occur in neither stream keep runs inside stretches.
+            free_a, where_a = _free_stretches(a, marked_a, min_tile_len, chr(len(vocab)))
+            free_b, where_b = _free_stretches(b, marked_b, min_tile_len, chr(len(vocab) + 1))
+            if not free_a or not free_b:
+                return tiles
+            heap += [(n, where_a[i], where_b[j]) for n, i, j in _maximal_runs(free_a, free_b, min_tile_len)]
+            heapq.heapify(heap)
+            short_queued = True
+        if not heap:
+            return tiles
         neg_len, i, j = heapq.heappop(heap)
         length = -neg_len
         end_a, end_b = i + length, j + length
@@ -290,7 +435,6 @@ def greedy_tiles(a_tokens: tuple[str, ...], b_tokens: tuple[str, ...], min_tile_
             if e - s >= min_tile_len:
                 heapq.heappush(heap, (s - e, i + s, j + s))
             s = e
-    return tiles
 
 
 def semantic_similarity(a: TokenStream, b: TokenStream, min_tile_len: int) -> float:
@@ -323,14 +467,6 @@ def combined_score(s1: float, s2: float, config: PesoConfig) -> float:
     return config.mu * s1 + config.nu * s2
 
 
-@functools.lru_cache(maxsize=16)
-def _original_stream(original: CodeSample) -> TokenStream:
-    """tokenize(original), kept for the few samples in flight: a sample's
-    original is scored against every candidate of its run. Keyed on the
-    frozen sample, so on its text and language; a LexError is not kept."""
-    return tokenize(original)
-
-
 def score_pair(original: CodeSample, candidate: CodeSample, config: PesoConfig) -> SimilarityScore:
     """Full similarity triple between two samples of the same language."""
     if original.language is not candidate.language:
@@ -338,5 +474,5 @@ def score_pair(original: CodeSample, candidate: CodeSample, config: PesoConfig) 
             f"{original.language.value} vs {candidate.language.value}"
         )
     s1 = surface_similarity(original.text, candidate.text)
-    s2 = semantic_similarity(_original_stream(original), tokenize(candidate), config.min_tile_len)
+    s2 = semantic_similarity(tokenize(original), tokenize(candidate), config.min_tile_len)
     return SimilarityScore(s1=s1, s2=s2, ss=combined_score(s1, s2, config))

@@ -96,6 +96,24 @@ class _Module:
                 names[name].append(None)
         return dict(names)
 
+    @cached_property
+    def multiline_strings(self) -> list[tuple[int, int]]:
+        """The first and last lines of every str, bytes or f-string literal
+        that spans lines."""
+        return [
+            (n.lineno, n.end_lineno)
+            for n in self.nodes
+            if (isinstance(n, ast.JoinedStr) or isinstance(n, ast.Constant) and isinstance(n.value, (str, bytes)))
+            and n.end_lineno > n.lineno
+        ]
+
+    def reindentable(self, *stmts: ast.stmt) -> bool:
+        """No string literal in the statements spans lines: re-indenting
+        their lines would change its value."""
+        return not any(
+            s.lineno <= first and last <= s.end_lineno for s in stmts for first, last in self.multiline_strings
+        )
+
     def source(self, node: ast.AST) -> str:
         start, end = self.span(node)
         return self.text[start:end]
@@ -218,7 +236,8 @@ def variables_rename(m: _Module, rng: random.Random):
     fn, names = pick(options, rng, "no function with safely renameable locals")
     existing = m.identifiers()
     renames = {old: fresh(existing, rng, VAR_WORDS) for old in names}
-    return m.rename(renames, *m.span(fn)), fn.name
+    # From the body on: defaults and annotations read the enclosing scope.
+    return m.rename(renames, m.span(fn.body[0])[0], m.span(fn)[1]), fn.name
 
 
 def _insertion_sites(m: _Module, inside_functions: bool):
@@ -283,7 +302,7 @@ def add_exception(m: _Module, rng: random.Random):
     sites = [
         s
         for s in _insertion_sites(m, inside_functions=True)
-        if not isinstance(s, (ast.Try, ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        if not isinstance(s, (ast.Try, ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)) and m.reindentable(s)
     ]
     stmt = pick(sites, rng, "no statement to wrap in a handler")
     start, end = m.span(stmt)
@@ -294,7 +313,8 @@ def add_exception(m: _Module, rng: random.Random):
 
 
 def statement_wrapping(m: _Module, rng: random.Random):
-    stmt = pick(_insertion_sites(m, inside_functions=False), rng, "no wrappable statement")
+    sites = [s for s in _insertion_sites(m, inside_functions=False) if m.reindentable(s)]
+    stmt = pick(sites, rng, "no wrappable statement")
     has_jump = any(isinstance(n, (ast.Break, ast.Continue)) for n in ast.walk(stmt))
     use_for = not has_jump and rng.random() < 0.5
     start, end = m.span(stmt)
@@ -469,6 +489,7 @@ def div_composed_if(m: _Module, rng: random.Random):
         and n.body[0].lineno > n.lineno
         and n.test.lineno == n.test.end_lineno
         and not any(isinstance(x, ast.NamedExpr) for x in ast.walk(n.test))
+        and m.reindentable(n)
     ]
     node = pick(sites, rng, "no composed if without else")
     start, end = m.span(node)
@@ -495,6 +516,7 @@ def div_if_else(m: _Module, rng: random.Random):
         and len(n.orelse) == 1
         and isinstance(n.orelse[0], ast.If)
         and m.starts_with(n.orelse[0], "elif")
+        and m.reindentable(n.orelse[0])
     ]
     node = pick(sites, rng, "no elif chain")
     elif_node = node.orelse[0]
@@ -519,6 +541,7 @@ def if_continue_to_if_else(m: _Module, rng: random.Random):
                 and idx + 1 < len(block)
                 and m.own_line(stmt)
                 and m.own_line(block[idx + 1])
+                and m.reindentable(*block[idx + 1 :])
             ):
                 sites.append((stmt, block[idx + 1 :]))
     stmt, rest = pick(sites, rng, "no if-continue followed by statements")

@@ -7,7 +7,7 @@ import pytest
 
 from codeperturb.core import Language
 from codeperturb.errors import LexError
-from codeperturb.lexing import TokenKind, check_balance, lex, normalize_token
+from codeperturb.lexing import TokenKind, check_balance, lex, normalize_token, reuse_bound, scan
 
 
 def kinds(text, lang):
@@ -190,3 +190,44 @@ def test_lex_output_is_frozen():
                 out = (str(err), err.offset)
             digest.update(repr(out).encode())
     assert digest.hexdigest() == LEX_OUTPUT_DIGEST
+
+
+def _fixture_texts():
+    fixtures = Path(__file__).parent / "fixtures"
+    manifest = json.loads((fixtures / "manifest.json").read_text())
+    return [(fixtures / r["path"]).read_text() for r in manifest["programs"]]
+
+
+# What may follow a cut: literal closers and openers, raw-string hashes.
+_CONTINUATIONS = ["", '"a"', '#"a"#', '###"a"###', "'", "'''", '"""', "1", "e5", "x", "=", "\n", "*/"]
+
+
+@pytest.mark.parametrize("language", list(Language))
+def test_a_token_within_the_reuse_bound_lexes_alike_whatever_follows(language):
+    """The two facts incremental tokenizing rests on: a lexer step reads
+    nothing before its position, and a step that returns a token ending at
+    e reads nothing past e + 2, save Rust's raw-string opener. So a token
+    lexes alike from its start, in a text cut at any head whose reuse_bound
+    it ends within, whatever follows the cut."""
+    steps = 0
+    texts = _fixture_texts() + _hazard_texts(count=1500) + ["let s = r###x;\n", "r##\n", "x = r#y"]
+    for text in texts:
+        tokens = scan(text, language)
+        while True:
+            try:
+                kind, start, end = next(tokens)
+            except (StopIteration, LexError):
+                break
+            steps += 1
+            head = next((h for h in range(end, len(text) + 1) if reuse_bound(text, h, language) >= end), None)
+            for tail in _CONTINUATIONS if head is not None else ():
+                cut = text[start:head] + tail
+                assert next(scan(cut, language)) == (kind, 0, end - start), (cut, text)
+    assert steps > 4000
+
+
+def test_lex_is_scan_with_token_texts():
+    text = "def f(x):\n    return x.y + 1.5  # c\n"
+    assert [(t.kind, t.start, t.end) for t in lex(text, Language.PYTHON)] == list(scan(text, Language.PYTHON))
+    assert [t.text for t in lex(text, Language.PYTHON)][-3:] == ["y", "+", "1.5"]
+    assert list(scan(text, Language.PYTHON, text.index("return"))) == list(scan(text, Language.PYTHON))[6:]

@@ -401,8 +401,9 @@ def _every_other_rejected(config):
 
 @pytest.mark.parametrize("rejecting", [False, True])
 def test_peso_run_parses_each_python_text_once(monkeypatch, rejecting):
-    """Each distinct text is parsed once and lexed at most once (by the
-    similarity score, which reads only verified candidates)."""
+    """Each distinct text is parsed once and scanned by the lexer at most
+    once (by the similarity score, which reads only verified candidates),
+    and a candidate's scan covers only around its edit."""
     import builtins
     import sys
 
@@ -411,9 +412,9 @@ def test_peso_run_parses_each_python_text_once(monkeypatch, rejecting):
 
     text = _renamed_copies(2000)
     python_view.cache_clear()
-    similarity._original_stream.cache_clear()
-    parses, lexes = Counter(), Counter()
-    real_compile, real_lex = builtins.compile, lexing.lex
+    similarity._tokenized.clear()
+    parses, scans, scanned = Counter(), Counter(), Counter()
+    real_compile, real_scan = builtins.compile, lexing.scan
 
     def counting_compile(source, *args, **kwargs):
         # ast.parse compiles its str source too, so this counts every parse.
@@ -422,14 +423,16 @@ def test_peso_run_parses_each_python_text_once(monkeypatch, rejecting):
             assert python_view.cache_info().currsize <= PYTHON_VIEWS
         return real_compile(source, *args, **kwargs)
 
-    def counting_lex(source, language):
-        lexes[source] += 1
-        return real_lex(source, language)
+    def counting_scan(source, language, pos=0):
+        scans[source] += 1
+        for token in real_scan(source, language, pos):
+            scanned[source] += 1
+            yield token
 
     monkeypatch.setattr(builtins, "compile", counting_compile)
     for name, module in list(sys.modules.items()):
-        if name.startswith("codeperturb") and getattr(module, "lex", None) is real_lex:
-            monkeypatch.setattr(module, "lex", counting_lex)
+        if name.startswith("codeperturb") and getattr(module, "scan", None) is real_scan:
+            monkeypatch.setattr(module, "scan", counting_scan)
     config = PesoConfig(rng_seed=3, max_iter=3)
     result = run(sample(text, sid="large.py"), RuleEngine(CATALOG), CATALOG, config,
                  lambda o, c: verify(o, c, VerifyPolicy()), _every_other_rejected(config) if rejecting else None)
@@ -439,6 +442,9 @@ def test_peso_run_parses_each_python_text_once(monkeypatch, rejecting):
     assert rejecting == any(not r.accepted for r in verified)
     assert text in parses and result.final.text in parses
     assert {t: n for t, n in parses.items() if n > 1} == {}
-    assert text in lexes and result.final.text in lexes
-    assert {t: n for t, n in lexes.items() if n > 1} == {}
+    assert text in scans and result.final.text in scans
+    assert {t: n for t, n in scans.items() if n > 1} == {}
+    size = {t: len(lexing.lex(t, Language.PYTHON)) for t in scans}
+    assert scanned[text] == size[text]
+    assert {t: (n, size[t]) for t, n in scanned.items() if t != text and 4 * n >= size[t]} == {}
     assert python_view.cache_info().maxsize == PYTHON_VIEWS

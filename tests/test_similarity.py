@@ -12,7 +12,8 @@ from hypothesis import strategies as st
 import codeperturb
 from codeperturb import similarity
 from codeperturb.core import CodeSample, Language, PesoConfig, build_catalog
-from codeperturb.errors import EmptyStream, LanguageMismatch, LexError
+from codeperturb.errors import EmptyStream, LanguageMismatch, LexError, NotApplicable
+from codeperturb.lexing import lex, normalize_token
 from codeperturb.peso import run
 from codeperturb.similarity import (
     TokenStream,
@@ -259,6 +260,95 @@ def test_tokenize_lex_error():
         tokenize(sample('x = "oops'))
 
 
+def _full_stream(text, language):
+    try:
+        return tuple(normalize_token(t) for t in lex(text, language))
+    except LexError as err:
+        return str(err)
+
+
+def _incremental_stream(text, language):
+    try:
+        tokens = tokenize(sample(text, language)).tokens
+    except LexError as err:
+        return str(err)
+    assert list(similarity._tokenized[(language, text)][0]) == [t.start for t in lex(text, language)]
+    return tokens
+
+
+# Quotes, openers, comment markers, escapes, line ends and number edges.
+_EDITS = ['"', "'", '"""', "'''", "`", "#", "//", "/*", "*/", "\\", "\r", "\t", "\n", " ", "1", "1e+",
+          "0x", ".", "r", 'b"', "f", 'r#"', "'a", "x", "_", "<<", "=", "{", "}", ""]
+
+
+@pytest.mark.parametrize("language", list(Language))
+def test_tokenize_matches_a_full_lex_after_random_edits(language):
+    texts = [s.text for s, _ in load_fixture_corpus()]
+    rng = random.Random(f"edits:{language.value}")
+    for _ in range(25):
+        similarity._tokenized.clear()
+        text = rng.choice(texts)
+        for _ in range(12):
+            i = rng.randrange(len(text) + 1)
+            text = text[:i] + rng.choice(_EDITS) + text[i + rng.choice([0, 0, 1, 2, 4]) :]
+            assert _incremental_stream(text, language) == _full_stream(text, language), text
+
+
+@pytest.mark.parametrize("language", [Language.PYTHON, Language.C_CPP])
+def test_tokenize_matches_a_full_lex_along_rule_chains(language):
+    from codeperturb.transform import RULES
+
+    rules = RULES[language]
+    rewrites = 0
+    for original, _ in load_fixture_corpus(languages={language}):
+        similarity._tokenized.clear()
+        text = original.text
+        assert _incremental_stream(text, language) == _full_stream(text, language)
+        rng = random.Random(original.id)
+        for _ in range(6):
+            try:
+                text, _ = rules[rng.choice(sorted(rules))](text, rng)
+            except NotApplicable:
+                continue
+            assert _incremental_stream(text, language) == _full_stream(text, language), original.id
+            rewrites += 1
+    assert rewrites >= 20
+
+
+@pytest.mark.parametrize("language, before, after", [
+    (Language.PYTHON, "x = 1e+y\n", "x = 1e+5\n"),  # the token 1e reads a character past its end
+    (Language.PYTHON, "x = 1e+5\n", "x = 1e+y\n"),
+    (Language.PYTHON, "x = 1 .y\n", "x = 1.y\n"),
+    (Language.PYTHON, "s = 'a' + 'b'\n", "s = 'a' '+ 'b'\n"),
+    (Language.RUST_LANG, "let s = r###x;\n", "let s = r###\"a\"###;\n"),  # r reads its run of #
+    (Language.RUST_LANG, "let s = r###\"a\"###;\n", "let s = r###x;\n"),
+])
+def test_tokenize_relexes_a_token_whose_lookahead_an_edit_reaches(language, before, after):
+    similarity._tokenized.clear()
+    assert _incremental_stream(before, language) == _full_stream(before, language)
+    assert _incremental_stream(after, language) == _full_stream(after, language)
+
+
+def test_tokenize_rescans_only_around_an_edit(monkeypatch):
+    text = "".join(f"def f{k}(a):\n    return a + {k}\n\n" for k in range(200))
+    similarity._tokenized.clear()
+    tokenize(sample(text))
+    scanned = []
+    real_scan = similarity.scan
+
+    def counting_scan(text, language, pos=0):
+        for token in real_scan(text, language, pos):
+            scanned.append(token)
+            yield token
+
+    monkeypatch.setattr(similarity, "scan", counting_scan)
+    edited = text.replace("return a + 100\n", "return (a) + 100\n")
+    assert tokenize(sample(edited)).tokens == _full_stream(edited, Language.PYTHON)
+    assert 0 < len(scanned) < 10
+    assert tokenize(sample(text)).tokens == _full_stream(text, Language.PYTHON)  # kept: no scan
+    assert len(scanned) < 10
+
+
 # ---------------------------------------------------------------------------
 # Semantic similarity
 # ---------------------------------------------------------------------------
@@ -342,6 +432,34 @@ def repeat_heavy_pairs(draw):
 def test_greedy_tiles_match_brute_force_tiles(pair, min_len):
     a, b = pair
     assert greedy_tiles(a, b, min_len) == brute_force_tiles(a, b, min_len)
+
+
+def test_both_tiling_passes_match_brute_force_tiles(monkeypatch):
+    """With the first pass's floor forced small, pairs reach the second pass
+    and its skip, and the tiles stay the oracle's."""
+    monkeypatch.setattr(similarity, "_LONG_RUNS", 6)
+    second, skipped = [], []
+    real_runs, real_free = similarity._maximal_runs, similarity._free_stretches
+    monkeypatch.setattr(similarity, "_maximal_runs", lambda *args: second.append(1) or real_runs(*args))
+
+    def free(*args):
+        found = real_free(*args)
+        skipped.append(not found[0])
+        return found
+
+    monkeypatch.setattr(similarity, "_free_stretches", free)
+    rng = random.Random(3)
+    for _ in range(400):
+        alphabet = ("ID", "=", "(", "INT")[: rng.randint(1, 4)]
+        motif = [rng.choice(alphabet) for _ in range(rng.randint(1, 12))]
+        a = motif * rng.randint(0, 8)
+        b = list(a) if rng.random() < 0.6 else motif * rng.randint(0, 8)
+        for _ in range(rng.randint(0, 4)):
+            if b:
+                b[rng.randrange(len(b))] = rng.choice(alphabet)
+        min_len = rng.randint(1, 8)
+        assert greedy_tiles(tuple(a), tuple(b), min_len) == brute_force_tiles(tuple(a), tuple(b), min_len)
+    assert len(second) > 50 and sum(skipped) > 50
 
 
 def test_greedy_tiles_on_a_repetitive_1k_pair():
@@ -453,8 +571,8 @@ def test_peso_run_lexes_the_original_once_for_scoring(monkeypatch):
     # A text no other test scores, so that no earlier call has cached it.
     original = sample(fixture.text + "# lexed once for scoring\n", sid=fixture.id)
     lexed = []
-    real_lex = similarity.lex
-    monkeypatch.setattr(similarity, "lex", lambda text, language: lexed.append(text) or real_lex(text, language))
+    real_scan = similarity.scan
+    monkeypatch.setattr(similarity, "scan", lambda text, language, pos=0: lexed.append(text) or real_scan(text, language, pos))
     catalog = build_catalog()
     result = run(original, RuleEngine(catalog), catalog, PesoConfig(rng_seed=11, max_iter=3),
                  lambda o, c: verify(o, c, VerifyPolicy()))
@@ -466,8 +584,8 @@ def test_peso_run_lexes_the_original_once_for_scoring(monkeypatch):
 
 def test_an_unlexable_original_fails_on_every_call(monkeypatch):
     lexed = []
-    real_lex = similarity.lex
-    monkeypatch.setattr(similarity, "lex", lambda text, language: lexed.append(text) or real_lex(text, language))
+    real_scan = similarity.scan
+    monkeypatch.setattr(similarity, "scan", lambda text, language, pos=0: lexed.append(text) or real_scan(text, language, pos))
     bad = sample('x = "never closed')
     for _ in range(2):
         with pytest.raises(LexError):

@@ -528,14 +528,100 @@ print(tally([1, 2]))
 """
 
 
+# Defaults and annotations are read in the scope that encloses the def.
+DEFAULT_SRC = """limit = 3
+
+
+def f(n=limit):
+    limit = n + 1
+    return limit
+
+
+print(f())
+"""
+
+ANNOTATION_SRC = """kind = int
+
+
+def f(n: kind = 2) -> kind:
+    kind = n * 2
+    return kind
+
+
+print(f(), f.__annotations__)
+"""
+
+
 @pytest.mark.parametrize(
     "mid,text",
     [("variables_rename", FSTRING_LOCAL_SRC), ("function_rename", FSTRING_CALL_SRC),
-     ("variables_rename", NESTED_GLOBAL_SRC), ("variables_rename", NESTED_CLASS_SRC)],
-    ids=["fstring-local", "fstring-call", "nested-assignment-of-a-global", "nested-class-attribute"],
+     ("variables_rename", NESTED_GLOBAL_SRC), ("variables_rename", NESTED_CLASS_SRC),
+     ("variables_rename", DEFAULT_SRC), ("variables_rename", ANNOTATION_SRC)],
+    ids=["fstring-local", "fstring-call", "nested-assignment-of-a-global", "nested-class-attribute",
+         "default", "annotation"],
 )
 def test_renames_keep_what_the_program_prints(mid, text, tmp_path):
     assert _outputs_that_run_differently(mid, text, range(20), tmp_path) == []
+
+
+# Re-indenting the lines of a statement would change the value of a string
+# literal that spans them; each text also holds a site without one.
+MULTILINE_STRING_SRC = {
+    "add_exception": 'def f():\n    s = """a\nb"""\n    return s\n\n\nprint(repr(f()))\n',
+    "statement_wrapping": 'def f():\n    s = """a\nb"""\n    return s\n\n\nprint(repr(f()))\n',
+    "div_composed_if": """def f(x):
+    out = b""
+    if x > 0 and x < 5:
+        out = b\"\"\"low
+band\"\"\"
+    if x > 1 and x < 9:
+        out += b"!"
+    return out
+
+
+print(repr(f(3)))
+""",
+    "div_if_else": """def f(x):
+    if x > 5:
+        return "big"
+    elif x > 2:
+        return f\"\"\"mid
+{x}\"\"\"
+    return "small"
+
+
+def g(x):
+    if x > 5:
+        return 1
+    elif x > 2:
+        return 2
+    return 3
+
+
+print(repr(f(3)), g(3))
+""",
+    "if_continue_to_if_else": """def f(values):
+    out = []
+    for v in values:
+        if v < 0:
+            continue
+        out.append(\"\"\"item
+%d\"\"\" % v)
+    for v in values:
+        if v > 5:
+            continue
+        out.append(v)
+    return out
+
+
+print(repr(f([-1, 2, 7])))
+""",
+}
+
+
+@pytest.mark.parametrize("mid", sorted(MULTILINE_STRING_SRC))
+def test_rules_that_reindent_code_keep_multi_line_strings(mid, tmp_path):
+    assert _outputs_that_run_differently(mid, MULTILINE_STRING_SRC[mid], range(10), tmp_path) == []
 
 
 def test_a_name_an_fstring_prints_with_its_value_is_never_renamed(tmp_path):

@@ -1,4 +1,5 @@
 import argparse
+import ast
 import itertools
 import subprocess
 import sys
@@ -7,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from codeperturb.analysis import find_functions
+from codeperturb.analysis import find_functions, walk
 from codeperturb.cli import _verifier_for
 from codeperturb.core import CodeSample, EquivalenceSpec, Language, Origin, PesoConfig, build_catalog
 from codeperturb.errors import ConfigError, OriginalUnrunnable, ParseError, RunnerFailure, ToolchainUnavailable
@@ -357,3 +358,12 @@ def test_cli_verifier_compiles_each_text_once_and_runs_the_original_once_per_inp
     assert original_runs == Counter(spec.input_suite)
     # The one check run of the first input on a server with another hash seed.
     assert reran == [(original.text, spec.input_suite[0])]
+
+
+def test_walk_lists_every_node_in_ast_walk_order(fixture_corpus):
+    for sample, _ in fixture_corpus:
+        if sample.language is Language.PYTHON:
+            tree = ast.parse(sample.text)
+            assert walk(tree) == list(ast.walk(tree)), sample.id
+    expr = ast.parse("f(a, *b, k=[c, d][0])", mode="eval")
+    assert walk(expr) == list(ast.walk(expr))
