@@ -26,9 +26,18 @@ tiling (Wise 1993): every window of min_tile_len tokens of one stream is
 indexed by its exact contents, each matching window of the other stream
 that starts a run (it is at the start of either stream, or the tokens just
 before differ) is extended to its full length, and the runs are then tiled
-longest-first. score_pair keeps the original's token stream in a small
-bounded cache, so a sample's original is tokenized once, not once per
-candidate.
+longest-first. Long runs are searched before short ones, as Running-Karp-
+Rabin greedy string tiling does: a first pass finds the runs of
+_LONG_RUNS tokens or more from a sparse index of one stream, and only the
+stretches those tiles leave uncovered are searched for shorter runs. A
+candidate that differs from its original by a few local edits is tiled by
+a few long runs, so the second pass sees only the tokens around the edits.
+
+tokenize keeps the streams of the last few texts, and lexes a new text only
+around where it differs from the closest kept one (Wagner and Graham 1998,
+"Efficient and flexible incremental parsing", re-scan only the damaged
+region): a candidate is one local rewrite of a text already scored, so it
+costs what its edit touched, and a sample's original is lexed once.
 
 The combined score is the weighted mean of the two.
 """
@@ -373,17 +382,18 @@ def greedy_tiles(a_tokens: tuple[str, ...], b_tokens: tuple[str, ...], min_tile_
     by a tile (ties broken by smallest position in a, then in b), until no
     run of at least min_tile_len remains.
 
-    Runs wait in a queue ordered by that policy, and every common run still
-    uncovered lies inside a queued one. So a popped run that is still
-    uncovered is the policy's next tile; one that is not is split around
-    the covered tokens, and its clean pieces are queued again. Two passes
-    fill the queue. The first queues the maximal runs of _LONG_RUNS tokens
-    or more, so it holds every uncovered run of that length. When its top
-    falls below _LONG_RUNS, the second queues the maximal common runs of the
-    stretches not yet covered, if both streams still hold one of
-    min_tile_len; otherwise nothing more can tile. After a similar pair's
-    long runs are tiled, those stretches are the few tokens around its
-    edits, so the second pass costs what the edits touched.
+    Runs wait in a queue ordered by that policy. While every uncovered
+    common run that could be the next tile lies inside a queued run, a
+    popped run that is still uncovered is the policy's next tile; one that
+    is not is split around the covered tokens, and its clean pieces are
+    queued again. Two passes fill the queue. The first queues the maximal
+    runs of _LONG_RUNS tokens or more, which covers every run of that
+    length. Once the queue's top falls below _LONG_RUNS, the next tile may
+    be shorter, and the second pass queues the maximal common runs of the
+    stretches still uncovered, if both streams hold one of min_tile_len;
+    otherwise nothing more can tile. After a similar pair's long runs are
+    tiled, those stretches are the few tokens around its edits, so the
+    second pass costs what the edits touched.
     """
     vocab: dict[str, str] = {}
     a = "".join([vocab.setdefault(t, chr(len(vocab))) for t in a_tokens])

@@ -401,19 +401,25 @@ def _many_functions_src(n):
 
 
 def test_each_python_rewrite_walks_the_module_at_most_three_times_and_never_lexes(monkeypatch):
+    from codeperturb import analysis
+
     walks, lexes = [], []
     real_walk, real_lex = ast.walk, lexing.lex
 
-    def counting_walk(node):
-        if isinstance(node, ast.Module):
-            walks.append(node)
-        return real_walk(node)
+    def counting(walk):
+        def counting_walk(node):
+            if isinstance(node, ast.Module):
+                walks.append(node)
+            return walk(node)
+
+        return counting_walk
 
     def counting_lex(text, language):
         lexes.append(language)
         return real_lex(text, language)
 
-    monkeypatch.setattr(ast, "walk", counting_walk)
+    monkeypatch.setattr(ast, "walk", counting(real_walk))
+    monkeypatch.setattr(analysis, "walk", counting(analysis.walk))
     for name, mod in list(sys.modules.items()):
         if name.startswith("codeperturb") and getattr(mod, "lex", None) is real_lex:
             monkeypatch.setattr(mod, "lex", counting_lex)
