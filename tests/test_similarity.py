@@ -349,6 +349,49 @@ def test_tokenize_rescans_only_around_an_edit(monkeypatch):
     assert len(scanned) < 10
 
 
+def test_threads_sharing_the_kept_streams_tokenize_as_a_full_lex_does():
+    import threading
+
+    rng = random.Random(5)
+    chains = []
+    for original, _ in load_fixture_corpus(languages={Language.PYTHON})[:6]:
+        chain = [original.text]
+        for _ in range(40):
+            text = chain[-1]
+            i = rng.randrange(len(text) + 1)
+            chain.append(text[:i] + rng.choice(["x", " ", "1", "+", "'", "#"]) + text[i:])
+        chains.append(chain)
+    expected = {text: _full_stream(text, Language.PYTHON) for chain in chains for text in chain}
+    similarity._tokenized.clear()
+    found, errors = [], []
+
+    def worker(chain):
+        try:
+            for text in chain:
+                try:
+                    found.append((text, tokenize(sample(text)).tokens))
+                except LexError as err:
+                    found.append((text, str(err)))
+        except Exception as exc:  # reported by the assertion below
+            errors.append(repr(exc))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=worker, args=(chain,)) for chain in chains]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []
+    assert len(found) == sum(map(len, chains))
+    assert [text for text, result in found if result != expected[text]] == []
+    assert len(similarity._tokenized) <= similarity._TOKENIZED
+
+
 # ---------------------------------------------------------------------------
 # Semantic similarity
 # ---------------------------------------------------------------------------
