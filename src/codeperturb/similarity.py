@@ -123,11 +123,8 @@ def _relex(text: str, language: Language, bases: list[tuple[str, array, tuple[st
         ((*_common_affixes(old, text), old, starts, tokens) for old, starts, tokens in bases),
         key=lambda base: base[0] + base[1], default=(0, 0, "", array("q"), ()),
     )
-    k = bisect_right(old_starts, reuse_bound(old, head, language)) - 1
-    if k < 0:
-        k, pos = 0, 0
-    else:
-        pos = old_starts[k]
+    k = max(bisect_right(old_starts, reuse_bound(old, head, language)) - 1, 0)
+    pos = old_starts[k] if k else 0
     starts, tokens = old_starts[:k], list(old_tokens[:k])
     delta, suffix = len(text) - len(old), len(text) - tail
     normal = NORMAL_BY_KIND.get
