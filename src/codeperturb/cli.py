@@ -59,6 +59,13 @@ from .transform.llm import HttpTransport, LlmConfig, LlmEngine, ReplayTransport
 from .verify import ProgramRunner, ServerPool, VerifyPolicy, default_toolchains, verify
 
 
+def _usable_cpus() -> int:
+    """The CPUs this process may run on, which can be fewer than the host's."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise ConfigError(message)
@@ -93,9 +100,9 @@ def build_parser() -> _Parser:
         p.add_argument(
             "--jobs",
             type=int,
-            default=os.cpu_count() or 1,
-            help="worker threads, each running one sample at a time; outputs do not depend on it"
-            " (default: the number of CPUs)",
+            default=_usable_cpus(),
+            help="worker processes, each running one sample at a time; outputs do not depend on it"
+            " (default: the number of CPUs this process may run on)",
         )
 
     p = sub.add_parser("perturb", help="apply one method once per sample")
@@ -233,18 +240,52 @@ def _write_manifest(out: Path, command: str, config: PesoConfig, rest: dict, dig
     (out / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
 
+# In a pool worker: runs one sample, given its index in the corpus.
+_worker_job = None
+
+
+def _start_worker(job, servers: ServerPool) -> None:
+    """Pool initializer. The fork start method hands `job` over without
+    pickling it; the worker's copy of `servers` is stopped, and its fork
+    servers reaped, before the worker exits."""
+    global _worker_job
+    from multiprocessing.util import Finalize
+
+    _worker_job = job
+    Finalize(None, servers.stop, exitpriority=0)
+
+
+def _run_in_worker(index: int):
+    return _worker_job(index)
+
+
+def _settled(fn, *args) -> concurrent.futures.Future:
+    """A future that holds fn(*args), or the exception it raised."""
+    future = concurrent.futures.Future()
+    try:
+        future.set_result(fn(*args))
+    except Exception as exc:
+        future.set_exception(exc)
+    return future
+
+
 def _each_sample(args, samples, work) -> list[concurrent.futures.Future]:
-    """Run `work(sample, verifier)` for every (sample, spec) of `samples` on
-    --jobs threads, and return the futures in corpus order once all are
-    done. A ConfigError for any sample is raised before any work starts.
-    The samples share one ServerPool and one toolchain lookup; each
-    sample's runner is closed when its work ends, and the servers when the
-    last one has."""
+    """Run `work(sample, verifier)` for every (sample, spec) of `samples`,
+    and return the futures in corpus order once all are done. A ConfigError
+    for any sample is raised before any work starts. With --jobs above 1
+    and more than one sample, min(--jobs, samples) worker processes take the
+    samples, largest text first. They are forked from this process, which
+    must run no other thread (the CLI starts none); the closures stay in
+    the workers, and only indices and results (or errors) are pickled.
+    Otherwise the samples run one by one on the calling thread. Each
+    sample's runner is closed when its work ends, and each process's fork
+    servers when it has run its last sample."""
     toolchains = default_toolchains()
     specs = [_oracle_spec(args, sample, spec, toolchains) for sample, spec in samples]
     servers = ServerPool()
 
-    def one(sample, spec):
+    def one(index):
+        (sample, _), spec = samples[index], specs[index]
         verifier, runner = _verifier_for(args, sample, spec, toolchains, servers)
         try:
             return work(sample, verifier)
@@ -252,11 +293,21 @@ def _each_sample(args, samples, work) -> list[concurrent.futures.Future]:
             if runner:
                 runner.close()
 
-    try:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=max(1, args.jobs)) as pool:
-            return [pool.submit(one, sample, spec) for (sample, _), spec in zip(samples, specs)]
-    finally:
-        servers.stop()
+    workers = min(args.jobs, len(samples))
+    if workers <= 1:
+        try:
+            return [_settled(one, index) for index in range(len(samples))]
+        finally:
+            servers.stop()
+    import multiprocessing
+    from concurrent.futures.process import ProcessPoolExecutor
+
+    largest_first = sorted(range(len(samples)), key=lambda index: -len(samples[index][0].text))
+    with ProcessPoolExecutor(
+        workers, multiprocessing.get_context("fork"), initializer=_start_worker, initargs=(one, servers)
+    ) as pool:
+        futures = {index: pool.submit(_run_in_worker, index) for index in largest_first}
+    return [futures[index] for index in range(len(samples))]
 
 
 def _run_over_corpus(args, optimizer) -> int:

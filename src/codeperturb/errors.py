@@ -2,9 +2,20 @@
 
 from __future__ import annotations
 
+import copyreg
+
 
 class CodePerturbError(Exception):
-    """Base class for all toolkit errors."""
+    """Base class for all toolkit errors.
+
+    An error pickles with its type, message and attributes (``offset``,
+    ``raw``, ``partial_trace``, ...) and unpickles without calling
+    ``__init__`` again, so that every subclass crosses a process boundary
+    whatever its ``__init__`` takes.
+    """
+
+    def __reduce__(self):
+        return copyreg.__newobj__, (type(self), *self.args), self.__dict__
 
 
 class ConfigError(CodePerturbError):

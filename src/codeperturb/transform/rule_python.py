@@ -126,6 +126,12 @@ class _Module:
         """The statement starts its line (nothing but whitespace before it)."""
         return self.indent(node).strip() == ""
 
+    def ends_line(self, node: ast.stmt) -> bool:
+        """Nothing but a comment follows the statement on its last line, so
+        no `; statement` is carried along when its lines are moved."""
+        rest = self.text[self.span(node)[1] : self.offsets[node.end_lineno]].strip()
+        return not rest or rest.startswith("#")
+
     def starts_with(self, node: ast.stmt, word: str) -> bool:
         return self.text.startswith(word, self.span(node)[0])
 
@@ -241,14 +247,15 @@ def variables_rename(m: _Module, rng: random.Random):
 
 
 def _insertion_sites(m: _Module, inside_functions: bool):
-    """Statements one can insert a new line before."""
+    """Statements that fill their lines: one can insert a new line before
+    them or re-indent them into a new block."""
     sites = []
     fn_ranges = [(f.lineno, f.end_lineno) for f in m.functions]
     for block in _blocks(m):
         for stmt in block:
             if _is_docstring(block, stmt):
                 continue
-            if not m.own_line(stmt):
+            if not (m.own_line(stmt) and m.ends_line(stmt)):
                 continue
             if getattr(stmt, "decorator_list", None):
                 continue

@@ -1,23 +1,27 @@
 import hashlib
 import json
+import multiprocessing
+import os
+import pickle
 import subprocess
 import sys
 import tempfile
-import threading
 import time
 import warnings
 from pathlib import Path
 
 import pytest
 
-from codeperturb import cli
+from codeperturb import cli, errors
 from codeperturb.cli import main
 from codeperturb.corpusio import read_jsonl
 from codeperturb.errors import EngineFailure
 from codeperturb.verify import ForkServer, Toolchain
 
 from .conftest import load_fixture_corpus, write_corpus_jsonl
-from codeperturb.core import CodeSample, EquivalenceSpec, Language
+from codeperturb.core import CodeSample, EquivalenceSpec, Language, MethodCategory
+from codeperturb.peso import IterationRecord
+from codeperturb.similarity import SimilarityScore
 
 
 @pytest.fixture
@@ -130,32 +134,47 @@ def test_perturb_output_does_not_depend_on_jobs(tmp_path, capsys):
 
 
 def test_perturb_runs_samples_concurrently(tmp_path, monkeypatch, capsys):
-    # Each sample waits for the other, so the command finishes only when
-    # two samples are in flight at once.
-    barrier = threading.Barrier(2, timeout=10)
+    # Samples start in pairs, each waiting for the other, so the command
+    # finishes only when two samples are in flight at once. The forked
+    # workers share the barrier and write down each sample as it starts.
+    barrier = multiprocessing.get_context("fork").Barrier(2, timeout=10)
+    started = tmp_path / "started"
     real_perturb = cli.perturb
 
-    def waiting_perturb(*args):
+    def waiting_perturb(engine, sample, *rest):
+        with started.open("a") as fh:
+            fh.write(sample.id + "\n")
         barrier.wait()
-        return real_perturb(*args)
+        return real_perturb(engine, sample, *rest)
 
     monkeypatch.setattr(cli, "perturb", waiting_perturb)
-    path = tmp_path / "two.jsonl"
-    write_corpus_jsonl(path, load_fixture_corpus(languages={Language.PYTHON})[:2])
+    corpus = sorted(load_fixture_corpus(languages={Language.PYTHON})[:4], key=lambda item: len(item[0].text))
+    path = tmp_path / "four.jsonl"
+    write_corpus_jsonl(path, corpus)
     code = run_cli(
         "perturb", "--method", "modify_operations", "--corpus", path, "--engine", "rule",
         "--seed", "1", "--jobs", "2", "--output-dir", tmp_path / "out",
     )
     assert code == 0
-    assert len(read_jsonl(tmp_path / "out" / "outcomes.jsonl")) == 2
+    assert [r["sample_id"] for r in read_jsonl(tmp_path / "out" / "outcomes.jsonl")] == [s.id for s, _ in corpus]
+    # The two largest texts, last in the corpus, are handed out first.
+    assert set(started.read_text().split()[:2]) == {s.id for s, _ in corpus[2:]}
+
+
+def test_jobs_default_to_the_cpus_this_process_may_run_on(monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    args = cli.build_parser().parse_args(["perturb", "--corpus", "c.jsonl", "--method", "m"])
+    assert args.jobs == 1
 
 
 def test_perturb_exec_without_an_input_suite_is_a_config_error(tmp_path, monkeypatch, capsys):
     # The bare sample comes last, yet no sample is perturbed: the check
-    # runs over the whole corpus before any work starts.
-    perturbed = []
+    # runs over the whole corpus before any work starts. A worker process
+    # would leave the marker file behind.
+    perturbed = tmp_path / "perturbed"
     real_perturb = cli.perturb
-    monkeypatch.setattr(cli, "perturb", lambda *a: perturbed.append(a[1].id) or real_perturb(*a))
+    monkeypatch.setattr(cli, "perturb", lambda *a: perturbed.touch() or real_perturb(*a))
     path = tmp_path / "corpus.jsonl"
     corpus = load_fixture_corpus(languages={Language.PYTHON})[:2]
     write_corpus_jsonl(path, corpus + [(make_sample("bare.py", "def f(x):\n    return x + 1\n"), None)])
@@ -167,7 +186,7 @@ def test_perturb_exec_without_an_input_suite_is_a_config_error(tmp_path, monkeyp
     assert code == 1
     assert "--equivalence exec needs an input_suite" in capsys.readouterr().err
     assert not (out / "outcomes.jsonl").exists()
-    assert perturbed == []
+    assert not perturbed.exists()
 
 
 def test_llm_engine_without_endpoint_is_config_error(small_corpus, tmp_path, capsys):
@@ -256,7 +275,7 @@ def test_usage_error_exits_one(capsys):
     assert run_cli("peso-run") == 1
 
 
-def test_peso_run_removes_its_scratch_directories(tmp_path, monkeypatch, capsys):
+def _collatz_corpus(tmp_path):
     corpus = [
         item for item in load_fixture_corpus() if item[0].id in ("collatz.c", "collatz.py")
     ]
@@ -265,6 +284,11 @@ def test_peso_run_removes_its_scratch_directories(tmp_path, monkeypatch, capsys)
     write_corpus_jsonl(path, corpus)
     scratch = tmp_path / "tmp"
     scratch.mkdir()
+    return path, scratch
+
+
+def test_peso_run_removes_its_scratch_directories(tmp_path, monkeypatch, capsys):
+    path, scratch = _collatz_corpus(tmp_path)
     monkeypatch.setattr(tempfile, "tempdir", str(scratch))
     servers = []
     real_init = ForkServer.__init__
@@ -275,7 +299,7 @@ def test_peso_run_removes_its_scratch_directories(tmp_path, monkeypatch, capsys)
         warnings.simplefilter("always")
         code = run_cli(
             "peso-run", "--corpus", path, "--engine", "rule", "--seed", "2", "--max-iter", "2",
-            "--equivalence", "exec", "--output-dir", tmp_path / "out",
+            "--equivalence", "exec", "--jobs", "1", "--output-dir", tmp_path / "out",
         )
     assert code == 0
     summaries = read_jsonl(tmp_path / "out" / "summary.jsonl")
@@ -284,6 +308,36 @@ def test_peso_run_removes_its_scratch_directories(tmp_path, monkeypatch, capsys)
     assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
     # Every fork server the command started has exited and been reaped.
     assert servers and all(s.proc.returncode is not None for s in servers)
+
+
+def test_worker_processes_remove_their_scratch_directories_and_servers(tmp_path, monkeypatch, capsys):
+    path, scratch = _collatz_corpus(tmp_path)
+    monkeypatch.setattr(tempfile, "tempdir", str(scratch))
+    # The workers inherit this wrapper and write down, for every fork server
+    # they start, its pid and their own.
+    pids = tmp_path / "pids"
+    real_init = ForkServer.__init__
+
+    def recording_init(self, *args):
+        real_init(self, *args)
+        with pids.open("a") as fh:
+            fh.write(f"{self.proc.pid} {os.getpid()}\n")
+
+    monkeypatch.setattr(ForkServer, "__init__", recording_init)
+    code = run_cli(
+        "peso-run", "--corpus", path, "--engine", "rule", "--seed", "2", "--max-iter", "2",
+        "--equivalence", "exec", "--jobs", "2", "--output-dir", tmp_path / "out",
+    )
+    assert code == 0
+    assert len(read_jsonl(tmp_path / "out" / "summary.jsonl")) == 2
+    assert not list(scratch.glob("codeperturb-*"))
+    rows = [tuple(map(int, line.split())) for line in pids.read_text().splitlines()]
+    workers = {worker for _, worker in rows}
+    assert len(workers) == 2 and os.getpid() not in workers
+    # Every server and every worker has exited and been reaped.
+    for pid in {pid for row in rows for pid in row}:
+        with pytest.raises(ProcessLookupError):
+            os.kill(pid, 0)
 
 
 def test_failed_sample_keeps_its_partial_trace(tmp_path, capsys):
@@ -304,6 +358,42 @@ def test_failed_sample_keeps_its_partial_trace(tmp_path, capsys):
     trace = failure["partial_trace"]
     assert [r["phase"] for r in trace[:2]] == ["rename", "rename"]
     assert [r["method_id"] for r in trace[:2]] == ["function_rename", "variables_rename"]
+
+
+ERROR_ARGS = {errors.LexError: ("unterminated string", 7), errors.MalformedAnswer: ("no code field", "raw reply")}
+
+
+@pytest.mark.parametrize("cls", [
+    c for c in vars(errors).values() if isinstance(c, type) and issubclass(c, errors.CodePerturbError)
+])
+def test_every_error_survives_pickling_with_its_attributes(cls):
+    # A worker process hands its sample's error back pickled.
+    exc = cls(*ERROR_ARGS.get(cls, ("it failed",)))
+    exc.partial_trace = (IterationRecord(
+        iter=0, phase="rename", method_id="function_rename", category=MethodCategory.BASIC,
+        verified=True, score=SimilarityScore(s1=0.5, s2=0.25, ss=0.375), og=0.5, accepted=True,
+        probabilities=(1.0,), verification={"passed": True},
+    ),)
+    back = pickle.loads(pickle.dumps(exc))
+    assert type(back) is cls
+    assert str(back) == str(exc) and back.args == exc.args
+    assert back.__dict__ == exc.__dict__
+
+
+def test_an_unlexable_sample_fails_only_itself_on_worker_processes(tmp_path, capsys):
+    good = load_fixture_corpus(languages={Language.PYTHON})[0]
+    bad = (CodeSample(id="open.c", language=Language.C_CPP, text='char *s = "never closed;\n'), None)
+    path = tmp_path / "corpus.jsonl"
+    write_corpus_jsonl(path, [bad, good])
+    out = tmp_path / "out"
+    code = run_cli(
+        "peso-run", "--corpus", path, "--engine", "rule", "--seed", "1", "--max-iter", "2",
+        "--jobs", "2", "--equivalence", "stub", "--no-compile", "--output-dir", out,
+    )
+    assert code == 2
+    [failure] = read_jsonl(out / "failures.jsonl")
+    assert failure["sample_id"] == "open.c" and "offset" in failure["error"]
+    assert [s["sample_id"] for s in read_jsonl(out / "summary.jsonl")] == [good[0].id]
 
 
 def test_failures_are_listed_in_corpus_order(tmp_path, monkeypatch, capsys):
@@ -369,29 +459,37 @@ SEEDED_RUN_DIGEST = "f742e45380dc35c11356ea11ce0d3639856d8eea69d9852d2c296777369
 SEEDED_RANDOM_RUN_DIGEST = "67edbcd6c2cf559fe5e6d13b97c9e6d9c2a778509f45f1255413035883a2a24e"
 
 
-def _seeded_rule_run_digest(command, tmp_path, monkeypatch):
-    runs, servers = [], []
-    monkeypatch.setattr(subprocess, "run", lambda argv, **kw: runs.append(argv))
-    monkeypatch.setattr(ForkServer, "__init__", lambda self, *a, **kw: servers.append(a))
+def _seeded_rule_run(command, tmp_path, monkeypatch, jobs="1"):
+    """The digest and the digested files ({name: bytes}) of a seeded run."""
+
+    def no_program(*args, **kwargs):  # raised in a worker, it fails the command too
+        raise AssertionError(f"a stub run started a program: {args}")
+
+    monkeypatch.setattr(subprocess, "run", no_program)
+    monkeypatch.setattr(ForkServer, "__init__", no_program)
     path = tmp_path / "corpus.jsonl"
     write_corpus_jsonl(path, load_fixture_corpus())
-    out = tmp_path / "out"
+    out = tmp_path / f"out-{jobs}"
     code = run_cli(
         command, "--corpus", path, "--engine", "rule", "--seed", "11", "--max-iter", "3",
-        "--jobs", "1", "--equivalence", "stub", "--no-compile", "--output-dir", out,
+        "--jobs", jobs, "--equivalence", "stub", "--no-compile", "--output-dir", out,
     )
-    assert code == 0 and runs == [] and servers == []
+    assert code == 0
     files = sorted((out / "traces").glob("*.jsonl"))
     assert len(files) == 22
-    digest = hashlib.sha256()
-    for f in files + [out / "summary.jsonl", out / "pairs.jsonl"]:
-        digest.update(f.read_bytes())
-    return digest.hexdigest()
+    contents = {f.name: f.read_bytes() for f in files + [out / "summary.jsonl", out / "pairs.jsonl"]}
+    return hashlib.sha256(b"".join(contents.values())).hexdigest(), contents
 
 
 def test_seeded_rule_run_is_frozen(tmp_path, monkeypatch, capsys):
-    assert _seeded_rule_run_digest("peso-run", tmp_path, monkeypatch) == SEEDED_RUN_DIGEST
+    assert _seeded_rule_run("peso-run", tmp_path, monkeypatch)[0] == SEEDED_RUN_DIGEST
+
+
+def test_seeded_rule_run_on_worker_processes_is_frozen(tmp_path, monkeypatch, capsys):
+    digest, contents = _seeded_rule_run("peso-run", tmp_path, monkeypatch, jobs="2")
+    assert digest == SEEDED_RUN_DIGEST
+    assert contents == _seeded_rule_run("peso-run", tmp_path, monkeypatch, jobs="1")[1]
 
 
 def test_seeded_random_run_is_frozen(tmp_path, monkeypatch, capsys):
-    assert _seeded_rule_run_digest("random-run", tmp_path, monkeypatch) == SEEDED_RANDOM_RUN_DIGEST
+    assert _seeded_rule_run("random-run", tmp_path, monkeypatch)[0] == SEEDED_RANDOM_RUN_DIGEST

@@ -636,10 +636,20 @@ def test_an_unlexable_original_fails_on_every_call(monkeypatch):
     assert lexed == [bad.text, bad.text]
 
 
-def test_importing_the_cli_leaves_numpy_out():
+def _imported_with_the_cli(module: str) -> str:
+    """Whether importing codeperturb.cli imports `module`, as printed: "True" or "False"."""
     env = {**os.environ, "PYTHONPATH": str(Path(codeperturb.__file__).parents[1])}
     proc = subprocess.run(
-        [sys.executable, "-c", "import sys, codeperturb.cli; print('numpy' in sys.modules)"],
+        [sys.executable, "-c", f"import sys, codeperturb.cli; print({module!r} in sys.modules)"],
         capture_output=True, text=True, env=env, check=True,
     )
-    assert proc.stdout.strip() == "False"
+    return proc.stdout.strip()
+
+
+def test_importing_the_cli_leaves_numpy_out():
+    assert _imported_with_the_cli("numpy") == "False"
+
+
+def test_importing_the_cli_leaves_multiprocessing_out():
+    # The CLI imports its process pool only when --jobs forks one.
+    assert _imported_with_the_cli("multiprocessing") == "False"

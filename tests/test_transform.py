@@ -654,6 +654,21 @@ def test_inserted_code_takes_the_indentation_of_tab_indented_code(mid, tmp_path)
     assert _outputs_that_run_differently(mid, text, range(3), tmp_path) == []
 
 
+# A statement followed by `; statement` on its line is no site: wrapping it
+# would carry the rest of the line into the new block.
+SEMICOLON_JOINED_SRC = {
+    # y = 2 would follow the handler's raise, so that y is unbound.
+    "add_exception": "def f():\n    x = 1; y = 2\n    return x + y\n\n\nprint(f())\n",
+    # break would end a wrapping for loop instead of the outer one.
+    "statement_wrapping": "total = 0\nfor i in range(5):\n    total += i; break\nprint(total)\n",
+}
+
+
+@pytest.mark.parametrize("mid", sorted(SEMICOLON_JOINED_SRC))
+def test_rules_never_split_semicolon_joined_statements(mid, tmp_path):
+    assert _outputs_that_run_differently(mid, SEMICOLON_JOINED_SRC[mid], range(10), tmp_path) == []
+
+
 def test_threads_sharing_the_parsed_views_rewrite_as_one_thread_does():
     import threading
 
