@@ -4,6 +4,10 @@ Applies catalogued transformations to source files, verifies the results,
 and drives down similarity with the original via Boltzmann-selection
 optimization, then builds masked code-completion tasks from the perturbed
 corpus.
+
+The library runs single-threaded in each process: its caches and fork
+servers are per process and take no locks. Only cli._each_sample runs
+samples concurrently, on forked worker processes.
 """
 
 from .core import (

@@ -16,7 +16,6 @@ from __future__ import annotations
 import ast
 import functools
 import re
-import threading
 from dataclasses import dataclass
 
 from .core import Language
@@ -74,15 +73,9 @@ def match_brace(tokens: list[Token], open_idx: int) -> int:
 
 PYTHON_VIEWS = 2  # views python_view keeps; each holds a whole syntax tree
 
-# CPython 3.11 counts the recursion depth of conversions between C syntax
-# trees and ast objects in interpreter-wide state, so two threads converting
-# at once can fail with SystemError ("AST constructor recursion depth
-# mismatch"). ast.parse and compile() of an ast tree both convert; they run
-# under this lock.
-AST_LOCK = threading.Lock()
 
-
-_PYTHON_LINE_END = re.compile(r"\r\n?|\n")
+# Where ast ends a line. One group, so that re.split keeps the line ends.
+PYTHON_LINE_END = re.compile(r"(\r\n?|\n)")
 
 
 def walk(root: ast.AST) -> list[ast.AST]:
@@ -116,14 +109,17 @@ class PythonView:
     ends them: at "\r\n", "\r" and "\n". ast gives columns in UTF-8 bytes;
     `position` and `span` turn them into offsets into `text`, converting
     only on lines that are not ASCII. The constructor raises SyntaxError
-    when the text does not parse.
+    when the text does not parse, also when it nests too deeply for the
+    parser (which raises RecursionError or MemoryError there).
     """
 
     def __init__(self, text: str):
         self.text = text
-        with AST_LOCK:
+        try:
             self.tree = ast.parse(text)
-        self.offsets = [0, *(m.end() for m in _PYTHON_LINE_END.finditer(text)), len(text)]
+        except (RecursionError, MemoryError) as exc:  # the parser's own nesting limits
+            raise SyntaxError(f"too deeply nested to parse ({type(exc).__name__})") from exc
+        self.offsets = [0, *(m.end() for m in PYTHON_LINE_END.finditer(text)), len(text)]
         self.nodes = walk(self.tree)
         self.functions = [n for n in self.nodes if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef))]
         self._wide_lines = frozenset() if text.isascii() else frozenset(

@@ -304,10 +304,9 @@ def evaluate_tasks(
     completions: dict,
     judge: Judge = Judge.NORMALIZED_MATCH,
     external_judge=None,
-    count_missing_as_wrong: bool = True,
 ) -> AccuracyReport:
     """Per-(variant, mask size) accuracy plus the original-minus-perturbed
-    delta per size. Missing completions are counted incorrect by default."""
+    delta per size. A missing completion counts as incorrect."""
     if judge is Judge.EXTERNAL and external_judge is None:
         raise ValueError("EXTERNAL judging requires an external_judge callable")
     totals: dict[tuple[str, int], list[int]] = {}
@@ -318,8 +317,7 @@ def evaluate_tasks(
         completion = completions.get(task.task_id)
         if completion is None:
             missing.append(task.task_id)
-            if count_missing_as_wrong:
-                totals[key][0] += 1
+            totals[key][0] += 1
             continue
         if judge is Judge.EXACT_MATCH:
             correct = completion == task.ground_truth

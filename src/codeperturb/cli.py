@@ -277,9 +277,10 @@ def _each_sample(args, samples, work) -> list[concurrent.futures.Future]:
     samples, largest text first. They are forked from this process, which
     must run no other thread (the CLI starts none); the closures stay in
     the workers, and only indices and results (or errors) are pickled.
-    Otherwise the samples run one by one on the calling thread. Each
-    sample's runner is closed when its work ends, and each process's fork
-    servers when it has run its last sample."""
+    Otherwise the samples run one by one on the calling thread: the
+    library is single-threaded, and no sample runs on a thread of its own.
+    Each sample's runner is closed when its work ends, and each process's
+    fork servers when it has run its last sample."""
     toolchains = default_toolchains()
     specs = [_oracle_spec(args, sample, spec, toolchains) for sample, spec in samples]
     servers = ServerPool()

@@ -1,7 +1,6 @@
 """Domain types, the transformation-method catalog, and shared configuration.
 
-Everything here is immutable after construction and safe to share across
-concurrent workers.
+Everything here is immutable after construction.
 """
 
 from __future__ import annotations

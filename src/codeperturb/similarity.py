@@ -45,7 +45,6 @@ The combined score is the weighted mean of the two.
 from __future__ import annotations
 
 import heapq
-import threading
 from array import array
 from bisect import bisect_left, bisect_right
 from collections import OrderedDict
@@ -76,7 +75,6 @@ class SimilarityScore:
 
 _TOKENIZED = 8  # texts tokenize keeps, most recently used last
 _tokenized: OrderedDict[tuple[Language, str], tuple[array, tuple[str, ...]]] = OrderedDict()
-_tokenized_lock = threading.Lock()
 
 
 def tokenize(sample: CodeSample) -> TokenStream:
@@ -101,18 +99,14 @@ def tokenize(sample: CodeSample) -> TokenStream:
     """
     text, language = sample.text, sample.language
     key = (language, text)
-    with _tokenized_lock:
-        kept = _tokenized.get(key)
-        if kept is not None:
-            _tokenized.move_to_end(key)
-            return TokenStream(kept[1])
-        bases = [(old, *entry) for (lang, old), entry in _tokenized.items() if lang is language]
-    kept = _relex(text, language, bases)
-    with _tokenized_lock:
-        _tokenized[key] = kept
+    kept = _tokenized.get(key)
+    if kept is not None:
         _tokenized.move_to_end(key)
-        while len(_tokenized) > _TOKENIZED:
-            _tokenized.popitem(last=False)
+        return TokenStream(kept[1])
+    bases = [(old, *entry) for (lang, old), entry in _tokenized.items() if lang is language]
+    _tokenized[key] = kept = _relex(text, language, bases)
+    if len(_tokenized) > _TOKENIZED:
+        _tokenized.popitem(last=False)
     return TokenStream(kept[1])
 
 

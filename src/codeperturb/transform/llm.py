@@ -2,14 +2,14 @@
 replay transport for offline tests.
 
 The auth token is read from an environment variable, never from flags or
-config files.
+config files. A transport sends one request at a time; a run has at most
+--jobs requests in flight, one per worker process.
 """
 
 from __future__ import annotations
 
 import json
 import os
-import threading
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -19,7 +19,6 @@ from ..errors import ConfigError, EngineFailure
 from .prompts import parse_llm_answer, synthesize_prompt
 
 MAX_RETRIES = 2
-MAX_IN_FLIGHT = 4
 TEMPERATURE = 0.7
 
 
@@ -36,7 +35,6 @@ class HttpTransport:
 
     def __init__(self, config: LlmConfig):
         self.config = config
-        self._gate = threading.Semaphore(MAX_IN_FLIGHT)
 
     def complete(self, system: str, user: str, request_id: str, sample_id: str) -> str:
         import requests
@@ -58,13 +56,12 @@ class HttpTransport:
         last_error: Exception | None = None
         for _ in range(MAX_RETRIES + 1):
             try:
-                with self._gate:
-                    resp = requests.post(
-                        url,
-                        json=payload,
-                        headers={"Authorization": f"Bearer {token}"},
-                        timeout=self.config.timeout,
-                    )
+                resp = requests.post(
+                    url,
+                    json=payload,
+                    headers={"Authorization": f"Bearer {token}"},
+                    timeout=self.config.timeout,
+                )
                 resp.raise_for_status()
                 return resp.json()["choices"][0]["message"]["content"]
             except Exception as exc:  # transport, HTTP, or shape errors
@@ -89,12 +86,10 @@ class ReplayTransport:
     def __init__(self, directory: str | Path):
         self.directory = Path(directory)
         self._cursors: dict[tuple[str, str], int] = {}
-        self._lock = threading.Lock()
 
     def complete(self, system: str, user: str, request_id: str, sample_id: str) -> str:
-        with self._lock:
-            k = self._cursors.get((sample_id, request_id), 0)
-            self._cursors[(sample_id, request_id)] = k + 1
+        k = self._cursors.get((sample_id, request_id), 0)
+        self._cursors[(sample_id, request_id)] = k + 1
         directory = self.directory / safe_name(sample_id)
         if not directory.is_dir():
             directory = self.directory

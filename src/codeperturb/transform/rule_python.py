@@ -20,14 +20,14 @@ import re
 from collections import defaultdict
 from functools import cached_property
 
-from ..analysis import python_view
+from ..analysis import PYTHON_LINE_END, python_view
 from ..errors import NotApplicable, ParseError
 from ..core import Language
 from .shared import (
     FN_WORDS, PREDICATE_WORDS, VAR_WORDS, fresh, indent_lines, pick, replace_tokens, rule_table, splice,
 )
 
-INDENT = "    "
+INDENT = "    "  # the indentation unit of a module without an indented block
 
 _DEFINED_NAME = re.compile(r"(?:async\s+)?(?:def|class)\s+")  # what precedes a def's or class's name
 _HANDLER_NAME = re.compile(r"[\s)]*as\s+")  # what follows an except clause's type, before its name
@@ -95,6 +95,16 @@ class _Module:
             for name in filter(None, fixed):
                 names[name].append(None)
         return dict(names)
+
+    @cached_property
+    def unit(self) -> str:
+        """One indentation level: that of the first block statement on its
+        own line, less its header's; INDENT when there is none."""
+        for node in self.nodes:
+            body = getattr(node, "body", None)
+            if isinstance(node, (ast.stmt, ast.excepthandler)) and isinstance(body, list) and self.own_line(body[0]):
+                return self.indent(body[0])[len(self.indent(node)) :]
+        return INDENT
 
     @cached_property
     def multiline_strings(self) -> list[tuple[int, int]]:
@@ -172,6 +182,14 @@ def _is_docstring(parent_body: list[ast.stmt], node: ast.stmt) -> bool:
         and isinstance(node.value, ast.Constant)
         and isinstance(node.value.value, str)
     )
+
+
+def _indented(text: str, prefix: str) -> str:
+    """`prefix` before every line of `text` that is not blank; lines end
+    where ast ends them, and keep their own ends."""
+    parts = PYTHON_LINE_END.split(text)
+    parts[::2] = indent_lines(parts[::2], prefix)
+    return "".join(parts)
 
 
 def _blocks(m: _Module):
@@ -281,9 +299,9 @@ def insert_junk_loop(m: _Module, rng: random.Random):
     v = fresh(m.identifiers(), rng, VAR_WORDS)
     template = rng.choice(
         [
-            [f"for {v} in range(0):", f"{INDENT}pass"],
-            ["while False:", f"{INDENT}{v} = 0"],
-            [f"for {v} in []:", f"{INDENT}break"],
+            [f"for {v} in range(0):", f"{m.unit}pass"],
+            ["while False:", f"{m.unit}{v} = 0"],
+            [f"for {v} in []:", f"{m.unit}break"],
         ]
     )
     return _insert_before(m, stmt, template), m.enclosing_function(stmt)
@@ -299,7 +317,7 @@ def insert_variables(m: _Module, rng: random.Random):
 def insert_junk_function(m: _Module, rng: random.Random):
     name = fresh(m.identifiers(), rng, FN_WORDS)
     k = rng.randrange(2, 40)
-    chunk = f"\n\ndef {name}():\n{INDENT}return {k}\n"
+    chunk = f"\n\ndef {name}():\n{m.unit}return {k}\n"
     if not m.text.endswith("\n"):
         chunk = "\n" + chunk
     return m.text + chunk, name
@@ -314,8 +332,8 @@ def add_exception(m: _Module, rng: random.Random):
     stmt = pick(sites, rng, "no statement to wrap in a handler")
     start, end = m.span(stmt)
     indent = m.indent(stmt)
-    body = "\n".join(indent_lines(m.text[start:end].split("\n"), INDENT))
-    new = f"try:\n{indent}{body}\n{indent}except Exception:\n{indent}{INDENT}raise"
+    body = _indented(m.text[start:end], m.unit)
+    new = f"try:\n{indent}{body}\n{indent}except Exception:\n{indent}{m.unit}raise"
     return splice(m.text, start, end, new), m.enclosing_function(stmt)
 
 
@@ -326,7 +344,7 @@ def statement_wrapping(m: _Module, rng: random.Random):
     use_for = not has_jump and rng.random() < 0.5
     start, end = m.span(stmt)
     indent = m.indent(stmt)
-    body = "\n".join(indent_lines(m.text[start:end].split("\n"), INDENT))
+    body = _indented(m.text[start:end], m.unit)
     if use_for:
         v = fresh(m.identifiers(), rng, VAR_WORDS)
         header = f"for {v} in range(1):"
@@ -414,19 +432,23 @@ _PURE_BIN_OPS = (ast.Add, ast.Sub, ast.Mult, ast.Div, ast.FloorDiv, ast.Mod)
 
 
 def _side_effect_free(node: ast.expr) -> bool:
-    if isinstance(node, (ast.Name, ast.Constant)):
-        return True
-    if isinstance(node, ast.Attribute):
-        return _side_effect_free(node.value)
-    if isinstance(node, ast.Subscript):
-        return _side_effect_free(node.value) and _side_effect_free(node.slice)
-    if isinstance(node, ast.UnaryOp):
-        return _side_effect_free(node.operand)
-    if isinstance(node, ast.BinOp) and isinstance(node.op, _PURE_BIN_OPS):
-        return _side_effect_free(node.left) and _side_effect_free(node.right)
-    if isinstance(node, ast.Tuple):
-        return all(_side_effect_free(e) for e in node.elts)
-    return False
+    # A loop, not recursion: an operand may nest deeper than the recursion limit.
+    stack = [node]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, ast.Attribute):
+            stack.append(node.value)
+        elif isinstance(node, ast.Subscript):
+            stack += (node.value, node.slice)
+        elif isinstance(node, ast.UnaryOp):
+            stack.append(node.operand)
+        elif isinstance(node, ast.BinOp) and isinstance(node.op, _PURE_BIN_OPS):
+            stack += (node.left, node.right)
+        elif isinstance(node, ast.Tuple):
+            stack += node.elts
+        elif not isinstance(node, (ast.Name, ast.Constant)):
+            return False
+    return True
 
 
 def _swappable_compares(test: ast.expr) -> list[ast.Compare]:
@@ -508,10 +530,9 @@ def div_composed_if(m: _Module, rng: random.Random):
     # The splice point sits after the original indentation, so the first
     # header carries none; the nested ones need absolute indents.
     headers = [f"if {conds[0]}:"] + [
-        indent + (INDENT * i) + f"if {c}:" for i, c in enumerate(conds[1:], start=1)
+        indent + (m.unit * i) + f"if {c}:" for i, c in enumerate(conds[1:], start=1)
     ]
-    body = indent_lines(body_src.rstrip("\n").split("\n"), INDENT * (depth - 1))
-    new = "\n".join(headers + body)
+    new = "\n".join(headers + [_indented(body_src, m.unit * (depth - 1))])
     return splice(m.text, start, end, new), m.enclosing_function(node)
 
 
@@ -532,7 +553,7 @@ def div_if_else(m: _Module, rng: random.Random):
     segment = m.text[start:end]
     assert segment.startswith("elif")
     segment = "if" + segment[len("elif") :]
-    new = f"else:\n{indent}" + "\n".join(indent_lines(segment.split("\n"), INDENT))
+    new = f"else:\n{indent}" + _indented(segment, m.unit)
     return splice(m.text, start, end, new), m.enclosing_function(node)
 
 
@@ -556,7 +577,7 @@ def if_continue_to_if_else(m: _Module, rng: random.Random):
     rest_start = m.offsets[rest[0].lineno - 1]
     rest_end = m.span(rest[-1])[1]
     rest_src = m.text[rest_start:rest_end]
-    new = indent + "else:\n" + "\n".join(indent_lines(rest_src.split("\n"), INDENT))
+    new = indent + "else:\n" + _indented(rest_src, m.unit)
     return splice(m.text, rest_start, rest_end, new), m.enclosing_function(stmt)
 
 
@@ -586,10 +607,10 @@ def for_while_transformation(m: _Module, rng: random.Random):
     new = (
         f"{it} = iter({iter_src})\n"
         f"{indent}while True:\n"
-        f"{indent}{INDENT}try:\n"
-        f"{indent}{INDENT}{INDENT}{target_src} = next({it})\n"
-        f"{indent}{INDENT}except StopIteration:\n"
-        f"{indent}{INDENT}{INDENT}break\n" + body_src
+        f"{indent}{m.unit}try:\n"
+        f"{indent}{m.unit}{m.unit}{target_src} = next({it})\n"
+        f"{indent}{m.unit}except StopIteration:\n"
+        f"{indent}{m.unit}{m.unit}break\n" + body_src
     )
     return splice(m.text, start, end, new), m.enclosing_function(node)
 
@@ -621,7 +642,7 @@ def extract_if(m: _Module, rng: random.Random):
     name = fresh(m.identifiers(), rng, PREDICATE_WORDS)
     test_src = m.source(node.test)
     params = ", ".join(free)
-    helper = f"def {name}({params}):\n{INDENT}return {test_src}\n\n\n"
+    helper = f"def {name}({params}):\n{m.unit}return {test_src}\n\n\n"
     # Insert the helper before the enclosing top-level statement.
     top = next(s for s in m.tree.body if s.lineno <= node.lineno <= s.end_lineno)
     top_line = top.lineno

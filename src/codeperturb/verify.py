@@ -14,8 +14,8 @@ nondeterministic under the oracle fails its whole sample instead
 
 Compiles run through ``subprocess.run``. Every program run goes through a
 fork server (``forkserver.py``, POSIX only): ``sys.executable`` on that
-file, one per worker thread and hash seed, started on the thread's first
-run and stopped by its ServerPool. The server forks a child per run, in its
+file, one per process and hash seed, started on the process's first run
+and stopped by its ServerPool. The server forks a child per run, in its
 own process group and limited in CPU time (``run_timeout`` + 1 s), address
 space (4 GiB) and file size (64 MiB). The child runs the file in-process as
 ``__main__`` when the toolchain's ``run_argv`` is exactly
@@ -37,11 +37,10 @@ import shutil
 import subprocess
 import sys
 import tempfile
-import threading
 from dataclasses import dataclass
 from pathlib import Path
 
-from .analysis import AST_LOCK, has_main_function, python_view
+from .analysis import has_main_function, python_view
 from .core import CodeSample, EquivalenceSpec, Language
 from .errors import (
     ConfigError,
@@ -119,24 +118,26 @@ def syntax_check(sample: CodeSample) -> tuple[bool, list[str]]:
 
     Python is compiled to bytecode, which also finds the errors that only
     the compiler reports ('return' outside a function and the like). The
-    syntax tree comes from the shared parsed view; the text itself is
-    compiled only when it does not parse, to word that failure. The other
-    languages get lexical validation (tokenizable, balanced delimiters);
-    grammar-level checking for them is the compile stage's job when a
-    toolchain is configured.
+    syntax tree comes from the shared parsed view, whose SyntaxError words
+    a parse failure; the text itself is compiled only when the tree nests
+    too deeply for compile(). The other languages get lexical validation
+    (tokenizable, balanced delimiters); grammar-level checking for them is
+    the compile stage's job when a toolchain is configured.
     """
     diagnostics: list[str] = []
     if sample.language is Language.PYTHON:
+        name = sample.id or "<sample>"
         try:
-            source = python_view(sample.text).tree
-        except SyntaxError:
-            source = sample.text
-        try:
-            with AST_LOCK:
-                compile(source, sample.id or "<sample>", "exec")
+            try:
+                compile(python_view(sample.text).tree, name, "exec")
+            except RecursionError:  # compile() of a tree nests deeper than compile() of its text
+                compile(sample.text, name, "exec")
             return True, diagnostics
         except SyntaxError as exc:
             diagnostics.append(f"syntax error at line {exc.lineno}, offset {exc.offset}: {exc.msg}")
+            return False, diagnostics
+        except RecursionError as exc:  # the text nests too deeply for compile() as well
+            diagnostics.append(f"syntax error: {exc}")
             return False, diagnostics
     try:
         tokens = lex(sample.text, sample.language)
@@ -223,31 +224,25 @@ class ForkServer:
 
 
 class ServerPool:
-    """The fork servers of one owner: one per worker thread and hash seed,
+    """The fork servers of one owner in one process: one per hash seed,
     each started on its first run. stop() ends them all; a pool that ran
     nothing started nothing."""
 
     def __init__(self):
-        self._lock = threading.Lock()
-        self._servers: dict[tuple, ForkServer] = {}
+        self._servers: dict[bool, ForkServer] = {}
 
     def server(self, reseeded: bool) -> ForkServer:
-        key = (threading.get_ident(), reseeded)
-        with self._lock:
-            server = self._servers.get(key)
-            if server is not None and server.proc.poll() is not None:
-                server.stop()  # it died; start another
-                server = None
-            if server is None:
-                server = ForkServer(_other_hash_seed() if reseeded else None)
-                self._servers[key] = server
-            return server
+        server = self._servers.get(reseeded)
+        if server is not None and server.proc.poll() is not None:
+            server.stop()  # it died; start another
+            server = None
+        if server is None:
+            server = self._servers[reseeded] = ForkServer(_other_hash_seed() if reseeded else None)
+        return server
 
     def stop(self) -> None:
-        with self._lock:
-            servers = list(self._servers.values())
-            self._servers.clear()
-        for server in servers:
+        servers, self._servers = self._servers, {}
+        for server in servers.values():
             server.stop()
 
 
@@ -265,42 +260,40 @@ class ProgramRunner:
         self.toolchain = toolchain
         self._own_servers = servers is None
         self.servers = ServerPool() if servers is None else servers
-        self._lock = threading.Lock()
         self._scratch: tempfile.TemporaryDirectory | None = None
         self._builds: dict[str, tuple[bool | None, list[str], Path, str]] = {}
         self._outputs: dict[tuple[str, str, bool], tuple[bytes, int] | str] = {}
 
     def _prepare(self, sample: CodeSample) -> tuple[bool | None, list[str], Path, str]:
         key = hashlib.sha256(sample.text.encode()).hexdigest()
-        with self._lock:
-            if key in self._builds:
-                return self._builds[key]
-            if self._scratch is None:
-                self._scratch = tempfile.TemporaryDirectory(prefix="codeperturb-")
-            directory = Path(self._scratch.name) / key[:16]
-            directory.mkdir(exist_ok=True)
-            path = _write_sample(sample, directory, self.toolchain)
-            exe = str(directory / "prog")
-            ok, diagnostics = None, []
-            if self.toolchain.compile_argv is not None:
-                argv = _fill(self.toolchain.compile_argv, str(path), str(directory), exe)
-                try:
-                    proc = subprocess.run(
-                        argv, capture_output=True, timeout=self.toolchain.compile_timeout,
-                        cwd=directory,
-                    )
-                except FileNotFoundError as exc:
-                    raise ToolchainUnavailable(f"cannot run {argv[0]!r}: {exc}") from exc
-                except subprocess.TimeoutExpired as exc:
-                    raise ToolchainUnavailable(
-                        f"compile timed out after {self.toolchain.compile_timeout}s"
-                    ) from exc
-                ok = proc.returncode == 0
-                if not ok:
-                    tail = proc.stderr.decode("utf-8", "replace").strip().splitlines()[-8:]
-                    diagnostics = ["compile failed"] + tail
-            self._builds[key] = (ok, diagnostics, path, exe)
+        if key in self._builds:
             return self._builds[key]
+        if self._scratch is None:
+            self._scratch = tempfile.TemporaryDirectory(prefix="codeperturb-")
+        directory = Path(self._scratch.name) / key[:16]
+        directory.mkdir(exist_ok=True)
+        path = _write_sample(sample, directory, self.toolchain)
+        exe = str(directory / "prog")
+        ok, diagnostics = None, []
+        if self.toolchain.compile_argv is not None:
+            argv = _fill(self.toolchain.compile_argv, str(path), str(directory), exe)
+            try:
+                proc = subprocess.run(
+                    argv, capture_output=True, timeout=self.toolchain.compile_timeout,
+                    cwd=directory,
+                )
+            except FileNotFoundError as exc:
+                raise ToolchainUnavailable(f"cannot run {argv[0]!r}: {exc}") from exc
+            except subprocess.TimeoutExpired as exc:
+                raise ToolchainUnavailable(
+                    f"compile timed out after {self.toolchain.compile_timeout}s"
+                ) from exc
+            ok = proc.returncode == 0
+            if not ok:
+                tail = proc.stderr.decode("utf-8", "replace").strip().splitlines()[-8:]
+                diagnostics = ["compile failed"] + tail
+        self._builds[key] = (ok, diagnostics, path, exe)
+        return self._builds[key]
 
     def compile(self, sample: CodeSample) -> tuple[bool | None, list[str]]:
         """(None, []) without a compile step, (True, []) on success, else
@@ -319,8 +312,7 @@ class ProgramRunner:
         argv = _fill(self.toolchain.run_argv, str(path), str(path.parent), exe)
         in_process = self.toolchain.run_argv == (sys.executable, "{file}")
         request = {"file": str(path)} if in_process else {"argv": argv}
-        stdin_file = path.parent / f"stdin-{threading.get_ident()}"
-        stdout_file = path.parent / f"stdout-{threading.get_ident()}"
+        stdin_file, stdout_file = path.parent / "stdin", path.parent / "stdout"
         stdin_file.write_bytes(stdin_text.encode())
         request.update(stdin=str(stdin_file), stdout=str(stdout_file), cwd=str(path.parent),
                        timeout=self.toolchain.run_timeout)
@@ -333,12 +325,9 @@ class ProgramRunner:
 
     def _result(self, sample: CodeSample, stdin_text: str, reseeded: bool) -> tuple[bytes, int]:
         key = (hashlib.sha256(sample.text.encode()).hexdigest(), stdin_text, reseeded)
-        with self._lock:
-            result = self._outputs.get(key)
+        result = self._outputs.get(key)
         if result is None:
-            result = self._execute(sample, stdin_text, reseeded)
-            with self._lock:
-                self._outputs[key] = result
+            result = self._outputs[key] = self._execute(sample, stdin_text, reseeded)
         if isinstance(result, str):  # the message of a memoized timeout
             raise ExecutionTimeout(result)
         return result
@@ -354,11 +343,10 @@ class ProgramRunner:
     def close(self) -> None:
         """Remove every file this runner wrote and stop its own servers;
         later calls rebuild."""
-        with self._lock:
-            if self._scratch is not None:
-                self._scratch.cleanup()
-                self._scratch = None
-            self._builds.clear()
+        if self._scratch is not None:
+            self._scratch.cleanup()
+            self._scratch = None
+        self._builds.clear()
         if self._own_servers:
             self.servers.stop()
 
@@ -468,7 +456,7 @@ def verify(original: CodeSample, candidate: CodeSample, policy: VerifyPolicy) ->
     """Syntax, then compile, then equivalence; the first failing stage
     rejects the candidate.
 
-    Under the execution oracle every run of one thread goes through one
+    Under the execution oracle every run of one process goes through one
     fork server, so the original and its candidates share that server's
     hash seed: a program whose output hangs on the iteration order of a
     set of strings gives the same output in both. The oracle therefore runs the original's

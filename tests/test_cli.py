@@ -14,12 +14,13 @@ import pytest
 
 from codeperturb import cli, errors
 from codeperturb.cli import main
-from codeperturb.corpusio import read_jsonl
+from codeperturb.corpusio import read_jsonl, safe_name
 from codeperturb.errors import EngineFailure
 from codeperturb.verify import ForkServer, Toolchain
 
 from .conftest import load_fixture_corpus, write_corpus_jsonl
-from codeperturb.core import CodeSample, EquivalenceSpec, Language, MethodCategory
+from .test_verify import DEEP_SOURCES
+from codeperturb.core import CodeSample, EquivalenceSpec, Language, MethodCategory, build_catalog
 from codeperturb.peso import IterationRecord
 from codeperturb.similarity import SimilarityScore
 
@@ -360,6 +361,33 @@ def test_failed_sample_keeps_its_partial_trace(tmp_path, capsys):
     assert [r["method_id"] for r in trace[:2]] == ["function_rename", "variables_rename"]
 
 
+def test_replayed_llm_runs_write_the_same_files_on_worker_processes(tmp_path, capsys):
+    corpus = load_fixture_corpus(languages={Language.PYTHON})[:3]
+    path = tmp_path / "corpus.jsonl"
+    write_corpus_jsonl(path, corpus)
+    replies = tmp_path / "replies"
+    for sample, _ in corpus:  # the k-th reply of a sample for a method adds the k-th comment line
+        directory = replies / safe_name(sample.id)
+        directory.mkdir(parents=True)
+        for m in build_catalog().methods:
+            for k in range(6):
+                code = f"{sample.text}# {m.id} {k}\n"
+                reply = {"content": json.dumps({"code": code, "entry_point": "main"})}
+                (directory / f"{m.id}-{k}.json").write_text(json.dumps(reply))
+    written = []
+    for jobs in ("1", "2"):
+        out = tmp_path / f"out-{jobs}"
+        code = run_cli(
+            "peso-run", "--corpus", path, "--engine", "llm", "--replay-dir", replies, "--seed", "3",
+            "--max-iter", "3", "--jobs", jobs, "--equivalence", "stub", "--no-compile", "--output-dir", out,
+        )
+        assert code == 0
+        files = sorted((out / "traces").glob("*.jsonl")) + [out / "summary.jsonl", out / "pairs.jsonl"]
+        written.append({f.name: f.read_bytes() for f in files})
+    assert len(written[0]) == 5
+    assert written[0] == written[1]
+
+
 ERROR_ARGS = {errors.LexError: ("unterminated string", 7), errors.MalformedAnswer: ("no code field", "raw reply")}
 
 
@@ -394,6 +422,31 @@ def test_an_unlexable_sample_fails_only_itself_on_worker_processes(tmp_path, cap
     [failure] = read_jsonl(out / "failures.jsonl")
     assert failure["sample_id"] == "open.c" and "offset" in failure["error"]
     assert [s["sample_id"] for s in read_jsonl(out / "summary.jsonl")] == [good[0].id]
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+@pytest.mark.parametrize("sid", sorted(DEEP_SOURCES))
+def test_a_deeply_nested_sample_fails_no_run(sid, jobs, tmp_path, capsys):
+    small = load_fixture_corpus(languages={Language.PYTHON})[0][0]
+    deep = CodeSample(id=sid, language=Language.PYTHON, text=DEEP_SOURCES[sid])
+    path = tmp_path / "corpus.jsonl"
+    write_corpus_jsonl(path, [(deep, None), (small, None)])
+    out = tmp_path / "out"
+    code = run_cli(
+        "peso-run", "--corpus", path, "--engine", "rule", "--seed", "1", "--max-iter", "2",
+        "--jobs", jobs, "--output-dir", out,
+    )
+    assert code == 0
+    assert [s["sample_id"] for s in read_jsonl(out / "summary.jsonl")] == [sid, small.id]
+
+
+def test_filter_calls_a_text_too_deep_to_parse_syntax_invalid(tmp_path, capsys):
+    path = tmp_path / "corpus.jsonl"
+    sid = "sum_100000.py"
+    write_corpus_jsonl(path, [(CodeSample(id=sid, language=Language.PYTHON, text=DEEP_SOURCES[sid]), None)])
+    assert run_cli("filter", "--corpus", path, "--output-dir", tmp_path / "out") == 0
+    [verdict] = read_jsonl(tmp_path / "out" / "verdicts.jsonl")
+    assert "SYNTAX_INVALID" in verdict["reasons"] and verdict["diagnostics"]
 
 
 def test_failures_are_listed_in_corpus_order(tmp_path, monkeypatch, capsys):

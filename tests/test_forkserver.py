@@ -9,7 +9,6 @@ import resource
 import subprocess
 import sys
 import textwrap
-import threading
 import time
 
 import pytest
@@ -180,26 +179,15 @@ def test_a_killed_server_fails_one_run_and_is_replaced(runner):
     assert runner.run(echo, "7\n") == (b"7\n", 0)
 
 
-def test_each_thread_gets_its_own_server_and_stop_ends_them():
+def test_a_shared_pool_starts_one_server_per_hash_seed_and_stop_ends_them():
     pool = ServerPool()
     runners = [ProgramRunner(PYTHON, pool) for _ in range(2)]
     sample = CodeSample(id="t.py", language=Language.PYTHON, text="print(input())\n")
-    barrier = threading.Barrier(2, timeout=30)
-    results = {}
-
-    def work(runner, text):
-        barrier.wait()
-        results[text] = runner.run(sample, text)
-
-    threads = [threading.Thread(target=work, args=(r, f"{i}\n")) for i, r in enumerate(runners)]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join(timeout=60)
-        assert not t.is_alive()
-    assert results == {"0\n": (b"0\n", 0), "1\n": (b"1\n", 0)}
+    assert runners[0].run(sample, "0\n") == (b"0\n", 0)
+    assert runners[1].rerun(sample, "1\n") == (b"1\n", 0)
     servers = list(pool._servers.values())
     assert len(servers) == 2
+    assert sorted(s.hash_seed is None for s in servers) == [False, True]  # the plain one and the reseeded one
     for r in runners:
         r.close()
     assert all(s.proc.returncode is None for s in servers)  # the pool owns them, not the runners

@@ -34,6 +34,7 @@ from codeperturb.transform.llm import LlmEngine, ReplayTransport
 
 from .conftest import load_fixture_corpus
 from .test_transform_go_golden import CHAIN_SRC, LOOP_SRC
+from .test_verify import DEEP_SOURCES
 
 CATALOG = build_catalog()
 
@@ -455,11 +456,11 @@ def test_swap_boolean_expression_mirrors_comparisons_after_a_non_ascii_character
     assert entry == "g"
 
 
-def _python_run(text, tmp_path):
+def _python_run(text, tmp_path, stdin_text=""):
     """(stdout, exit status) of `text` run as a program by plain subprocess."""
     path = tmp_path / "prog.py"
     path.write_bytes(text.encode())
-    done = subprocess.run([sys.executable, str(path)], capture_output=True, timeout=30)
+    done = subprocess.run([sys.executable, str(path)], input=stdin_text.encode(), capture_output=True, timeout=30)
     return done.stdout, done.returncode
 
 
@@ -654,6 +655,68 @@ def test_inserted_code_takes_the_indentation_of_tab_indented_code(mid, tmp_path)
     assert _outputs_that_run_differently(mid, text, range(3), tmp_path) == []
 
 
+def _reindented(text, unit):
+    """`text` with each four-space level of line indentation spelled `unit`."""
+    return re.sub(r"(?m)^(?:    )+", lambda m: unit * (len(m[0]) // 4), text)
+
+
+# The fixtures in other indentation units and line ends. Rules indent what
+# they add by the module's own unit and split lines where ast does.
+LAYOUTS = {
+    "tabs": lambda text: _reindented(text, "\t"),
+    "two_spaces": lambda text: _reindented(text, "  "),
+    "lone_cr": lambda text: text.replace("\n", "\r"),
+    "tabs_and_lone_cr": lambda text: _reindented(text, "\t").replace("\n", "\r"),
+}
+
+
+@pytest.mark.parametrize("layout", sorted(LAYOUTS))
+def test_every_rule_output_compiles_in_other_indentation_and_line_ends(layout):
+    applied, broken = 0, []
+    for original, _ in load_fixture_corpus(languages={Language.PYTHON}):
+        text = LAYOUTS[layout](original.text)
+        compile(text, original.id, "exec")
+        for mid, rewrite in sorted(RULES[Language.PYTHON].items()):
+            for seed in (0, 1):
+                try:
+                    new_text, _ = rewrite(text, random.Random(seed))
+                except NotApplicable:
+                    continue
+                applied += 1
+                try:
+                    compile(new_text, original.id, "exec")
+                except SyntaxError as exc:
+                    broken.append((original.id, mid, seed, exc.msg))
+    assert applied > 300
+    assert broken == []
+
+
+@pytest.mark.parametrize("mid", [
+    "add_exception", "div_composed_if", "div_if_else", "for_while_transformation", "if_continue_to_if_else",
+    "statement_wrapping",
+])
+def test_rewrites_in_other_indentation_and_line_ends_run_as_the_original(mid, tmp_path):
+    corpus = load_fixture_corpus(languages={Language.PYTHON})
+    for k, layout in enumerate(sorted(LAYOUTS)):
+        rewrites = []
+        for original, spec in corpus:
+            text = LAYOUTS[layout](original.text)
+            with contextlib.suppress(NotApplicable):
+                rewrites.append((text, RULES[Language.PYTHON][mid](text, random.Random(0))[0], spec))
+        text, new_text, spec = rewrites[k % len(rewrites)]  # another fixture for each layout
+        for stdin_text in spec.input_suite:
+            expected = _python_run(text, tmp_path, stdin_text)
+            assert expected[1] == 0
+            assert _python_run(new_text, tmp_path, stdin_text) == expected, (layout, stdin_text)
+
+
+@pytest.mark.parametrize("sid", sorted(DEEP_SOURCES))
+def test_rules_on_a_deeply_nested_text_rewrite_it_or_decline(sid):
+    for mid, rewrite in sorted(RULES[Language.PYTHON].items()):
+        with contextlib.suppress(NotApplicable, ParseError):
+            rewrite(DEEP_SOURCES[sid], random.Random(0))
+
+
 # A statement followed by `; statement` on its line is no site: wrapping it
 # would carry the rest of the line into the new block.
 SEMICOLON_JOINED_SRC = {
@@ -667,45 +730,6 @@ SEMICOLON_JOINED_SRC = {
 @pytest.mark.parametrize("mid", sorted(SEMICOLON_JOINED_SRC))
 def test_rules_never_split_semicolon_joined_statements(mid, tmp_path):
     assert _outputs_that_run_differently(mid, SEMICOLON_JOINED_SRC[mid], range(10), tmp_path) == []
-
-
-def test_threads_sharing_the_parsed_views_rewrite_as_one_thread_does():
-    import threading
-
-    texts = [s.text for s, _ in load_fixture_corpus(languages={Language.PYTHON})][:6]
-    jobs = [(text, mid) for text in texts for mid in sorted(RULES[Language.PYTHON])]
-
-    def outcome(text, mid):
-        try:
-            return RULES[Language.PYTHON][mid](text, random.Random(len(text)))
-        except NotApplicable as exc:
-            return str(exc)
-
-    expected = {job: outcome(*job) for job in jobs}
-    found, errors = [], []
-
-    def worker(order):
-        try:
-            for job in order:
-                found.append((job, outcome(*job)))
-        except Exception as exc:  # reported by the assertion below
-            errors.append(repr(exc))
-
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-5)
-    try:
-        threads = [threading.Thread(target=worker, args=(random.Random(k).sample(jobs, len(jobs)),))
-                   for k in range(4)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=120)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(t.is_alive() for t in threads)
-    assert errors == []
-    assert len(found) == 4 * len(jobs)
-    assert [job for job, result in found if result != expected[job]] == []
 
 
 # ---------------------------------------------------------------------------

@@ -103,6 +103,36 @@ def test_syntax_check_accepts_a_valid_python_text_twice():
     assert syntax_check(sample(text)) == (True, [])
 
 
+# Valid Python whose syntax tree nests too deeply for compile(tree), and
+# texts that nest too deeply for the parser itself.
+DEEP_SOURCES = {
+    "sum_1000.py": "def f(a):\n    b = a + 1\n    return b\n\n\nx = 2" + " + 2" * 1000 + "\nprint(f(x))\n",
+    "sum_100000.py": "def f(a):\n    b = a + 1\n    return b\n\n\nx = 2" + " + 2" * 100000 + "\nprint(f(x))\n",
+    "negations_200000.py": "x = " + "-" * 200000 + "1\nprint(x)\n",
+    "compare_1000.py": "def f(a):\n    if a > 2" + " + 2" * 1000 + ":\n        return 1\n    return 0\n\n\nprint(f(3))\n",
+}
+
+
+def _text_compiles(text):
+    try:
+        compile(text, "<deep>", "exec")
+    except (SyntaxError, RecursionError, MemoryError):
+        return False
+    return True
+
+
+@pytest.mark.parametrize("sid", sorted(DEEP_SOURCES))
+def test_a_deeply_nested_text_gets_the_verdict_of_compiling_the_text(sid):
+    text = DEEP_SOURCES[sid]
+    ok, diagnostics = syntax_check(CodeSample(id=sid, language=Language.PYTHON, text=text))
+    assert ok is _text_compiles(text)
+    assert ok or diagnostics
+    try:
+        find_functions(text, Language.PYTHON)
+    except ParseError:  # what an unparsable text raises
+        assert not ok
+
+
 def test_syntax_rust_missing_main_notes_injection():
     ok, diags = syntax_check(sample("fn helper() -> i32 {\n    3\n}\n", Language.RUST_LANG, "h.rs"))
     assert ok
