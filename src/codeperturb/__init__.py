@@ -17,7 +17,6 @@ from .core import (
     Language,
     MethodCatalog,
     MethodCategory,
-    Origin,
     PerturbationMethod,
     PesoConfig,
     build_catalog,
@@ -41,7 +40,6 @@ __all__ = [
     "Language",
     "MethodCatalog",
     "MethodCategory",
-    "Origin",
     "PerturbationMethod",
     "PesoConfig",
     "SimilarityScore",

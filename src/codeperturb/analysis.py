@@ -6,9 +6,11 @@ with brace matching for the brace languages. Line numbers are 0-based.
 A Python text is parsed once into a PythonView, which python_view keeps in
 a cache of PYTHON_VIEWS entries: the rule that rewrites a text, the check
 of the rule's output, the syntax stage of verification and the optimizer's
-function lookup all read the same view of a candidate. A PythonView ends
-lines where ast does, at "\r\n", "\r" and "\n"; line_offsets, which the
-brace languages read, ends them at "\n" only.
+function lookup all read the same view of a candidate. The cache keeps a
+text's SyntaxError as well, so a text that does not parse is parsed once,
+not once per rule that tries it. A PythonView ends lines where ast does,
+at "\r\n", "\r" and "\n"; line_offsets, which the brace languages read,
+ends them at "\n" only.
 """
 
 from __future__ import annotations
@@ -141,10 +143,21 @@ class PythonView:
 
 
 @functools.lru_cache(maxsize=PYTHON_VIEWS)
+def _parse(text: str) -> PythonView | SyntaxError:
+    try:
+        return PythonView(text)
+    except SyntaxError as exc:
+        return exc.with_traceback(None)
+
+
 def python_view(text: str) -> PythonView:
-    """The parsed view of a Python text, kept for the last few texts; a
-    text that does not parse raises SyntaxError on every call."""
-    return PythonView(text)
+    """The parsed view of a Python text, kept for the last few texts, as
+    is the SyntaxError of a text that does not parse, which every call
+    raises afresh."""
+    view = _parse(text)
+    if isinstance(view, SyntaxError):
+        raise view.with_traceback(None)
+    return view
 
 
 def _python_functions(text: str) -> list[FunctionSpan]:

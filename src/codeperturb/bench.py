@@ -115,9 +115,9 @@ class CompletionTask:
 
 @dataclass(frozen=True)
 class PerturbedPair:
-    """Original/perturbed variants plus the trace facts needed for pairing:
-    which functions were perturbed (named as in the original) and how the
-    original function names map to the perturbed ones."""
+    """The original and perturbed variants plus the trace facts needed for
+    pairing: which functions were perturbed (named as in the original) and
+    how the original function names map to the perturbed ones."""
 
     original: CodeSample
     perturbed: CodeSample
@@ -167,20 +167,18 @@ def _slice_by_lines(text: str, start_line: int, n_lines: int) -> tuple[str, str,
     return text[:start], text[start:end], text[end:]
 
 
-def _pick_region(blocks: list[tuple[int, int]], k: int, rng: random.Random) -> int | None:
+def _pick_region(blocks: list[tuple[int, int]], k: int, rng: random.Random) -> int:
+    """The first line of a k-line region in one of the blocks of k or more
+    lines, of which there is at least one."""
     roomy = [(lo, hi) for lo, hi in blocks if hi - lo + 1 >= k]
-    if not roomy:
-        return None
     lo, hi = roomy[rng.randrange(len(roomy))]
     return lo + rng.randrange(hi - lo + 2 - k)
 
 
 def _map_region_to_original(
     span: FunctionSpan, blocks: list[tuple[int, int]], ratio: float, k: int
-) -> int | None:
+) -> int:
     roomy = [(lo, hi) for lo, hi in blocks if hi - lo + 1 >= k]
-    if not roomy:
-        return None
     body_len = max(1, span.body_end_line - span.body_start_line + 1)
     target = span.body_start_line + round(ratio * body_len)
     best = min(roomy, key=lambda b: min(abs(target - b[0]), abs(target - b[1])))
@@ -225,13 +223,9 @@ def build_tasks(pair: PerturbedPair, seed: int) -> list[CompletionTask]:
             continue
         orig_name, pert_name, p_span, o_span, p_blocks, o_blocks = sized[rng.randrange(len(sized))]
         p_start = _pick_region(p_blocks, k, rng)
-        if p_start is None:
-            continue
         body_len = max(1, p_span.body_end_line - p_span.body_start_line + 1)
         ratio = (p_start - p_span.body_start_line) / body_len
         o_start = _map_region_to_original(o_span, o_blocks, ratio, k)
-        if o_start is None:
-            continue
         anchor = {
             "entry_point": orig_name,
             "mask_lines": k,

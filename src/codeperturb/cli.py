@@ -32,7 +32,6 @@ from .core import (
     CodeSample,
     EquivalenceSpec,
     Language,
-    Origin,
     PesoConfig,
     build_catalog,
     load_config,
@@ -56,7 +55,7 @@ from .peso import derive_seed, run, run_random_baseline
 from .similarity import score_pair
 from .transform import HybridEngine, RuleEngine, perturb
 from .transform.llm import HttpTransport, LlmConfig, LlmEngine, ReplayTransport
-from .verify import ProgramRunner, ServerPool, VerifyPolicy, default_toolchains, verify
+from .verify import ProgramRunner, ServerPool, default_toolchains, verify
 
 
 def _usable_cpus() -> int:
@@ -90,12 +89,9 @@ def build_parser() -> _Parser:
             "--equivalence",
             choices=["auto", "exec", "stub"],
             default="auto",
-            help="equivalence stage: execution oracle when inputs exist (auto/exec) or none (stub)",
-        )
-        p.add_argument(
-            "--no-compile",
-            action="store_true",
-            help="skip the compile stage (the execution oracle still compiles the programs it runs)",
+            help="verification stages: auto compiles, then runs the input suite where a sample has"
+            " one; exec does the same and needs a suite for every sample; stub checks syntax only"
+            " and builds and runs nothing",
         )
         p.add_argument(
             "--jobs",
@@ -172,9 +168,9 @@ def _peso_config(args) -> tuple[PesoConfig, dict]:
     return base, rest
 
 
-def _build_engine(args, rest: dict, catalog):
+def _build_engine(args, rest: dict):
     kind = args.engine or rest.get("engine") or "rule"
-    rule = RuleEngine(catalog)
+    rule = RuleEngine()
     if kind == "rule":
         return rule
     if args.replay_dir:
@@ -210,19 +206,14 @@ def _oracle_spec(args, sample: CodeSample, spec: EquivalenceSpec | None, toolcha
 
 
 def _verifier_for(args, sample: CodeSample, spec: EquivalenceSpec | None, toolchains,
-                  servers: ServerPool | None = None):
+                  servers: ServerPool):
     """The sample's verifier, with `spec` (from _oracle_spec) for its
-    execution oracle, and its ProgramRunner (None without a toolchain in
-    `toolchains`), which runs programs on `servers`; the caller closes the
-    runner when the sample ends."""
+    execution oracle, and its ProgramRunner, which runs programs on
+    `servers`: None under --equivalence stub or without a toolchain in
+    `toolchains`. The caller closes the runner when the sample ends."""
     toolchain = toolchains.get(sample.language)
-    runner = ProgramRunner(toolchain, servers) if toolchain else None
-    policy = VerifyPolicy(
-        equivalence_spec=spec,
-        runner=runner,
-        compile_stage=not getattr(args, "no_compile", False),
-    )
-    return (lambda original, candidate: verify(original, candidate, policy)), runner
+    runner = ProgramRunner(toolchain, servers) if toolchain and args.equivalence != "stub" else None
+    return (lambda original, candidate: verify(original, candidate, runner, spec)), runner
 
 
 def _write_manifest(out: Path, command: str, config: PesoConfig, rest: dict, digest: str, args) -> None:
@@ -314,7 +305,7 @@ def _each_sample(args, samples, work) -> list[concurrent.futures.Future]:
 def _run_over_corpus(args, optimizer) -> int:
     catalog = build_catalog()
     config, rest = _peso_config(args)
-    engine = _build_engine(args, rest, catalog)
+    engine = _build_engine(args, rest)
     samples = read_corpus(args.corpus)
     out = Path(args.output_dir)
     _write_manifest(out, args.command, config, rest, corpus_digest(samples), args)
@@ -391,7 +382,7 @@ def cmd_random(args) -> int:
 def cmd_perturb(args) -> int:
     catalog = build_catalog()
     config, rest = _peso_config(args)
-    engine = _build_engine(args, rest, catalog)
+    engine = _build_engine(args, rest)
     method = catalog.get(args.method)
     samples = read_corpus(args.corpus)
     out = Path(args.output_dir)
@@ -462,7 +453,6 @@ def cmd_make_tasks(args) -> int:
                 id=record["id"],
                 language=language,
                 text=record["perturbed"],
-                origin=Origin.ACCEPTED,
                 lineage=("peso",),
             ),
             entry_points=tuple(record.get("entry_points", ())),

@@ -51,38 +51,26 @@ class Language(Enum):
         return aliases[key]
 
 
-class Origin(Enum):
-    ORIGINAL = "original"
-    INTERMEDIATE = "intermediate"
-    ACCEPTED = "accepted"
-
-
 @dataclass(frozen=True)
 class CodeSample:
-    """One source unit flowing through the pipeline."""
+    """One source unit flowing through the pipeline: an original when its
+    lineage is empty, else derived from one by the methods it lists."""
 
     id: str
     language: Language
     text: str
-    origin: Origin = Origin.ORIGINAL
     lineage: tuple[str, ...] = ()
 
     def __post_init__(self):
-        if self.origin is Origin.ORIGINAL:
-            if not self.text:
-                raise ConfigError(f"sample {self.id!r}: original text is empty")
-            if self.lineage:
-                raise ConfigError(f"sample {self.id!r}: original sample has lineage")
-        elif not self.lineage:
-            raise ConfigError(f"sample {self.id!r}: derived sample lacks lineage")
+        if not self.lineage and not self.text:
+            raise ConfigError(f"sample {self.id!r}: original text is empty")
 
-    def derive(self, text: str, method_id: str, origin: Origin = Origin.INTERMEDIATE) -> "CodeSample":
+    def derive(self, text: str, method_id: str) -> "CodeSample":
         """A child sample with one more lineage entry. Never mutates self."""
         return CodeSample(
             id=self.id,
             language=self.language,
             text=text,
-            origin=origin,
             lineage=self.lineage + (method_id,),
         )
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
 from .analysis import find_functions
-from .core import CodeSample, MethodCatalog, MethodCategory, Origin, PesoConfig, PerturbationMethod
+from .core import CodeSample, MethodCatalog, MethodCategory, PesoConfig, PerturbationMethod
 from .errors import (
     EngineFailure,
     MalformedAnswer,
@@ -188,7 +188,7 @@ def gain_update(
     elif state.mss >= score.ss:
         og = state.mss - score.ss
         state.mss = score.ss
-        state.current = dataclasses.replace(candidate, origin=Origin.ACCEPTED)
+        state.current = candidate
         state.best_score = score
         accepted = True
     else:

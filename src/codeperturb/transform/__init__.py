@@ -18,7 +18,7 @@ import random
 from dataclasses import dataclass
 
 from ..analysis import python_view
-from ..core import CodeSample, EngineKind, Language, MethodCatalog, Origin, PerturbationMethod
+from ..core import CodeSample, EngineKind, Language, PerturbationMethod
 from ..errors import NotApplicable, ParseError, UnsupportedCombination
 from ..lexing import check_balance, lex
 from . import rule_brace, rule_python
@@ -42,7 +42,6 @@ __all__ = [
 @dataclass(frozen=True)
 class PerturbationOutcome:
     candidate: CodeSample
-    method: PerturbationMethod
     engine_used: EngineKind
     entry_point: str
 
@@ -72,8 +71,7 @@ def rule_engine_apply(sample: CodeSample, method: PerturbationMethod, seed: int)
         raise NotApplicable(f"{method.id} left the code unchanged")
     _validate_output(new_text, sample.language)
     return PerturbationOutcome(
-        candidate=sample.derive(new_text, method.id, Origin.INTERMEDIATE),
-        method=method,
+        candidate=sample.derive(new_text, method.id),
         engine_used=EngineKind.RULE_BASED,
         entry_point=entry,
     )
@@ -83,9 +81,6 @@ class RuleEngine:
     """Deterministic built-in engine. Pure function of (text, method, seed)."""
 
     kind = EngineKind.RULE_BASED
-
-    def __init__(self, catalog: MethodCatalog):
-        self.catalog = catalog
 
     def supported(self, method: PerturbationMethod, language: Language) -> bool:
         return method.id in RULES.get(language, {})

@@ -13,7 +13,7 @@ import os
 from dataclasses import dataclass
 from pathlib import Path
 
-from ..core import CodeSample, EngineKind, Language, Origin, PerturbationMethod
+from ..core import CodeSample, EngineKind, Language, PerturbationMethod
 from ..corpusio import safe_name
 from ..errors import ConfigError, EngineFailure
 from .prompts import parse_llm_answer, synthesize_prompt
@@ -129,8 +129,7 @@ class LlmEngine:
         )
         code, entry_point = parse_llm_answer(reply)
         return PerturbationOutcome(
-            candidate=sample.derive(code, method.id, Origin.INTERMEDIATE),
-            method=method,
+            candidate=sample.derive(code, method.id),
             engine_used=EngineKind.LLM,
             entry_point=entry_point,
         )

@@ -1,16 +1,16 @@
-"""Candidate verification: syntactic validity, optional compilation, and
-semantic-equivalence judging.
+"""Candidate verification: syntax, then compile, then behavioural
+equivalence.
 
 One ProgramRunner per sample writes, compiles and runs every program text
 of that sample, so the compile stage and the execution oracle share each
-compile and the original's outputs. The equivalence stage is the
-execution oracle when a runner plus input suite is configured, else none.
-``vote_equivalence`` is the paper's majority rule as a pure function: a
-voter is any object with an ``id`` and a ``vote(original, candidate)``
-method, and verify() builds none. A candidate that fails any stage is
-simply discarded by the optimizer; an original that fails, times out or is
-nondeterministic under the oracle fails its whole sample instead
-(OriginalUnrunnable).
+compile and the original's outputs. verify() checks a candidate's syntax,
+compiles it when it gets a runner, and runs the execution oracle when it
+also gets an input suite. ``vote_equivalence`` is the paper's majority
+rule as a pure function: a voter is any object with an ``id`` and a
+``vote(original, candidate)`` method, and verify() builds none. A
+candidate that fails any stage is simply discarded by the optimizer; an
+original that fails, times out or is nondeterministic under the oracle
+fails its whole sample instead (OriginalUnrunnable).
 
 Compiles run through ``subprocess.run``. Every program run goes through a
 fork server (``forkserver.py``, POSIX only): ``sys.executable`` on that
@@ -252,14 +252,13 @@ class ProgramRunner:
     Each distinct text is written to its own subdirectory of one scratch
     directory and compiled at most once; compile results, outputs and
     timeouts are memoized per text (and per input). Programs run through
-    the fork servers of `servers`; without one the runner keeps its own
-    pool. close() removes the scratch directory and stops an own pool.
+    the fork servers of `servers`, which the caller stops. close() removes
+    the scratch directory.
     """
 
-    def __init__(self, toolchain: Toolchain, servers: ServerPool | None = None):
+    def __init__(self, toolchain: Toolchain, servers: ServerPool):
         self.toolchain = toolchain
-        self._own_servers = servers is None
-        self.servers = ServerPool() if servers is None else servers
+        self.servers = servers
         self._scratch: tempfile.TemporaryDirectory | None = None
         self._builds: dict[str, tuple[bool | None, list[str], Path, str]] = {}
         self._outputs: dict[tuple[str, str, bool], tuple[bytes, int] | str] = {}
@@ -341,14 +340,11 @@ class ProgramRunner:
         return self._result(sample, stdin_text, reseeded=True)
 
     def close(self) -> None:
-        """Remove every file this runner wrote and stop its own servers;
-        later calls rebuild."""
+        """Remove every file this runner wrote; later calls rebuild."""
         if self._scratch is not None:
             self._scratch.cleanup()
             self._scratch = None
         self._builds.clear()
-        if self._own_servers:
-            self.servers.stop()
 
 
 def execution_equivalence(
@@ -438,23 +434,16 @@ class VerificationReport:
         }
 
 
-@dataclass
-class VerifyPolicy:
-    """What verification stages run and with what resources.
-
-    The runner, when set, serves both the compile stage and the execution
-    oracle, which runs when there is also an input suite. Without one the
-    candidate is checked for syntax (and compilation) only.
-    """
-
-    equivalence_spec: EquivalenceSpec | None = None
-    runner: ProgramRunner | None = None
-    compile_stage: bool = True
-
-
-def verify(original: CodeSample, candidate: CodeSample, policy: VerifyPolicy) -> VerificationReport:
-    """Syntax, then compile, then equivalence; the first failing stage
-    rejects the candidate.
+def verify(
+    original: CodeSample,
+    candidate: CodeSample,
+    runner: ProgramRunner | None = None,
+    spec: EquivalenceSpec | None = None,
+) -> VerificationReport:
+    """Syntax, then compile on `runner`, then the execution oracle over
+    `spec`'s input suite; the first failing stage rejects the candidate.
+    Without a runner only syntax is checked, and without an input suite
+    no equivalence stage runs.
 
     Under the execution oracle every run of one process goes through one
     fork server, so the original and its candidates share that server's
@@ -467,18 +456,16 @@ def verify(original: CodeSample, candidate: CodeSample, policy: VerifyPolicy) ->
     if not syntax_ok:
         return VerificationReport(False, None, (), False, tuple(diagnostics))
     compile_ok: bool | None = None
-    if policy.compile_stage and policy.runner is not None:
-        compile_ok, diags = policy.runner.compile(candidate)
+    if runner is not None:
+        compile_ok, diags = runner.compile(candidate)
         diagnostics.extend(diags)
         if compile_ok is False:
             return VerificationReport(True, False, (), False, tuple(diagnostics))
     votes: tuple[Vote, ...] = ()
     votes_pass = True
-    if policy.runner is not None and policy.equivalence_spec and policy.equivalence_spec.input_suite:
+    if runner is not None and spec and spec.input_suite:
         try:
-            verdict = execution_equivalence(
-                original, candidate, policy.equivalence_spec, policy.runner
-            )
+            verdict = execution_equivalence(original, candidate, spec, runner)
         except (RunnerFailure, ToolchainUnavailable) as exc:
             verdict = False
             diagnostics.append(f"execution oracle failed: {exc}")

@@ -5,6 +5,7 @@ from pathlib import Path
 import pytest
 
 from codeperturb.core import CodeSample, EquivalenceSpec, Language
+from codeperturb.verify import ServerPool
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -44,6 +45,14 @@ def write_corpus_jsonl(path, corpus):
             if spec is not None and spec.input_suite:
                 record["input_suite"] = list(spec.input_suite)
             fh.write(json.dumps(record) + "\n")
+
+
+@pytest.fixture
+def servers():
+    """The fork servers of the test's ProgramRunners, stopped when it ends."""
+    pool = ServerPool()
+    yield pool
+    pool.stop()
 
 
 @pytest.fixture

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import hashlib
 
-from codeperturb.core import CodeSample, EngineKind, MethodCategory, Origin, build_catalog
+from codeperturb.core import CodeSample, EngineKind, MethodCategory, build_catalog
 from codeperturb.similarity import SimilarityScore
 from codeperturb.verify import VerificationReport
 
@@ -39,8 +39,7 @@ class MarkerEngine:
             text += "\n"
         text += f"{MARKER}{method.id} {self.calls}\n"
         return PerturbationOutcome(
-            candidate=sample.derive(text, method.id, Origin.INTERMEDIATE),
-            method=method,
+            candidate=sample.derive(text, method.id),
             engine_used=EngineKind.RULE_BASED,
             entry_point="main",
         )

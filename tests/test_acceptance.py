@@ -18,7 +18,6 @@ from codeperturb.core import (
     EquivalenceSpec,
     Language,
     MethodCategory,
-    Origin,
     PesoConfig,
     build_catalog,
 )
@@ -29,7 +28,6 @@ from codeperturb.similarity import combined_score
 from codeperturb.transform import RuleEngine, rule_engine_apply
 from codeperturb.verify import (
     ProgramRunner,
-    VerifyPolicy,
     execution_equivalence,
     verify,
     default_toolchains,
@@ -155,18 +153,17 @@ def test_criterion_04_termination():
 # Criterion 5: semantic preservation on the executable corpus
 # ---------------------------------------------------------------------------
 
-def test_criterion_05_semantic_preservation_oracle():
+def test_criterion_05_semantic_preservation_oracle(servers):
     with criterion(5, "every verified rule perturbation is execution-equivalent on the corpus", 120.0):
         corpus = load_fixture_corpus()
         languages = {s.language for s, _ in corpus}
         assert len(corpus) >= 20 and len(languages) >= 2
         toolchains = default_toolchains()
-        runners = {lang: ProgramRunner(toolchains[lang]) for lang in languages}
+        runners = {lang: ProgramRunner(toolchains[lang], servers) for lang in languages}
         # verify() compiles through the same runner the equivalence check
         # uses, so each candidate is compiled once.
-        policies = {lang: VerifyPolicy(runner=runners[lang]) for lang in languages}
         applied = {lang: 0 for lang in languages}
-        rule_engine = RuleEngine(CATALOG)
+        rule_engine = RuleEngine()
         for sample, spec in corpus:
             for m in CATALOG.methods:
                 if not rule_engine.supported(m, sample.language):
@@ -176,7 +173,7 @@ def test_criterion_05_semantic_preservation_oracle():
                     outcome = rule_engine_apply(sample, m, seed)
                 except NotApplicable:
                     continue
-                report = verify(sample, outcome.candidate, policies[sample.language])
+                report = verify(sample, outcome.candidate, runners[sample.language])
                 assert report.passed, (
                     f"{sample.id}/{m.id}: rule output failed verification: {report.diagnostics}"
                 )
@@ -282,7 +279,6 @@ def _random_pair(rng: random.Random) -> tuple[PerturbedPair, int]:
         ),
         perturbed=CodeSample(
             id="p", language=Language.PYTHON, text="\n".join(pert_lines) + "\n",
-            origin=Origin.INTERMEDIATE,
             lineage=("function_rename",),
         ),
         entry_points=(name,),

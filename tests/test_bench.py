@@ -20,7 +20,7 @@ from codeperturb.bench import (
     report_run,
     win_counts,
 )
-from codeperturb.core import CodeSample, Language, Origin
+from codeperturb.core import CodeSample, Language
 from codeperturb.errors import RegionUnavailable
 
 
@@ -128,7 +128,6 @@ def make_pair():
         original=sample(ORIG, sid="pair1.py"),
         perturbed=CodeSample(
             id="pair1.py", language=Language.PYTHON, text=PERT,
-            origin=Origin.ACCEPTED,
             lineage=("function_rename", "variables_rename", "insert_variables"),
         ),
         entry_points=("work",),
@@ -168,7 +167,6 @@ def test_build_tasks_too_small_function_skips_size():
         original=sample(orig, sid="small.py"),
         perturbed=CodeSample(
             id="small.py", language=Language.PYTHON, text=pert,
-            origin=Origin.ACCEPTED,
             lineage=("function_rename",),
         ),
         entry_points=("t",),
@@ -184,7 +182,6 @@ def test_build_tasks_region_unavailable():
         original=sample("x = 1\n" * 3, sid="nofn.py"),
         perturbed=CodeSample(
             id="nofn.py", language=Language.PYTHON, text="y = 1\n" * 3,
-            origin=Origin.ACCEPTED,
             lineage=("variables_rename",),
         ),
         entry_points=(),
@@ -213,7 +210,6 @@ def synthetic_pairs(draw):
         original=CodeSample(id=f"{fname}.py", language=Language.PYTHON, text=orig),
         perturbed=CodeSample(
             id=f"{fname}.py", language=Language.PYTHON, text=pert,
-            origin=Origin.ACCEPTED,
             lineage=("function_rename", "insert_variables"),
         ),
         entry_points=(fname,),

@@ -16,7 +16,7 @@ from codeperturb import cli, errors
 from codeperturb.cli import main
 from codeperturb.corpusio import read_jsonl, safe_name
 from codeperturb.errors import EngineFailure
-from codeperturb.verify import ForkServer, Toolchain
+from codeperturb.verify import ForkServer, Toolchain, default_toolchains
 
 from .conftest import load_fixture_corpus, write_corpus_jsonl
 from .test_verify import DEEP_SOURCES
@@ -96,7 +96,7 @@ def test_perturb_records_a_pair_without_a_rule_as_not_applied(tmp_path, capsys):
     out = tmp_path / "out"
     code = run_cli(
         "perturb", "--method", "add_exception", "--corpus", path, "--engine", "rule",
-        "--seed", "3", "--equivalence", "stub", "--no-compile", "--output-dir", out,
+        "--seed", "3", "--equivalence", "stub", "--output-dir", out,
     )
     assert code == 0
     outcomes = read_jsonl(out / "outcomes.jsonl")
@@ -106,6 +106,27 @@ def test_perturb_records_a_pair_without_a_rule_as_not_applied(tmp_path, capsys):
         assert r["applied"] is False and "error" not in r
         assert "cannot apply add_exception to c_cpp" in r["reason"]
     assert not any("error" in r for r in outcomes)
+
+
+def test_perturb_under_stub_builds_and_runs_nothing(tmp_path, monkeypatch, capsys):
+    if Language.C_CPP not in default_toolchains():
+        pytest.skip("no C toolchain")
+    path = tmp_path / "corpus.jsonl"
+    write_corpus_jsonl(path, load_fixture_corpus())
+    started = []
+    real_run, real_init = subprocess.run, ForkServer.__init__
+    monkeypatch.setattr(subprocess, "run", lambda *args, **kwargs: started.append(args) or real_run(*args, **kwargs))
+    monkeypatch.setattr(ForkServer, "__init__",
+                        lambda self, *args: started.append(args) or real_init(self, *args))
+    out = tmp_path / "out"
+    code = run_cli(
+        "perturb", "--method", "insert_junk_loop", "--corpus", path, "--engine", "rule",
+        "--seed", "1", "--equivalence", "stub", "--jobs", "1", "--output-dir", out,
+    )
+    assert code == 0 and started == []
+    c_records = [r for r in read_jsonl(out / "outcomes.jsonl") if r["sample_id"].endswith(".c")]
+    assert len(c_records) == 8 and all(r["applied"] for r in c_records)
+    assert [r["verification"]["compile_ok"] for r in c_records] == [None] * 8
 
 
 def test_perturb_unknown_method(small_corpus, tmp_path, capsys):
@@ -379,7 +400,7 @@ def test_replayed_llm_runs_write_the_same_files_on_worker_processes(tmp_path, ca
         out = tmp_path / f"out-{jobs}"
         code = run_cli(
             "peso-run", "--corpus", path, "--engine", "llm", "--replay-dir", replies, "--seed", "3",
-            "--max-iter", "3", "--jobs", jobs, "--equivalence", "stub", "--no-compile", "--output-dir", out,
+            "--max-iter", "3", "--jobs", jobs, "--equivalence", "stub", "--output-dir", out,
         )
         assert code == 0
         files = sorted((out / "traces").glob("*.jsonl")) + [out / "summary.jsonl", out / "pairs.jsonl"]
@@ -416,7 +437,7 @@ def test_an_unlexable_sample_fails_only_itself_on_worker_processes(tmp_path, cap
     out = tmp_path / "out"
     code = run_cli(
         "peso-run", "--corpus", path, "--engine", "rule", "--seed", "1", "--max-iter", "2",
-        "--jobs", "2", "--equivalence", "stub", "--no-compile", "--output-dir", out,
+        "--jobs", "2", "--equivalence", "stub", "--output-dir", out,
     )
     assert code == 2
     [failure] = read_jsonl(out / "failures.jsonl")
@@ -467,7 +488,7 @@ def test_failures_are_listed_in_corpus_order(tmp_path, monkeypatch, capsys):
     out = tmp_path / "out"
     code = run_cli(
         "peso-run", "--corpus", path, "--engine", "rule", "--seed", "1", "--max-iter", "1",
-        "--jobs", "2", "--equivalence", "stub", "--no-compile", "--output-dir", out,
+        "--jobs", "2", "--equivalence", "stub", "--output-dir", out,
     )
     assert code == 2
     assert [f["sample_id"] for f in read_jsonl(out / "failures.jsonl")] == [slow, fast]
@@ -525,7 +546,7 @@ def _seeded_rule_run(command, tmp_path, monkeypatch, jobs="1"):
     out = tmp_path / f"out-{jobs}"
     code = run_cli(
         command, "--corpus", path, "--engine", "rule", "--seed", "11", "--max-iter", "3",
-        "--jobs", jobs, "--equivalence", "stub", "--no-compile", "--output-dir", out,
+        "--jobs", jobs, "--equivalence", "stub", "--output-dir", out,
     )
     assert code == 0
     files = sorted((out / "traces").glob("*.jsonl"))

@@ -62,7 +62,7 @@ def test_catalog_get():
 
 def test_supported_follows_the_rule_table():
     cat = build_catalog()
-    rule, llm = RuleEngine(cat), LlmEngine(transport=None)
+    rule, llm = RuleEngine(), LlmEngine(transport=None)
     rename = cat.get("function_rename")
     assert rule.supported(rename, Language.PYTHON)
     assert not rule.supported(rename, Language.JAVA)
@@ -75,7 +75,7 @@ def test_supported_follows_the_rule_table():
 
 def test_rule_subset_covers_each_category_for_python_and_go():
     cat = build_catalog()
-    rule = RuleEngine(cat)
+    rule = RuleEngine()
     for lang in (Language.PYTHON, Language.GO):
         for category in MethodCategory:
             supported = [m for m in cat.by_category[category] if rule.supported(m, lang)]
@@ -106,7 +106,7 @@ def test_rule_table_is_pinned():
 @pytest.mark.parametrize("lang", [Language.JAVA, Language.RUST_LANG])
 def test_java_and_rust_are_llm_only(lang):
     cat = build_catalog()
-    rule = RuleEngine(cat)
+    rule = RuleEngine()
     assert not any(rule.supported(m, lang) for m in cat.methods)
 
 

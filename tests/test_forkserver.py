@@ -13,11 +13,11 @@ import time
 
 import pytest
 
-from codeperturb.core import CodeSample, EquivalenceSpec, Language, Origin
+from codeperturb.core import CodeSample, EquivalenceSpec, Language
 from codeperturb.corpusio import read_jsonl
 from codeperturb.errors import ExecutionTimeout, RunnerFailure
 from codeperturb.forkserver import FILE_SIZE_LIMIT, MEMORY_LIMIT, cpu_limit
-from codeperturb.verify import ProgramRunner, ServerPool, Toolchain, VerifyPolicy, default_toolchains, verify
+from codeperturb.verify import ProgramRunner, Toolchain, default_toolchains, verify
 
 from .conftest import load_fixture_corpus, write_corpus_jsonl
 from .test_cli import run_cli
@@ -27,8 +27,8 @@ PYTHON = TOOLCHAINS[Language.PYTHON]
 
 
 @pytest.fixture
-def runner():
-    made = ProgramRunner(PYTHON)
+def runner(servers):
+    made = ProgramRunner(PYTHON, servers)
     yield made
     made.close()
 
@@ -42,11 +42,11 @@ def direct(runner, sample, stdin_text):
     return proc.stdout, proc.returncode
 
 
-def test_every_fixture_input_runs_alike_through_the_server():
+def test_every_fixture_input_runs_alike_through_the_server(servers):
     corpus = [item for item in load_fixture_corpus() if item[0].language in TOOLCHAINS]
     assert len(corpus) == 22 or Language.C_CPP not in TOOLCHAINS
     for sample, spec in corpus:
-        runner = ProgramRunner(TOOLCHAINS[sample.language])
+        runner = ProgramRunner(TOOLCHAINS[sample.language], servers)
         try:
             for stdin_text in spec.input_suite:
                 assert runner.run(sample, stdin_text) == direct(runner, sample, stdin_text), (
@@ -96,14 +96,14 @@ def test_edge_programs_match_a_fresh_interpreter(runner, name):
         assert result[0] == b"main\nat exit\n"
 
 
-def test_a_cpu_spinner_is_rejected_within_the_timeout():
-    runner = ProgramRunner(Toolchain(run_argv=(sys.executable, "{file}"), extension=".py", run_timeout=1.0))
+def test_a_cpu_spinner_is_rejected_within_the_timeout(servers):
+    runner = ProgramRunner(Toolchain(run_argv=(sys.executable, "{file}"), extension=".py", run_timeout=1.0),
+                           servers)
     try:
-        policy = VerifyPolicy(equivalence_spec=EquivalenceSpec(input_suite=("1\n",)), runner=runner)
         base = CodeSample(id="s.py", language=Language.PYTHON, text="print(1)\n")
-        spinner = base.derive("while True:\n    pass\n", "variables_rename", Origin.INTERMEDIATE)
+        spinner = base.derive("while True:\n    pass\n", "variables_rename")
         start = time.monotonic()
-        report = verify(base, spinner, policy)
+        report = verify(base, spinner, runner, EquivalenceSpec(input_suite=("1\n",)))
         assert time.monotonic() - start < 1.0 + 2.0
         assert not report.passed and any("exceeded 1.0s" in d for d in report.diagnostics)
     finally:
@@ -140,7 +140,7 @@ def test_the_child_runs_under_all_three_limits(runner):
         assert f"{name} {value} {value}".encode() in out.splitlines()
 
 
-def test_a_timed_out_child_loses_its_whole_process_group(tmp_path):
+def test_a_timed_out_child_loses_its_whole_process_group(tmp_path, servers):
     marker = tmp_path / "marker"
     text = textwrap.dedent(
         f"""\
@@ -151,7 +151,8 @@ def test_a_timed_out_child_loses_its_whole_process_group(tmp_path):
         time.sleep(30)
         """
     )
-    runner = ProgramRunner(Toolchain(run_argv=(sys.executable, "{file}"), extension=".py", run_timeout=0.5))
+    runner = ProgramRunner(Toolchain(run_argv=(sys.executable, "{file}"), extension=".py", run_timeout=0.5),
+                           servers)
     try:
         with pytest.raises(ExecutionTimeout):
             runner.run(CodeSample(id="group.py", language=Language.PYTHON, text=text), "")
@@ -161,8 +162,8 @@ def test_a_timed_out_child_loses_its_whole_process_group(tmp_path):
     assert not marker.exists()
 
 
-def test_a_command_that_cannot_start_is_a_runner_failure():
-    runner = ProgramRunner(Toolchain(run_argv=("/nonexistent/prog", "{file}"), extension=".py"))
+def test_a_command_that_cannot_start_is_a_runner_failure(servers):
+    runner = ProgramRunner(Toolchain(run_argv=("/nonexistent/prog", "{file}"), extension=".py"), servers)
     try:
         with pytest.raises(RunnerFailure, match="cannot run '/nonexistent/prog': FileNotFoundError"):
             runner.run(CodeSample(id="a.py", language=Language.PYTHON, text="print(1)\n"), "")
@@ -179,8 +180,8 @@ def test_a_killed_server_fails_one_run_and_is_replaced(runner):
     assert runner.run(echo, "7\n") == (b"7\n", 0)
 
 
-def test_a_shared_pool_starts_one_server_per_hash_seed_and_stop_ends_them():
-    pool = ServerPool()
+def test_a_shared_pool_starts_one_server_per_hash_seed_and_stop_ends_them(servers):
+    pool = servers
     runners = [ProgramRunner(PYTHON, pool) for _ in range(2)]
     sample = CodeSample(id="t.py", language=Language.PYTHON, text="print(input())\n")
     assert runners[0].run(sample, "0\n") == (b"0\n", 0)

@@ -18,7 +18,7 @@ from codeperturb.peso import (
 )
 from codeperturb.similarity import score_pair
 from codeperturb.transform import RuleEngine
-from codeperturb.verify import VerificationReport, VerifyPolicy, verify
+from codeperturb.verify import VerificationReport, verify
 
 from .synthetic import MarkerEngine, halving_scorer, make_verifier, noisy_scorer, triple
 
@@ -328,10 +328,7 @@ main()
 def test_run_with_real_engine_and_scorer():
     cfg = PesoConfig(rng_seed=13, max_iter=5, ss_threshold=0.2)
     original = CodeSample(id="real.py", language=Language.PYTHON, text=REAL_SRC)
-    engine = RuleEngine(CATALOG)
-    policy = VerifyPolicy()
-    verifier = lambda o, c: verify(o, c, policy)
-    result = run(original, engine, CATALOG, cfg, verifier)
+    result = run(original, RuleEngine(), CATALOG, cfg, verify)
     assert result.final.text != REAL_SRC
     rescored = score_pair(original, result.final, cfg)
     assert abs(rescored.ss - result.summary.final_ss) < 1e-12
@@ -349,8 +346,7 @@ def test_the_optimizer_lexes_each_accepted_text_for_functions_once(monkeypatch):
     monkeypatch.setattr(peso, "find_functions", lambda text, lang: calls.append(text) or real(text, lang))
     cfg = PesoConfig(rng_seed=13, max_iter=5, ss_threshold=0.2)
     original = CodeSample(id="real.py", language=Language.PYTHON, text=REAL_SRC)
-    policy = VerifyPolicy()
-    result = run(original, RuleEngine(CATALOG), CATALOG, cfg, lambda o, c: verify(o, c, policy))
+    result = run(original, RuleEngine(), CATALOG, cfg, verify)
     accepted = [r for r in result.records if r.accepted]
     assert len(accepted) >= 2
     # One call for the original, then one per acceptance (the accepted text).
@@ -408,10 +404,10 @@ def test_peso_run_parses_each_python_text_once(monkeypatch, rejecting):
     import sys
 
     from codeperturb import lexing, similarity
-    from codeperturb.analysis import PYTHON_VIEWS, python_view
+    from codeperturb.analysis import PYTHON_VIEWS, _parse
 
     text = _renamed_copies(2000)
-    python_view.cache_clear()
+    _parse.cache_clear()
     similarity._tokenized.clear()
     parses, scans, scanned = Counter(), Counter(), Counter()
     real_compile, real_scan = builtins.compile, lexing.scan
@@ -420,7 +416,7 @@ def test_peso_run_parses_each_python_text_once(monkeypatch, rejecting):
         # ast.parse compiles its str source too, so this counts every parse.
         if isinstance(source, str):
             parses[source] += 1
-            assert python_view.cache_info().currsize <= PYTHON_VIEWS
+            assert _parse.cache_info().currsize <= PYTHON_VIEWS
         return real_compile(source, *args, **kwargs)
 
     def counting_scan(source, language, pos=0):
@@ -434,8 +430,8 @@ def test_peso_run_parses_each_python_text_once(monkeypatch, rejecting):
         if name.startswith("codeperturb") and getattr(module, "scan", None) is real_scan:
             monkeypatch.setattr(module, "scan", counting_scan)
     config = PesoConfig(rng_seed=3, max_iter=3)
-    result = run(sample(text, sid="large.py"), RuleEngine(CATALOG), CATALOG, config,
-                 lambda o, c: verify(o, c, VerifyPolicy()), _every_other_rejected(config) if rejecting else None)
+    result = run(sample(text, sid="large.py"), RuleEngine(), CATALOG, config,
+                 verify, _every_other_rejected(config) if rejecting else None)
     monkeypatch.undo()
     verified = [r for r in result.records if r.verified]
     assert len(verified) >= 5 and any(r.accepted for r in verified)
@@ -447,4 +443,4 @@ def test_peso_run_parses_each_python_text_once(monkeypatch, rejecting):
     size = {t: len(lexing.lex(t, Language.PYTHON)) for t in scans}
     assert scanned[text] == size[text]
     assert {t: (n, size[t]) for t, n in scanned.items() if t != text and 4 * n >= size[t]} == {}
-    assert python_view.cache_info().maxsize == PYTHON_VIEWS
+    assert _parse.cache_info().maxsize == PYTHON_VIEWS

@@ -26,7 +26,7 @@ from codeperturb.similarity import (
     tokenize,
 )
 from codeperturb.transform import RuleEngine
-from codeperturb.verify import VerifyPolicy, verify
+from codeperturb.verify import verify
 
 from .conftest import load_fixture_corpus
 from .oracles import brute_force_coverage, brute_force_tiles, dp_levenshtein
@@ -575,8 +575,7 @@ def test_peso_run_lexes_the_original_once_for_scoring(monkeypatch):
     real_scan = similarity.scan
     monkeypatch.setattr(similarity, "scan", lambda text, language, pos=0: lexed.append(text) or real_scan(text, language, pos))
     catalog = build_catalog()
-    result = run(original, RuleEngine(catalog), catalog, PesoConfig(rng_seed=11, max_iter=3),
-                 lambda o, c: verify(o, c, VerifyPolicy()))
+    result = run(original, RuleEngine(), catalog, PesoConfig(rng_seed=11, max_iter=3), verify)
     scored = [r for r in result.records if r.score is not None]
     assert len(scored) >= 2
     assert lexed[0] == original.text

@@ -148,7 +148,7 @@ def test_rule_engine_deterministic():
 
 def test_perturb_never_mutates_input_and_grows_lineage():
     s = sample(PY_SRC)
-    engine = RuleEngine(CATALOG)
+    engine = RuleEngine()
     out = perturb(engine, s, method("insert_variables"), seed=5)
     assert s.text == PY_SRC and s.lineage == ()
     assert out.candidate.lineage == ("insert_variables",)
@@ -157,7 +157,7 @@ def test_perturb_never_mutates_input_and_grows_lineage():
 
 
 def test_unsupported_combination():
-    engine = RuleEngine(CATALOG)
+    engine = RuleEngine()
     s = sample("class A {}\n", Language.JAVA)
     with pytest.raises(UnsupportedCombination):
         perturb(engine, s, method("function_rename"), seed=1)
@@ -165,7 +165,7 @@ def test_unsupported_combination():
 
 def test_rule_outputs_reparse():
     s = sample(PY_SRC)
-    engine = RuleEngine(CATALOG)
+    engine = RuleEngine()
     for m in CATALOG.methods:
         if not engine.supported(m, Language.PYTHON):
             continue
@@ -717,6 +717,29 @@ def test_rules_on_a_deeply_nested_text_rewrite_it_or_decline(sid):
             rewrite(DEEP_SOURCES[sid], random.Random(0))
 
 
+def test_a_text_that_does_not_parse_is_parsed_once(monkeypatch):
+    from codeperturb import analysis
+
+    text = "def f(x):\n    return x +\n"
+    analysis._parse.cache_clear()
+    parsed, real_parse = [], ast.parse
+    monkeypatch.setattr(ast, "parse", lambda source, *args: parsed.append(source) or real_parse(source, *args))
+    for mid, rewrite in sorted(RULES[Language.PYTHON].items()):
+        with pytest.raises(ParseError, match="line 2"):
+            rewrite(text, random.Random(0))
+    with pytest.raises(ParseError):
+        analysis.find_functions(text, Language.PYTHON)
+    assert parsed == [text]
+    # Each raise starts a fresh traceback instead of growing the kept one.
+    depths = []
+    for _ in range(2):
+        with pytest.raises(SyntaxError) as info:
+            analysis.python_view(text)
+        depths.append(len(info.traceback))
+    assert depths[0] == depths[1]
+    assert (info.value.lineno, info.value.offset) == (2, 15)
+
+
 # A statement followed by `; statement` on its line is no site: wrapping it
 # would carry the rest of the line into the new block.
 SEMICOLON_JOINED_SRC = {
@@ -827,7 +850,7 @@ def test_replay_replies_are_chosen_by_sample_not_by_the_order_of_requests(tmp_pa
 
 
 def test_hybrid_prefers_rules(tmp_path):
-    rule = RuleEngine(CATALOG)
+    rule = RuleEngine()
     llm = LlmEngine(ReplayTransport(tmp_path))
     hybrid = HybridEngine(rule, llm)
     out = perturb(hybrid, sample(PY_SRC), method("function_rename"), seed=3)
@@ -842,7 +865,7 @@ def test_hybrid_prefers_rules(tmp_path):
 def test_hybrid_sends_rust_to_the_llm(tmp_path):
     reply = {"content": json.dumps({"code": "fn main() {}\n", "entry_point": "main"})}
     (tmp_path / "function_rename.json").write_text(json.dumps(reply))
-    hybrid = HybridEngine(RuleEngine(CATALOG), LlmEngine(ReplayTransport(tmp_path)))
+    hybrid = HybridEngine(RuleEngine(), LlmEngine(ReplayTransport(tmp_path)))
     rust = sample('fn main() {\n    println!("hi");\n}\n', Language.RUST_LANG, "m.rs")
     out = perturb(hybrid, rust, method("function_rename"), seed=0)
     assert out.engine_used is EngineKind.LLM

@@ -10,13 +10,12 @@ import pytest
 
 from codeperturb.analysis import find_functions, walk
 from codeperturb.cli import _verifier_for
-from codeperturb.core import CodeSample, EquivalenceSpec, Language, Origin, PesoConfig, build_catalog
+from codeperturb.core import CodeSample, EquivalenceSpec, Language, PesoConfig, build_catalog
 from codeperturb.errors import ConfigError, OriginalUnrunnable, ParseError, RunnerFailure, ToolchainUnavailable
 from codeperturb.verify import (
     ForkServer,
     ProgramRunner,
     Toolchain,
-    VerifyPolicy,
     default_toolchains,
     ensure_main,
     execution_equivalence,
@@ -33,12 +32,12 @@ TOOLCHAINS = default_toolchains()
 
 
 @pytest.fixture
-def make_runner():
+def make_runner(servers):
     """ProgramRunner factory (Python by default); closes its runners."""
     made = []
 
     def make(toolchain=TOOLCHAINS[Language.PYTHON]):
-        made.append(ProgramRunner(toolchain))
+        made.append(ProgramRunner(toolchain, servers))
         return made[-1]
 
     yield make
@@ -51,7 +50,7 @@ def sample(text, lang=Language.PYTHON, sid="s.py"):
 
 
 def derived(base, text):
-    return base.derive(text, "variables_rename", Origin.INTERMEDIATE)
+    return base.derive(text, "variables_rename")
 
 
 # ---------------------------------------------------------------------------
@@ -294,8 +293,7 @@ def test_verify_short_circuits_on_syntax():
             calls.append("run")
             return "", 0
 
-    policy = VerifyPolicy(equivalence_spec=EquivalenceSpec(input_suite=("4\n",)), runner=SpyRunner())
-    report = verify(base, broken, policy)
+    report = verify(base, broken, SpyRunner(), EquivalenceSpec(input_suite=("4\n",)))
     assert not report.passed and not report.syntax_ok
     assert report.compile_ok is None and report.votes == ()
     assert calls == []
@@ -304,11 +302,7 @@ def test_verify_short_circuits_on_syntax():
 def test_verify_execution_oracle_path(make_runner):
     base = sample(PY_PROG)
     good = derived(base, "import sys\nk = int(sys.stdin.read() or 0)\nprint(k * 2)\n")
-    policy = VerifyPolicy(
-        equivalence_spec=EquivalenceSpec(input_suite=("4\n", "7\n")),
-        runner=make_runner(),
-    )
-    report = verify(base, good, policy)
+    report = verify(base, good, make_runner(), EquivalenceSpec(input_suite=("4\n", "7\n")))
     assert report.passed
     assert [v.voter_id for v in report.votes] == ["execution_oracle"]
 
@@ -316,7 +310,7 @@ def test_verify_execution_oracle_path(make_runner):
 def test_verify_passed_implies_syntax_ok():
     base = sample(PY_PROG)
     for cand_text in (PY_PROG + "\n", "def f(:\n", "x=("):
-        report = verify(base, derived(base, cand_text), VerifyPolicy())
+        report = verify(base, derived(base, cand_text))
         if report.passed:
             assert report.syntax_ok
 
@@ -324,7 +318,7 @@ def test_verify_passed_implies_syntax_ok():
 def test_verify_stub_path_accepts():
     base = sample(PY_PROG)
     cand = derived(base, PY_PROG + "\n")
-    report = verify(base, cand, VerifyPolicy())
+    report = verify(base, cand)
     assert report.passed and report.votes == ()
 
 
@@ -334,28 +328,28 @@ def test_verify_stub_path_accepts():
 
 def test_runner_pays_a_timeout_once(monkeypatch, make_runner):
     runner = make_runner(Toolchain(run_argv=(sys.executable, "{file}"), extension=".py", run_timeout=0.5))
-    policy = VerifyPolicy(equivalence_spec=EquivalenceSpec(input_suite=("1\n",)), runner=runner)
+    spec = EquivalenceSpec(input_suite=("1\n",))
     calls = []
     real_launch = ForkServer.launch
     monkeypatch.setattr(ForkServer, "launch", lambda self, req: calls.append(req) or real_launch(self, req))
     base = sample("import time\ntime.sleep(30)\n")
     for i in (1, 2):
         with pytest.raises(OriginalUnrunnable, match="exceeded 0.5s"):
-            verify(base, derived(base, f"print({i})\n"), policy)
+            verify(base, derived(base, f"print({i})\n"), runner, spec)
     assert len(calls) == 1
 
 
 def test_a_timed_out_candidate_is_only_rejected(make_runner):
     runner = make_runner(Toolchain(run_argv=(sys.executable, "{file}"), extension=".py", run_timeout=0.5))
-    policy = VerifyPolicy(equivalence_spec=EquivalenceSpec(input_suite=("1\n",)), runner=runner)
+    spec = EquivalenceSpec(input_suite=("1\n",))
     base = sample("print(1)\n")
-    report = verify(base, derived(base, "import time\ntime.sleep(30)\nprint(1)\n"), policy)
+    report = verify(base, derived(base, "import time\ntime.sleep(30)\nprint(1)\n"), runner, spec)
     assert report.passed is False
     assert any("execution oracle failed" in d and "exceeded 0.5s" in d for d in report.diagnostics)
-    assert verify(base, derived(base, "print(2 - 1)\n"), policy).passed
+    assert verify(base, derived(base, "print(2 - 1)\n"), runner, spec).passed
 
 
-def test_cli_verifier_compiles_each_text_once_and_runs_the_original_once_per_input(monkeypatch):
+def test_cli_verifier_compiles_each_text_once_and_runs_the_original_once_per_input(monkeypatch, servers):
     if Language.C_CPP not in TOOLCHAINS:
         pytest.skip("no C toolchain")
     original, spec = next(item for item in load_fixture_corpus() if item[0].id == "collatz.c")
@@ -374,11 +368,11 @@ def test_cli_verifier_compiles_each_text_once_and_runs_the_original_once_per_inp
 
     monkeypatch.setattr(subprocess, "run", compile_spy)
     monkeypatch.setattr(ForkServer, "launch", launch_spy)
-    args = argparse.Namespace(equivalence="auto", no_compile=False)
-    verifier, runner = _verifier_for(args, original, spec, TOOLCHAINS)
+    args = argparse.Namespace(equivalence="auto")
+    verifier, runner = _verifier_for(args, original, spec, TOOLCHAINS, servers)
     catalog = build_catalog()
     try:
-        result = run(original, RuleEngine(catalog), catalog, PesoConfig(rng_seed=11, max_iter=3), verifier)
+        result = run(original, RuleEngine(), catalog, PesoConfig(rng_seed=11, max_iter=3), verifier)
     finally:
         runner.close()
     assert sum(r.verified for r in result.records) >= 2
