@@ -1,6 +1,8 @@
 """Line-delimited corpus, task, and record I/O.
 
 Corpus records are JSON objects {id, language, content}, one per line.
+Lines end at "\n" only: JSON written with ensure_ascii=False holds U+2028,
+U+2029 and U+0085 unescaped, and str.splitlines() would end a line there.
 Optional per-record fields: input_suite (list of stdin strings used by the
 execution oracle).
 """
@@ -19,7 +21,7 @@ from .errors import ConfigError
 def read_corpus(path: str | Path) -> list[tuple[CodeSample, EquivalenceSpec | None]]:
     samples = []
     try:
-        lines = Path(path).read_text(encoding="utf-8").splitlines()
+        lines = Path(path).read_text(encoding="utf-8").split("\n")
     except OSError as exc:
         raise ConfigError(f"cannot read corpus {path}: {exc}") from exc
     for n, line in enumerate(lines, start=1):
@@ -50,7 +52,7 @@ def write_jsonl(path: str | Path, records) -> None:
 
 def read_jsonl(path: str | Path) -> list[dict]:
     out = []
-    for n, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1):
+    for n, line in enumerate(Path(path).read_text(encoding="utf-8").split("\n"), start=1):
         if not line.strip():
             continue
         try:

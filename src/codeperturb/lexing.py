@@ -25,6 +25,9 @@ edited part of a text (``similarity.tokenize`` does, through
   one: Rust's ``r`` before a run of ``#`` reads through the run and the
   character after it, which may open a raw string.
 
+``common_affixes`` finds where two texts differ; ``similarity.tokenize``
+and ``analysis.python_view`` both pick the kept text to reuse by it.
+
 Spans are (start, end) offsets into the text string.
 """
 
@@ -285,6 +288,27 @@ def reuse_bound(text: str, head: int, language: Language) -> int:
         if text[run - 1 : run] == "r":
             bound = min(bound, run - 1)
     return bound
+
+
+def _longest(limit: int, agree) -> int:
+    """The largest k <= limit with agree(k), where agree holds up to some k
+    and fails above it."""
+    lo, hi = 0, limit
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        if agree(mid):
+            lo = mid
+        else:
+            hi = mid - 1
+    return lo
+
+
+def common_affixes(a: str, b: str) -> tuple[int, int]:
+    """The lengths of the common prefix of a and b and of the common suffix
+    of what follows it. Binary searches over slice comparisons, which run at
+    memcmp speed."""
+    head = _longest(min(len(a), len(b)), lambda k: a.startswith(b[:k]))
+    return head, _longest(min(len(a), len(b)) - head, lambda k: a.endswith(b[len(b) - k :]))
 
 
 def lex(text: str, language: Language) -> list[Token]:

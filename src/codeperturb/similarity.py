@@ -53,7 +53,7 @@ from itertools import chain, islice, repeat
 
 from .core import CodeSample, Language, PesoConfig
 from .errors import EmptyStream, LanguageMismatch
-from .lexing import NORMAL_BY_KIND, reuse_bound, scan
+from .lexing import NORMAL_BY_KIND, common_affixes, reuse_bound, scan
 
 
 @dataclass(frozen=True)
@@ -114,7 +114,7 @@ def _relex(text: str, language: Language, bases: list[tuple[str, array, tuple[st
     """(token starts, normalized tokens) of text, reusing those of the best
     of bases, kept (text, starts, tokens) triples, as tokenize says."""
     head, tail, old, old_starts, old_tokens = max(
-        ((*_common_affixes(old, text), old, starts, tokens) for old, starts, tokens in bases),
+        ((*common_affixes(old, text), old, starts, tokens) for old, starts, tokens in bases),
         key=lambda base: base[0] + base[1], default=(0, 0, "", array("q"), ()),
     )
     k = max(bisect_right(old_starts, reuse_bound(old, head, language)) - 1, 0)
@@ -133,27 +133,6 @@ def _relex(text: str, language: Language, bases: list[tuple[str, array, tuple[st
     return starts, tuple(tokens)
 
 
-def _longest(limit: int, agree) -> int:
-    """The largest k <= limit with agree(k), where agree holds up to some k
-    and fails above it."""
-    lo, hi = 0, limit
-    while lo < hi:
-        mid = (lo + hi + 1) // 2
-        if agree(mid):
-            lo = mid
-        else:
-            hi = mid - 1
-    return lo
-
-
-def _common_affixes(a: str, b: str) -> tuple[int, int]:
-    """The lengths of the common prefix of a and b and of the common suffix
-    of what follows it. Binary searches over slice comparisons, which run at
-    memcmp speed."""
-    head = _longest(min(len(a), len(b)), lambda k: a.startswith(b[:k]))
-    return head, _longest(min(len(a), len(b)) - head, lambda k: a.endswith(b[len(b) - k :]))
-
-
 _FIRST_BAND = 64  # the cutoff k of the first banded pass
 _CHUNK = 128  # columns between re-anchoring the band's pattern masks
 
@@ -164,7 +143,7 @@ def levenshtein_distance(a: str, b: str) -> int:
     narrow, else by the bit-parallel loop over the full middle."""
     if a == b:
         return 0
-    head, tail = _common_affixes(a, b)
+    head, tail = common_affixes(a, b)
     a, b = a[head : len(a) - tail], b[head : len(b) - tail]
     if not a:
         return len(b)

@@ -29,6 +29,7 @@ original's first input once more on a second server with another
 
 from __future__ import annotations
 
+import ast
 import contextlib
 import hashlib
 import json
@@ -40,7 +41,7 @@ import tempfile
 from dataclasses import dataclass
 from pathlib import Path
 
-from .analysis import has_main_function, python_view
+from .analysis import PythonView, has_main_function, python_view
 from .core import CodeSample, EquivalenceSpec, Language
 from .errors import (
     ConfigError,
@@ -113,25 +114,48 @@ def _java_public_class(text: str) -> str | None:
     return None
 
 
+def _compile(view: PythonView, name: str) -> None:
+    """Settle view.compiles as compile() of its tree would, raising what
+    that raises. When the view's base is known to compile (or compiles
+    now), its fresh statements compile alone; should they fail, the whole
+    tree compiles, so that the error is the one a full compile reports."""
+    base, view.base = view.base, None
+    if base is not None and base.compiles is None:
+        with contextlib.suppress(SyntaxError, RecursionError):
+            _compile(base, name)
+    if base is not None and base.compiles:
+        with contextlib.suppress(SyntaxError, RecursionError):
+            compile(ast.Module(body=view.fresh, type_ignores=[]), name, "exec", dont_inherit=True)
+            view.compiles = True
+            return
+    view.compiles = False
+    try:
+        compile(view.tree, name, "exec", dont_inherit=True)
+    except RecursionError:  # compile() of a tree nests deeper than compile() of its text
+        compile(view.text, name, "exec", dont_inherit=True)
+    view.compiles = True
+
+
 def syntax_check(sample: CodeSample) -> tuple[bool, list[str]]:
     """Lexical/grammar validation plus the per-language structural rules.
 
     Python is compiled to bytecode, which also finds the errors that only
-    the compiler reports ('return' outside a function and the like). The
-    syntax tree comes from the shared parsed view, whose SyntaxError words
-    a parse failure; the text itself is compiled only when the tree nests
-    too deeply for compile(). The other languages get lexical validation
-    (tokenizable, balanced delimiters); grammar-level checking for them is
-    the compile stage's job when a toolchain is configured.
+    the compiler reports ('return' outside a function and the like), with
+    no future features of this module inherited. The syntax tree comes
+    from the shared parsed view, whose SyntaxError words a parse failure;
+    a view built from another text's view compiles only its re-parsed
+    statements when that view is known to compile, and the text itself is
+    compiled only when the tree nests too deeply for compile(). The other
+    languages get lexical validation (tokenizable, balanced delimiters);
+    grammar-level checking for them is the compile stage's job when a
+    toolchain is configured.
     """
     diagnostics: list[str] = []
     if sample.language is Language.PYTHON:
-        name = sample.id or "<sample>"
         try:
-            try:
-                compile(python_view(sample.text).tree, name, "exec")
-            except RecursionError:  # compile() of a tree nests deeper than compile() of its text
-                compile(sample.text, name, "exec")
+            view = python_view(sample.text)
+            if not view.compiles:
+                _compile(view, sample.id or "<sample>")
             return True, diagnostics
         except SyntaxError as exc:
             diagnostics.append(f"syntax error at line {exc.lineno}, offset {exc.offset}: {exc.msg}")

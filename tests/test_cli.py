@@ -14,7 +14,7 @@ import pytest
 
 from codeperturb import cli, errors
 from codeperturb.cli import main
-from codeperturb.corpusio import read_jsonl, safe_name
+from codeperturb.corpusio import read_corpus, read_jsonl, safe_name
 from codeperturb.errors import EngineFailure
 from codeperturb.verify import ForkServer, Toolchain, default_toolchains
 
@@ -48,6 +48,23 @@ def test_similarity_prints_four_decimals(tmp_path, capsys):
     for field in out.split():
         name, value = field.split("=")
         assert len(value.split(".")[1]) == 4
+
+
+# json.dumps(..., ensure_ascii=False) leaves these unescaped; str.splitlines()
+# would end a line at each.
+LINE_SEPARATORS = ["\u2028", "\u2029", "\u0085"]
+
+
+@pytest.mark.parametrize("separator", LINE_SEPARATORS)
+def test_records_round_trip_content_with_unicode_line_separators(separator, tmp_path):
+    text = f"s = '{separator}'\nprint(len(s))\n"
+    record = {"id": "u.py", "language": "python", "content": text, "input_suite": [separator]}
+    path = tmp_path / "corpus.jsonl"
+    path.write_text(json.dumps(record, ensure_ascii=False) + "\n", encoding="utf-8")
+    assert separator in path.read_text(encoding="utf-8")
+    [(sample, spec)] = read_corpus(path)
+    assert (sample.text, spec.input_suite) == (text, (separator,))
+    assert read_jsonl(path) == [record]
 
 
 def test_filter_command(tmp_path, capsys):

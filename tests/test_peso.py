@@ -21,6 +21,7 @@ from codeperturb.transform import RuleEngine
 from codeperturb.verify import VerificationReport, verify
 
 from .synthetic import MarkerEngine, halving_scorer, make_verifier, noisy_scorer, triple
+from .view_differential import renamed_copies
 
 CATALOG = build_catalog()
 
@@ -355,35 +356,6 @@ def test_the_optimizer_lexes_each_accepted_text_for_functions_once(monkeypatch):
     assert result.summary.function_map
 
 
-def _renamed_copies(min_tokens: int) -> str:
-    """A module of at least min_tokens tokens: copies of the Python fixtures'
-    top-level functions, each copy's functions renamed apart."""
-    import ast
-
-    from codeperturb.similarity import tokenize
-
-    from .conftest import load_fixture_corpus
-
-    groups = []
-    for fixture, _ in load_fixture_corpus(languages={Language.PYTHON}):
-        tree = ast.parse(fixture.text)
-        groups.append([n for n in tree.body if isinstance(n, ast.FunctionDef)])
-    chunks, copy = [], 0
-    while not chunks or len(tokenize(sample("\n\n\n".join(chunks)))) < min_tokens:
-        for k, group in enumerate(groups):
-            names = {fn.name: f"{fn.name}_{k}_{copy}" for fn in group}
-            for fn in group:
-                fn = ast.parse(ast.unparse(fn)).body[0]
-                for node in ast.walk(fn):
-                    if isinstance(node, ast.FunctionDef) and node.name in names:
-                        node.name = names[node.name]
-                    elif isinstance(node, ast.Name) and node.id in names:
-                        node.id = names[node.id]
-                chunks.append(ast.unparse(fn))
-        copy += 1
-    return "\n\n\n".join(chunks) + "\n"
-
-
 def _every_other_rejected(config):
     """score_pair, but every second score is 1.0, which the optimizer rejects."""
     calls = []
@@ -397,26 +369,29 @@ def _every_other_rejected(config):
 
 @pytest.mark.parametrize("rejecting", [False, True])
 def test_peso_run_parses_each_python_text_once(monkeypatch, rejecting):
-    """Each distinct text is parsed once and scanned by the lexer at most
-    once (by the similarity score, which reads only verified candidates),
-    and a candidate's scan covers only around its edit."""
+    """No source is parsed twice. The original is parsed whole once; a
+    candidate is parsed as a padded run of its lines around its edit, which
+    runs to its end when the edit changes the line count, and whole only
+    when that run would be over half of it. Each distinct text is scanned
+    by the lexer at most once (by the similarity score, which reads only
+    verified candidates), and a candidate's scan covers only around its
+    edit."""
     import builtins
     import sys
 
-    from codeperturb import lexing, similarity
-    from codeperturb.analysis import PYTHON_VIEWS, _parse
+    from codeperturb import analysis, lexing, similarity
 
-    text = _renamed_copies(2000)
-    _parse.cache_clear()
+    text = renamed_copies(2000)
+    analysis._views.clear()
     similarity._tokenized.clear()
-    parses, scans, scanned = Counter(), Counter(), Counter()
-    real_compile, real_scan = builtins.compile, lexing.scan
+    parses, scans, scanned, viewed = Counter(), Counter(), Counter(), []
+    real_compile, real_scan, real_view = builtins.compile, lexing.scan, analysis.PythonView
 
     def counting_compile(source, *args, **kwargs):
         # ast.parse compiles its str source too, so this counts every parse.
         if isinstance(source, str):
             parses[source] += 1
-            assert _parse.cache_info().currsize <= PYTHON_VIEWS
+            assert len(analysis._views) <= analysis.PYTHON_VIEWS
         return real_compile(source, *args, **kwargs)
 
     def counting_scan(source, language, pos=0):
@@ -425,7 +400,13 @@ def test_peso_run_parses_each_python_text_once(monkeypatch, rejecting):
             scanned[source] += 1
             yield token
 
+    class RecordingView(real_view):
+        def __init__(self, view_text, *args):
+            viewed.append(view_text)
+            super().__init__(view_text, *args)
+
     monkeypatch.setattr(builtins, "compile", counting_compile)
+    monkeypatch.setattr(analysis, "PythonView", RecordingView)
     for name, module in list(sys.modules.items()):
         if name.startswith("codeperturb") and getattr(module, "scan", None) is real_scan:
             monkeypatch.setattr(module, "scan", counting_scan)
@@ -436,11 +417,22 @@ def test_peso_run_parses_each_python_text_once(monkeypatch, rejecting):
     verified = [r for r in result.records if r.verified]
     assert len(verified) >= 5 and any(r.accepted for r in verified)
     assert rejecting == any(not r.accepted for r in verified)
-    assert text in parses and result.final.text in parses
     assert {t: n for t, n in parses.items() if n > 1} == {}
+    assert parses[text] == 1
+    candidates = [c for c in viewed if c != text]
+    runs = {}  # each candidate parse: (its share of the candidate, whether it reaches the end)
+    for source in parses.keys() - {text}:
+        lines = source.lstrip("\n")
+        rests = [c.split("\n", len(source) - len(lines))[-1] for c in candidates]
+        k = next(k for k, rest in enumerate(rests) if rest.startswith(lines))
+        runs[source] = (len(lines) / len(candidates[k]), len(lines) == len(rests[k]))
+    assert len(runs) == len(candidates) >= len(verified)
+    assert {s: r for s, r in runs.items() if r[0] >= 0.25 and not r[1]} == {}
+    assert 2 * sum(share == 1 for share, _ in runs.values()) < len(runs)
+    assert 2 * sum(share for share, _ in runs.values()) < len(runs)
     assert text in scans and result.final.text in scans
     assert {t: n for t, n in scans.items() if n > 1} == {}
     size = {t: len(lexing.lex(t, Language.PYTHON)) for t in scans}
     assert scanned[text] == size[text]
     assert {t: (n, size[t]) for t, n in scanned.items() if t != text and 4 * n >= size[t]} == {}
-    assert _parse.cache_info().maxsize == PYTHON_VIEWS
+    assert analysis.PYTHON_VIEWS == 2

@@ -402,8 +402,6 @@ def _many_functions_src(n):
 
 
 def test_each_python_rewrite_walks_the_module_at_most_three_times_and_never_lexes(monkeypatch):
-    from codeperturb import analysis
-
     walks, lexes = [], []
     real_walk, real_lex = ast.walk, lexing.lex
 
@@ -420,7 +418,6 @@ def test_each_python_rewrite_walks_the_module_at_most_three_times_and_never_lexe
         return real_lex(text, language)
 
     monkeypatch.setattr(ast, "walk", counting(real_walk))
-    monkeypatch.setattr(analysis, "walk", counting(analysis.walk))
     for name, mod in list(sys.modules.items()):
         if name.startswith("codeperturb") and getattr(mod, "lex", None) is real_lex:
             monkeypatch.setattr(mod, "lex", counting_lex)
@@ -721,7 +718,7 @@ def test_a_text_that_does_not_parse_is_parsed_once(monkeypatch):
     from codeperturb import analysis
 
     text = "def f(x):\n    return x +\n"
-    analysis._parse.cache_clear()
+    analysis._views.clear()
     parsed, real_parse = [], ast.parse
     monkeypatch.setattr(ast, "parse", lambda source, *args: parsed.append(source) or real_parse(source, *args))
     for mid, rewrite in sorted(RULES[Language.PYTHON].items()):

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from codeperturb.analysis import find_functions, walk
+from codeperturb.analysis import PythonView, find_functions
 from codeperturb.cli import _verifier_for
 from codeperturb.core import CodeSample, EquivalenceSpec, Language, PesoConfig, build_catalog
 from codeperturb.errors import ConfigError, OriginalUnrunnable, ParseError, RunnerFailure, ToolchainUnavailable
@@ -385,9 +385,8 @@ def test_cli_verifier_compiles_each_text_once_and_runs_the_original_once_per_inp
 
 
 def test_walk_lists_every_node_in_ast_walk_order(fixture_corpus):
-    for sample, _ in fixture_corpus:
-        if sample.language is Language.PYTHON:
-            tree = ast.parse(sample.text)
-            assert walk(tree) == list(ast.walk(tree)), sample.id
-    expr = ast.parse("f(a, *b, k=[c, d][0])", mode="eval")
-    assert walk(expr) == list(ast.walk(expr))
+    """A view's nodes, merged from its statements' levels, in ast.walk order."""
+    texts = [sample.text for sample, _ in fixture_corpus if sample.language is Language.PYTHON]
+    for text in [*texts, "", "f(a, *b, k=[c, d][0])\n@d\nclass C:\n    x: int = 1\n"]:
+        view = PythonView(text)
+        assert view.nodes == list(ast.walk(view.tree)), text
