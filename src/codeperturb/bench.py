@@ -8,10 +8,10 @@ the accuracy delta isolates the perturbation effect.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
-from .analysis import FunctionSpan, find_functions, line_offsets
+from .analysis import FunctionSpan, find_functions, line_offsets, python_view
 from .core import CodeSample, Language
 from .errors import ParseError, RegionUnavailable
 from .verify import syntax_check
@@ -141,13 +141,19 @@ def _maskable(line: str, language: Language) -> bool:
     return not stripped.startswith(_COMMENT_PREFIXES[language])
 
 
+def _line_starts(text: str, language: Language) -> list[int]:
+    """Line starts as find_functions numbers the lines, plus a final
+    sentinel at len(text)."""
+    return python_view(text).offsets if language is Language.PYTHON else line_offsets(text)
+
+
 def _eligible_blocks(text: str, language: Language, span: FunctionSpan) -> list[tuple[int, int]]:
     """Maximal runs of consecutive maskable lines strictly inside the body."""
-    lines = text.split("\n")
+    starts = _line_starts(text, language)
     blocks = []
     run_start = None
     for ln in range(span.body_start_line, span.body_end_line + 1):
-        if ln < len(lines) and _maskable(lines[ln], language):
+        if ln + 1 < len(starts) and _maskable(text[starts[ln] : starts[ln + 1]], language):
             if run_start is None:
                 run_start = ln
         else:
@@ -159,8 +165,8 @@ def _eligible_blocks(text: str, language: Language, span: FunctionSpan) -> list[
     return blocks
 
 
-def _slice_by_lines(text: str, start_line: int, n_lines: int) -> tuple[str, str, str]:
-    offsets = line_offsets(text)
+def _slice_by_lines(text: str, language: Language, start_line: int, n_lines: int) -> tuple[str, str, str]:
+    offsets = _line_starts(text, language)
     start = offsets[start_line]
     end_line = start_line + n_lines - 1
     end = offsets[end_line + 1] if end_line + 1 < len(offsets) else len(text)
@@ -235,7 +241,7 @@ def build_tasks(pair: PerturbedPair, seed: int) -> list[CompletionTask]:
             (Variant.ORIGINAL, pair.original.text, o_start),
             (Variant.PERTURBED, pair.perturbed.text, p_start),
         ):
-            prefix, truth, suffix = _slice_by_lines(text, start, k)
+            prefix, truth, suffix = _slice_by_lines(text, language, start, k)
             tasks.append(
                 CompletionTask(
                     task_id=f"{pair.original.id}::L{k}::{variant.value}",

@@ -327,12 +327,6 @@ NORMAL_BY_KIND = {
 }
 
 
-def normalize_token(token: Token) -> str:
-    """Canonical class for a token: identifiers and literals collapse to
-    placeholder classes, keywords and operators stay verbatim."""
-    return NORMAL_BY_KIND.get(token.kind, token.text)
-
-
 def check_balance(tokens: list[Token]) -> str | None:
     """Bracket balance over a token stream. Returns a diagnostic or None."""
     pairs = {")": "(", "]": "[", "}": "{"}

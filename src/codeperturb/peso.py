@@ -1,6 +1,6 @@
 """The perturbation-method selection optimizer and its random baseline.
 
-One run: initialize (two heuristic renames, then one random method per
+One run: the start (two heuristic renames, then one random method per
 category to seed the gain ledger), then up to max_iter main iterations of
 perturb -> verify -> score -> gain update -> Boltzmann reselection,
 halting early once the best similarity drops to the threshold. The random
@@ -55,7 +55,6 @@ class IterationRecord:
 class OptimizerState:
     original: CodeSample
     current: CodeSample
-    catalog: MethodCatalog
     rng: random.Random
     mss: float = 1.0
     gains: list[float] = field(default_factory=lambda: [0.0] * 6)
@@ -68,12 +67,11 @@ class OptimizerState:
     current_names: list[str] | None = None
 
     @classmethod
-    def fresh(cls, original: CodeSample, catalog: MethodCatalog, config: PesoConfig) -> "OptimizerState":
+    def fresh(cls, original: CodeSample, config: PesoConfig) -> "OptimizerState":
         names = _function_names(original)
         return cls(
             original=original,
             current=original,
-            catalog=catalog,
             rng=random.Random(config.rng_seed),
             name_map={n: n for n in names or ()},
             current_names=names,
@@ -169,33 +167,17 @@ def _peso(engine, catalog: MethodCatalog, config: PesoConfig, verifier, scorer) 
 
 
 def gain_update(
-    state: OptimizerState,
-    candidate: CodeSample,
-    report,
-    score: SimilarityScore | None,
-    update_ledger: bool = True,
+    state: OptimizerState, candidate: CodeSample, score: SimilarityScore | None
 ) -> tuple[float, bool]:
-    """The acceptance and gain rule for one verified-or-not candidate.
-
-    Keeps the candidate (including on score ties) only when similarity did
-    not increase; the ledger entry for the candidate's category is then
-    overwritten with the achieved gain.
-    """
-    method_id = candidate.lineage[-1]
-    category = state.catalog.get(method_id).category
-    if report is None or not report.passed or score is None:
-        og, accepted = 0.0, False
-    elif state.mss >= score.ss:
-        og = state.mss - score.ss
-        state.mss = score.ss
+    """The acceptance rule: keep a verified candidate (score not None) when
+    its similarity did not increase, ties included. Returns the achieved
+    gain and whether the candidate was kept."""
+    if score is not None and state.mss >= score.ss:
+        og, state.mss = state.mss - score.ss, score.ss
         state.current = candidate
         state.best_score = score
-        accepted = True
-    else:
-        og, accepted = 0.0, False
-    if update_ledger:
-        state.gains[category.index] = og
-    return og, accepted
+        return og, True
+    return 0.0, False
 
 
 def _update_name_map(state: OptimizerState) -> None:
@@ -217,8 +199,7 @@ def _update_name_map(state: OptimizerState) -> None:
 
 def _attempt(state: OptimizerState, run: _Run, method: PerturbationMethod, phase: str) -> None:
     """Perturb, verify, score and keep or drop one candidate. Every phase
-    but the heuristic renames writes the method's category gain."""
-    update_ledger = phase != "rename"
+    but the heuristic renames overwrites the method's category gain."""
     seed = state.rng.getrandbits(32)
     entry_point = None
     verified = False
@@ -229,8 +210,6 @@ def _attempt(state: OptimizerState, run: _Run, method: PerturbationMethod, phase
     except _RECOVERABLE as exc:
         og, accepted = 0.0, False
         verification = {"skipped": f"{type(exc).__name__}: {exc}"}
-        if update_ledger:
-            state.gains[method.category.index] = 0.0
     except EngineFailure as exc:
         exc.partial_trace = tuple(state.trace)
         raise
@@ -244,7 +223,7 @@ def _attempt(state: OptimizerState, run: _Run, method: PerturbationMethod, phase
         verified = bool(report.passed)
         if verified:
             score = run.scorer(state.original, outcome.candidate)
-        og, accepted = gain_update(state, outcome.candidate, report, score, update_ledger)
+        og, accepted = gain_update(state, outcome.candidate, score)
         entry_point = outcome.entry_point
         if accepted:
             _update_name_map(state)
@@ -253,6 +232,8 @@ def _attempt(state: OptimizerState, run: _Run, method: PerturbationMethod, phase
             )
             if original_name is not None:
                 state.entry_points.add(original_name)
+    if phase != "rename":
+        state.gains[method.category.index] = og
     state.trace.append(
         IterationRecord(
             iter=len(state.trace),
@@ -273,8 +254,6 @@ def _attempt(state: OptimizerState, run: _Run, method: PerturbationMethod, phase
 def _start(state: OptimizerState, run: _Run) -> None:
     """The two heuristic renames (no gain-ledger writes), then, when the law
     reads the ledger, one random method per category in listing order."""
-    if state.iter != 0 or state.mss != 1.0:
-        raise ValueError("initialize requires a fresh optimizer state")
     for method_id in ("function_rename", "variables_rename"):
         _attempt(state, run, run.catalog.get(method_id), "rename")
     if run.seeds_ledger:
@@ -283,25 +262,11 @@ def _start(state: OptimizerState, run: _Run) -> None:
             _attempt(state, run, methods[state.rng.randrange(len(methods))], "init")
 
 
-def initialize(
-    state: OptimizerState,
-    engine,
-    catalog: MethodCatalog,
-    config: PesoConfig,
-    verifier,
-    scorer,
-) -> OptimizerState:
-    """PESO's start: the heuristic renames, then the init phase that seeds
-    the gain ledger."""
-    _start(state, _peso(engine, catalog, config, verifier, scorer))
-    return state
-
-
 def _optimize(original: CodeSample, run: _Run) -> RunResult:
     """The loop both selection laws share: the start, then up to max_iter
     main iterations, halting once the best similarity reaches the threshold."""
     config = run.config
-    state = OptimizerState.fresh(original, run.catalog, config)
+    state = OptimizerState.fresh(original, config)
     _start(state, run)
     while state.iter < config.max_iter and state.mss > config.ss_threshold:
         method = run.choose(state)

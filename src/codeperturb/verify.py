@@ -5,9 +5,7 @@ One ProgramRunner per sample writes, compiles and runs every program text
 of that sample, so the compile stage and the execution oracle share each
 compile and the original's outputs. verify() checks a candidate's syntax,
 compiles it when it gets a runner, and runs the execution oracle when it
-also gets an input suite. ``vote_equivalence`` is the paper's majority
-rule as a pure function: a voter is any object with an ``id`` and a
-``vote(original, candidate)`` method, and verify() builds none. A
+also gets an input suite; its report holds one verdict per stage. A
 candidate that fails any stage is simply discarded by the optimizer; an
 original that fails, times out or is nondeterministic under the oracle
 fails its whole sample instead (OriginalUnrunnable).
@@ -404,55 +402,28 @@ def execution_equivalence(
 
 
 # ---------------------------------------------------------------------------
-# Voting
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class Vote:
-    voter_id: str
-    verdict: bool
-
-
-def vote_equivalence(
-    original: CodeSample, candidate: CodeSample, voters: list
-) -> tuple[list[Vote], bool, list[str]]:
-    """Collect one strict boolean per voter; majority wins.
-
-    Any voter failure is downgraded to a False vote and logged. Voters of
-    kind "LLM_JUDGE" must come as exactly three.
-    """
-    if any(getattr(v, "kind", "") == "LLM_JUDGE" for v in voters) and len(voters) != 3:
-        raise ConfigError("LLM judging requires exactly three voters")
-    votes: list[Vote] = []
-    diagnostics: list[str] = []
-    for voter in voters:
-        try:
-            verdict = bool(voter.vote(original, candidate))
-        except Exception as exc:
-            verdict = False
-            diagnostics.append(f"voter {voter.id} failed, counted False: {exc}")
-        votes.append(Vote(voter_id=voter.id, verdict=verdict))
-    passed = sum(v.verdict for v in votes) * 2 > len(votes)
-    return votes, passed, diagnostics
-
-
-# ---------------------------------------------------------------------------
 # Composed verification
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class VerificationReport:
+    """The verdict of each stage, None where the stage did not run."""
+
     syntax_ok: bool
     compile_ok: bool | None
-    votes: tuple[Vote, ...]
-    passed: bool
+    behaviour_ok: bool | None
     diagnostics: tuple[str, ...]
+
+    @property
+    def passed(self) -> bool:
+        return self.syntax_ok and self.compile_ok is not False and self.behaviour_ok is not False
 
     def to_dict(self) -> dict:
         return {
             "syntax_ok": self.syntax_ok,
             "compile_ok": self.compile_ok,
-            "votes": [{"voter_id": v.voter_id, "verdict": v.verdict} for v in self.votes],
+            "votes": [] if self.behaviour_ok is None
+            else [{"voter_id": "execution_oracle", "verdict": self.behaviour_ok}],
             "passed": self.passed,
             "diagnostics": list(self.diagnostics),
         }
@@ -478,22 +449,15 @@ def verify(
     """
     syntax_ok, diagnostics = syntax_check(candidate)
     if not syntax_ok:
-        return VerificationReport(False, None, (), False, tuple(diagnostics))
-    compile_ok: bool | None = None
+        return VerificationReport(False, None, None, tuple(diagnostics))
+    compile_ok = behaviour_ok = None
     if runner is not None:
         compile_ok, diags = runner.compile(candidate)
         diagnostics.extend(diags)
-        if compile_ok is False:
-            return VerificationReport(True, False, (), False, tuple(diagnostics))
-    votes: tuple[Vote, ...] = ()
-    votes_pass = True
-    if runner is not None and spec and spec.input_suite:
-        try:
-            verdict = execution_equivalence(original, candidate, spec, runner)
-        except (RunnerFailure, ToolchainUnavailable) as exc:
-            verdict = False
-            diagnostics.append(f"execution oracle failed: {exc}")
-        votes = (Vote(voter_id="execution_oracle", verdict=verdict),)
-        votes_pass = verdict
-    # Both earlier stages passed, or the function returned already.
-    return VerificationReport(syntax_ok, compile_ok, votes, votes_pass, tuple(diagnostics))
+        if compile_ok is not False and spec and spec.input_suite:
+            try:
+                behaviour_ok = execution_equivalence(original, candidate, spec, runner)
+            except (RunnerFailure, ToolchainUnavailable) as exc:
+                behaviour_ok = False
+                diagnostics.append(f"execution oracle failed: {exc}")
+    return VerificationReport(True, compile_ok, behaviour_ok, tuple(diagnostics))

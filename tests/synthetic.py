@@ -51,9 +51,7 @@ def marker_lines(text: str) -> list[str]:
 
 def make_verifier(passed: bool = True):
     def verifier(original, candidate):
-        return VerificationReport(
-            syntax_ok=True, compile_ok=None, votes=(), passed=passed, diagnostics=()
-        )
+        return VerificationReport(syntax_ok=True, compile_ok=None, behaviour_ok=passed, diagnostics=())
 
     return verifier
 

@@ -191,6 +191,34 @@ def test_build_tasks_region_unavailable():
         build_tasks(pair, seed=0)
 
 
+def test_build_tasks_reads_python_lines_as_ast_ends_them():
+    """A Python line ends at "\r\n", "\r" or "\n": the masks fall on the
+    same lines whichever ends a text uses."""
+    orig = "def f(k):\n" + "".join(f"    v{i} = k + {i}\n" for i in range(11)) + "    return v10\n"
+    pert = orig.replace("def f(", "def g(")
+
+    def tasks(end):
+        pair = PerturbedPair(
+            original=sample(orig.replace("\n", end), sid="ends.py"),
+            perturbed=CodeSample(
+                id="ends.py", language=Language.PYTHON, text=pert.replace("\n", end),
+                lineage=("function_rename",),
+            ),
+            entry_points=("f",),
+            function_map={"f": "g"},
+        )
+        return pair, build_tasks(pair, seed=3)
+
+    _, expected = tasks("\n")
+    for end in ("\r", "\r\n"):
+        pair, got = tasks(end)
+        assert len(got) == len(expected) == 6
+        for task, want in zip(got, expected):
+            source = pair.original if task.variant is Variant.ORIGINAL else pair.perturbed
+            assert task.prefix + task.ground_truth + task.suffix == source.text
+            assert task.ground_truth == want.ground_truth.replace("\n", end)
+
+
 @st.composite
 def synthetic_pairs(draw):
     n_stmts = draw(st.integers(min_value=6, max_value=14))

@@ -7,7 +7,7 @@ import pytest
 
 from codeperturb.core import Language
 from codeperturb.errors import LexError
-from codeperturb.lexing import TokenKind, check_balance, lex, normalize_token, reuse_bound, scan
+from codeperturb.lexing import NORMAL_BY_KIND, TokenKind, check_balance, lex, reuse_bound, scan
 
 
 def kinds(text, lang):
@@ -102,14 +102,14 @@ def test_spans_index_source_everywhere():
 
 def test_normalization_classes():
     toks = lex('x = f("s", 2, 3.0)', Language.PYTHON)
-    assert [normalize_token(t) for t in toks] == [
+    assert [NORMAL_BY_KIND.get(t.kind, t.text) for t in toks] == [
         "ID", "=", "ID", "(", "STR", ",", "INT", ",", "FLOAT", ")",
     ]
 
 
 def test_identifier_rename_invariance():
-    a = [normalize_token(t) for t in lex("total = price * qty", Language.PYTHON)]
-    b = [normalize_token(t) for t in lex("sum_ = cost * count", Language.PYTHON)]
+    a = [NORMAL_BY_KIND.get(t.kind, t.text) for t in lex("total = price * qty", Language.PYTHON)]
+    b = [NORMAL_BY_KIND.get(t.kind, t.text) for t in lex("sum_ = cost * count", Language.PYTHON)]
     assert a == b
 
 

@@ -11,15 +11,15 @@ from codeperturb.peso import (
     boltzmann_probabilities,
     derive_seed,
     gain_update,
-    initialize,
     run,
     run_random_baseline,
     select_method,
 )
 from codeperturb.similarity import score_pair
 from codeperturb.transform import RuleEngine
-from codeperturb.verify import VerificationReport, verify
+from codeperturb.verify import verify
 
+from .conftest import load_fixture_corpus
 from .synthetic import MarkerEngine, halving_scorer, make_verifier, noisy_scorer, triple
 from .view_differential import renamed_copies
 
@@ -31,15 +31,7 @@ def sample(text="x = 1\n" * 3, sid="s"):
 
 
 def fresh_state(seed=0):
-    return OptimizerState.fresh(sample(), CATALOG, PesoConfig(rng_seed=seed))
-
-
-def passing_report():
-    return VerificationReport(True, None, (), True, ())
-
-
-def failing_report():
-    return VerificationReport(True, None, (), False, ())
+    return OptimizerState.fresh(sample(), PesoConfig(rng_seed=seed))
 
 
 # ---------------------------------------------------------------------------
@@ -92,11 +84,11 @@ def test_boltzmann_monotone_in_own_gain():
 def test_gain_update_accepts_and_records():
     state = fresh_state()
     cand = state.current.derive("y = 2\n", "div_loop")
-    og, accepted = gain_update(state, cand, passing_report(), triple(0.765))
+    og, accepted = gain_update(state, cand, triple(0.765))
     assert og == pytest.approx(0.235, abs=1e-12)
     assert accepted and state.mss == 0.765
     assert state.current.text == "y = 2\n"
-    assert state.gains[MethodCategory.LOOP.index] == og
+    assert state.best_score == triple(0.765)
 
 
 def test_gain_update_rejects_similarity_increase():
@@ -104,7 +96,7 @@ def test_gain_update_rejects_similarity_increase():
     state.mss = 0.765
     before = state.current
     cand = before.derive("z = 3\n", "div_loop")
-    og, accepted = gain_update(state, cand, passing_report(), triple(0.9))
+    og, accepted = gain_update(state, cand, triple(0.9))
     assert (og, accepted) == (0.0, False)
     assert state.mss == 0.765 and state.current is before
 
@@ -113,7 +105,7 @@ def test_gain_update_equality_retained():
     state = fresh_state()
     state.mss = 0.5
     cand = state.current.derive("w = 4\n", "extract_if")
-    og, accepted = gain_update(state, cand, passing_report(), triple(0.5))
+    og, accepted = gain_update(state, cand, triple(0.5))
     assert og == 0.0 and accepted
     assert state.current.text == "w = 4\n"
 
@@ -122,41 +114,49 @@ def test_gain_update_failed_verification_changes_nothing():
     state = fresh_state()
     before = state.current
     cand = before.derive("q = 5\n", "div_loop")
-    og, accepted = gain_update(state, cand, failing_report(), None)
+    og, accepted = gain_update(state, cand, None)
     assert (og, accepted) == (0.0, False)
     assert state.current is before and state.mss == 1.0
 
 
 def test_gain_ledger_overwrite_is_memoryless():
-    state = fresh_state()
-    idx = MethodCategory.LOOP.index
-    cand = state.current.derive("a = 1\n", "div_loop")
-    gain_update(state, cand, passing_report(), triple(0.8))
-    assert state.gains[idx] == pytest.approx(0.2)
-    cand2 = state.current.derive("b = 2\n", "for_while_transformation")
-    gain_update(state, cand2, passing_report(), triple(0.9))
-    assert state.gains[idx] == 0.0
+    """The ledger a record's probabilities read holds, for each category,
+    the gain of its latest init or main attempt (skipped, rejected or
+    accepted) and 0.0 before any: the renames never write it."""
+    config = PesoConfig(rng_seed=1)
+    original = next(s for s, _ in load_fixture_corpus() if s.id == "classify.py")
+    records = run(original, RuleEngine(), CATALOG, config, verify).records
+    ledger, overwrote, renamed_gain = [0.0] * 6, False, False
+    for record in records:
+        if record.phase == "rename":
+            renamed_gain |= record.og > 0
+        else:
+            overwrote |= ledger[record.category.index] > 0 and "skipped" in record.verification
+            ledger[record.category.index] = record.og
+        assert record.probabilities == boltzmann_probabilities(ledger, config.temperature)
+    # The run holds the cases that tell the rule from its near misses: a
+    # rename with a gain, and a skipped attempt that clears a positive gain.
+    assert renamed_gain and overwrote
 
 
 # ---------------------------------------------------------------------------
-# initialize
+# The start: the renames and the init phase
 # ---------------------------------------------------------------------------
 
 def test_initialize_trace_prefix_order():
-    state = fresh_state(seed=5)
-    initialize(state, MarkerEngine(), CATALOG, PesoConfig(rng_seed=5), make_verifier(), noisy_scorer)
-    ids = [r.method_id for r in state.trace]
-    assert ids[:2] == ["function_rename", "variables_rename"]
-    assert [r.category for r in state.trace[2:8]] == list(MethodCategory)
-    assert [r.phase for r in state.trace] == ["rename"] * 2 + ["init"] * 6
+    records = run(sample(), MarkerEngine(), CATALOG, PesoConfig(rng_seed=5), make_verifier(), noisy_scorer).records
+    assert [r.method_id for r in records[:2]] == ["function_rename", "variables_rename"]
+    assert [r.category for r in records[2:8]] == list(MethodCategory)
+    assert [r.phase for r in records[:8]] == ["rename"] * 2 + ["init"] * 6
 
 
 def test_initialize_all_failures_zero_gains():
-    state = fresh_state(seed=1)
-    initialize(state, MarkerEngine(), CATALOG, PesoConfig(rng_seed=1), make_verifier(False), noisy_scorer)
-    assert state.gains == [0.0] * 6
-    assert state.mss == 1.0
-    assert state.current.text == state.original.text
+    config = PesoConfig(rng_seed=1)
+    result = run(sample(), MarkerEngine(), CATALOG, config, make_verifier(False), noisy_scorer)
+    assert all(r.og == 0.0 and not r.accepted for r in result.records)
+    assert {r.probabilities for r in result.records} == {boltzmann_probabilities([0.0] * 6, config.temperature)}
+    assert result.summary.final_ss == 1.0
+    assert result.final.text == sample().text
 
 
 def test_initialize_gain_arithmetic():
@@ -166,17 +166,14 @@ def test_initialize_gain_arithmetic():
         n = len(marker_lines(candidate.text))
         return triple(0.9 if n >= 3 else 1.0)  # first init perturbation dips
 
-    state = fresh_state(seed=2)
-    initialize(state, MarkerEngine(), CATALOG, PesoConfig(rng_seed=2), make_verifier(), scorer)
-    assert state.gains[0] == pytest.approx(0.1)
-    assert state.mss == pytest.approx(0.9)
-
-
-def test_initialize_requires_fresh_state():
-    state = fresh_state()
-    state.iter = 3
-    with pytest.raises(ValueError):
-        initialize(state, MarkerEngine(), CATALOG, PesoConfig(), make_verifier(), noisy_scorer)
+    config = PesoConfig(rng_seed=2, ss_threshold=0.95)  # halts right after the init phase
+    result = run(sample(), MarkerEngine(), CATALOG, config, make_verifier(), scorer)
+    assert [r.phase for r in result.records] == ["rename"] * 2 + ["init"] * 6
+    assert result.records[2].og == pytest.approx(0.1)
+    assert result.records[-1].probabilities == boltzmann_probabilities(
+        [result.records[2].og, 0, 0, 0, 0, 0], config.temperature
+    )
+    assert result.summary.final_ss == pytest.approx(0.9)
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ import codeperturb
 from codeperturb import similarity
 from codeperturb.core import CodeSample, Language, PesoConfig, build_catalog
 from codeperturb.errors import EmptyStream, LanguageMismatch, LexError, NotApplicable
-from codeperturb.lexing import lex, normalize_token
+from codeperturb.lexing import NORMAL_BY_KIND, lex
 from codeperturb.peso import run
 from codeperturb.similarity import (
     TokenStream,
@@ -262,7 +262,7 @@ def test_tokenize_lex_error():
 
 def _full_stream(text, language):
     try:
-        return tuple(normalize_token(t) for t in lex(text, language))
+        return tuple(NORMAL_BY_KIND.get(t.kind, t.text) for t in lex(text, language))
     except LexError as err:
         return str(err)
 
