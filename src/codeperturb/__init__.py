@@ -13,7 +13,6 @@ samples concurrently, on forked worker processes.
 from .core import (
     CodeSample,
     EngineKind,
-    EquivalenceSpec,
     Language,
     MethodCatalog,
     MethodCategory,
@@ -36,7 +35,6 @@ __version__ = "0.1.0"
 __all__ = [
     "CodeSample",
     "EngineKind",
-    "EquivalenceSpec",
     "Language",
     "MethodCatalog",
     "MethodCategory",

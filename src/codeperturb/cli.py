@@ -30,7 +30,6 @@ from .bench import (
 )
 from .core import (
     CodeSample,
-    EquivalenceSpec,
     Language,
     PesoConfig,
     build_catalog,
@@ -53,8 +52,8 @@ from .errors import (
 )
 from .peso import derive_seed, run, run_random_baseline
 from .similarity import score_pair
-from .transform import HybridEngine, RuleEngine, perturb
-from .transform.llm import HttpTransport, LlmConfig, LlmEngine, ReplayTransport
+from .transform import hybrid_engine, perturb, rule_engine_apply
+from .transform.llm import HttpTransport, LlmConfig, ReplayTransport, llm_engine
 from .verify import ProgramRunner, ServerPool, default_toolchains, verify
 
 
@@ -170,9 +169,8 @@ def _peso_config(args) -> tuple[PesoConfig, dict]:
 
 def _build_engine(args, rest: dict):
     kind = args.engine or rest.get("engine") or "rule"
-    rule = RuleEngine()
     if kind == "rule":
-        return rule
+        return rule_engine_apply
     if args.replay_dir:
         transport = ReplayTransport(args.replay_dir)
     else:
@@ -188,32 +186,32 @@ def _build_engine(args, rest: dict):
                 timeout=float(llm_rest.get("timeout", 60.0)),
             )
         )
-    llm = LlmEngine(transport)
-    return llm if kind == "llm" else HybridEngine(rule, llm)
+    llm = llm_engine(transport)
+    return llm if kind == "llm" else hybrid_engine(llm)
 
 
-def _oracle_spec(args, sample: CodeSample, spec: EquivalenceSpec | None, toolchains) -> EquivalenceSpec | None:
-    """The spec the execution oracle runs `sample` against, or None when
+def _oracle_spec(args, sample: CodeSample, suite: tuple[str, ...], toolchains) -> tuple[str, ...]:
+    """The input suite the execution oracle runs `sample` against, () when
     it runs none; ConfigError when --equivalence exec cannot run it."""
     mode = getattr(args, "equivalence", "auto")
-    if mode in ("auto", "exec") and spec and spec.input_suite and sample.language in toolchains:
-        return spec
+    if mode in ("auto", "exec") and suite and sample.language in toolchains:
+        return suite
     if mode == "exec":
         raise ConfigError(
             f"--equivalence exec needs an input_suite and a toolchain for {sample.language.value}"
         )
-    return None
+    return ()
 
 
-def _verifier_for(args, sample: CodeSample, spec: EquivalenceSpec | None, toolchains,
+def _verifier_for(args, sample: CodeSample, suite: tuple[str, ...], toolchains,
                   servers: ServerPool):
-    """The sample's verifier, with `spec` (from _oracle_spec) for its
+    """The sample's verifier, with `suite` (from _oracle_spec) for its
     execution oracle, and its ProgramRunner, which runs programs on
     `servers`: None under --equivalence stub or without a toolchain in
     `toolchains`. The caller closes the runner when the sample ends."""
     toolchain = toolchains.get(sample.language)
     runner = ProgramRunner(toolchain, servers) if toolchain and args.equivalence != "stub" else None
-    return (lambda original, candidate: verify(original, candidate, runner, spec)), runner
+    return (lambda original, candidate: verify(original, candidate, runner, suite)), runner
 
 
 def _write_manifest(out: Path, command: str, config: PesoConfig, rest: dict, digest: str, args) -> None:
@@ -261,7 +259,7 @@ def _settled(fn, *args) -> concurrent.futures.Future:
 
 
 def _each_sample(args, samples, work) -> list[concurrent.futures.Future]:
-    """Run `work(sample, verifier)` for every (sample, spec) of `samples`,
+    """Run `work(sample, verifier)` for every (sample, suite) of `samples`,
     and return the futures in corpus order once all are done. A ConfigError
     for any sample is raised before any work starts. With --jobs above 1
     and more than one sample, min(--jobs, samples) worker processes take the
@@ -273,12 +271,12 @@ def _each_sample(args, samples, work) -> list[concurrent.futures.Future]:
     Each sample's runner is closed when its work ends, and each process's
     fork servers when it has run its last sample."""
     toolchains = default_toolchains()
-    specs = [_oracle_spec(args, sample, spec, toolchains) for sample, spec in samples]
+    suites = [_oracle_spec(args, sample, suite, toolchains) for sample, suite in samples]
     servers = ServerPool()
 
     def one(index):
-        (sample, _), spec = samples[index], specs[index]
-        verifier, runner = _verifier_for(args, sample, spec, toolchains, servers)
+        (sample, _), suite = samples[index], suites[index]
+        verifier, runner = _verifier_for(args, sample, suite, toolchains, servers)
         try:
             return work(sample, verifier)
         finally:
@@ -300,6 +298,15 @@ def _each_sample(args, samples, work) -> list[concurrent.futures.Future]:
     ) as pool:
         futures = {index: pool.submit(_run_in_worker, index) for index in largest_first}
     return [futures[index] for index in range(len(samples))]
+
+
+def _write_report(out: Path, doc: dict) -> None:
+    """Write `doc` (from report_run) to report.json and its rendering to
+    report.txt in `out`, and print the rendering."""
+    (out / "report.json").write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    rendered = render_report(doc)
+    (out / "report.txt").write_text(rendered)
+    print(rendered, end="")
 
 
 def _run_over_corpus(args, optimizer) -> int:
@@ -360,11 +367,7 @@ def _run_over_corpus(args, optimizer) -> int:
     write_jsonl(out / "pairs.jsonl", pairs)
     if failures:
         write_jsonl(out / "failures.jsonl", failures)
-    doc = report_run(summaries)
-    (out / "report.json").write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
-    rendered = render_report(doc)
-    (out / "report.txt").write_text(rendered)
-    print(rendered, end="")
+    _write_report(out, report_run(summaries))
     if failures:
         print(f"{len(failures)} sample(s) failed; see failures.jsonl", file=sys.stderr)
         return 2
@@ -501,10 +504,7 @@ def cmd_report(args) -> int:
     doc = report_run(summaries, accuracy=accuracy, baseline_summaries=baseline)
     out = Path(args.output_dir)
     out.mkdir(parents=True, exist_ok=True)
-    (out / "report.json").write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
-    rendered = render_report(doc)
-    (out / "report.txt").write_text(rendered)
-    print(rendered, end="")
+    _write_report(out, doc)
     return 0
 
 

@@ -6,7 +6,7 @@ Everything here is immutable after construction.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from enum import Enum
 from pathlib import Path
 
@@ -16,9 +16,10 @@ from .errors import ConfigError, UnknownMethod
 class Language(Enum):
     """The five supported language modes. C and C++ share one mode.
 
-    The rule engine covers Python, Go and C/C++ (see transform.RULES).
-    Java and Rust are LLM-only: every method reaches them through the LLM
-    engine, and the rule engine supports none.
+    The rule engine has rules for Python, Go and C/C++ (transform.RULES).
+    Java and Rust are LLM-only: transform.rule_engine_apply raises
+    UnsupportedCombination for every method on them, and each method
+    reaches them through the LLM engine.
     """
 
     C_CPP = "c_cpp"
@@ -93,7 +94,6 @@ class MethodCategory(Enum):
 class EngineKind(Enum):
     RULE_BASED = "rule"
     LLM = "llm"
-    HYBRID = "hybrid"
 
 
 @dataclass(frozen=True)
@@ -230,14 +230,17 @@ class PesoConfig:
             raise ConfigError("min_tile_len must be a positive integer")
 
 
-@dataclass(frozen=True)
-class EquivalenceSpec:
-    """Inputs for behavioral comparison of an original/candidate pair."""
+# PesoConfig field -> the JSON number types its value may have.
+_CONFIG_KEYS = {
+    f.name: (int, float) if isinstance(f.default, float) else (int,) for f in fields(PesoConfig)
+}
+_LLM_KEYS = {"base_url": (str,), "model": (str,), "api_key_env": (str,), "timeout": (int, float)}
 
-    input_suite: tuple[str, ...] = ()
 
-
-_CONFIG_KEYS = {"mu", "nu", "temperature", "max_iter", "ss_threshold", "min_tile_len", "rng_seed"}
+def _check_type(path, key: str, value, types: tuple[type, ...]) -> None:
+    if isinstance(value, bool) or not isinstance(value, types):
+        kind = "a string" if types == (str,) else "an integer" if types == (int,) else "a number"
+        raise ConfigError(f"config {path}: {key} must be {kind} (got {value!r})")
 
 
 def load_config(path: str | Path) -> tuple[PesoConfig, dict]:
@@ -253,8 +256,16 @@ def load_config(path: str | Path) -> tuple[PesoConfig, dict]:
     if not isinstance(raw, dict):
         raise ConfigError(f"config {path} must be a JSON object")
     peso_kwargs = {k: raw[k] for k in _CONFIG_KEYS if k in raw}
+    for key, value in peso_kwargs.items():
+        _check_type(path, key, value, _CONFIG_KEYS[key])
     rest = {k: v for k, v in raw.items() if k not in _CONFIG_KEYS}
     engine = rest.get("engine")
     if engine is not None and engine not in ("rule", "llm", "hybrid"):
         raise ConfigError(f'engine must be "rule", "llm" or "hybrid" (got {engine!r})')
+    llm = rest.get("llm", {})
+    if not isinstance(llm, dict):
+        raise ConfigError(f"config {path}: llm must be an object (got {llm!r})")
+    for key, types in _LLM_KEYS.items():
+        if key in llm:
+            _check_type(path, f"llm.{key}", llm[key], types)
     return PesoConfig(**peso_kwargs), rest

@@ -4,7 +4,7 @@ Corpus records are JSON objects {id, language, content}, one per line.
 Lines end at "\n" only: JSON written with ensure_ascii=False holds U+2028,
 U+2029 and U+0085 unescaped, and str.splitlines() would end a line there.
 Optional per-record fields: input_suite (list of stdin strings used by the
-execution oracle).
+execution oracle; absent, null or [] when there is none).
 """
 
 from __future__ import annotations
@@ -14,11 +14,13 @@ import json
 import re
 from pathlib import Path
 
-from .core import CodeSample, EquivalenceSpec, Language
+from .core import CodeSample, Language
 from .errors import ConfigError
 
 
-def read_corpus(path: str | Path) -> list[tuple[CodeSample, EquivalenceSpec | None]]:
+def read_corpus(path: str | Path) -> list[tuple[CodeSample, tuple[str, ...]]]:
+    """(sample, input suite) pairs in file order; the suite is () for a
+    record without one. ConfigError names the line of a malformed record."""
     samples = []
     try:
         lines = Path(path).read_text(encoding="utf-8").split("\n")
@@ -29,16 +31,19 @@ def read_corpus(path: str | Path) -> list[tuple[CodeSample, EquivalenceSpec | No
             continue
         try:
             record = json.loads(line)
-            sample = CodeSample(
-                id=str(record["id"]),
-                language=Language.parse(record["language"]),
-                text=record["content"],
-            )
+            sample_id, language, text = str(record["id"]), record["language"], record["content"]
         except (json.JSONDecodeError, KeyError, TypeError) as exc:
             raise ConfigError(f"{path}:{n}: malformed corpus record: {exc}") from exc
         suite = record.get("input_suite")
-        spec = EquivalenceSpec(input_suite=tuple(suite)) if suite else None
-        samples.append((sample, spec))
+        if not isinstance(language, str) or not isinstance(text, str):
+            raise ConfigError(f"{path}:{n}: language and content must be strings")
+        if suite is not None and not (isinstance(suite, list) and all(isinstance(s, str) for s in suite)):
+            raise ConfigError(f"{path}:{n}: input_suite must be a list of strings")
+        try:
+            sample = CodeSample(id=sample_id, language=Language.parse(language), text=text)
+        except ConfigError as exc:
+            raise ConfigError(f"{path}:{n}: {exc}") from exc
+        samples.append((sample, tuple(suite or ())))
     return samples
 
 

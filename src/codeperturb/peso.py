@@ -148,7 +148,7 @@ class _Run(NamedTuple):
     per-category law each trace record carries); `seeds_ledger` adds the
     init phase, for a law that reads the gain ledger."""
 
-    engine: object
+    engine: Callable
     catalog: MethodCatalog
     config: PesoConfig
     verifier: Callable

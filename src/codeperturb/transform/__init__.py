@@ -1,9 +1,11 @@
 """Perturbation engines.
 
-The rule engine applies deterministic text-level rewrites; the LLM engine
-delegates to a chat endpoint; the hybrid engine prefers rules and falls
-back to the LLM. All engines return a PerturbationOutcome and never
-mutate their input sample.
+An engine is a plain function (sample, method, seed) -> PerturbationOutcome
+that never mutates its input sample. rule_engine_apply is the rule engine:
+deterministic text-level rewrites, and the one check of whether a (method,
+language) pair has a rule. llm.llm_engine(transport) delegates every pair to
+a chat endpoint; hybrid_engine(llm) tries the rule engine and falls back on
+llm only when it raises UnsupportedCombination.
 
 RULES is the rule engine's capability table: language -> method id ->
 rewrite(text, rng) -> (new_text, entry_point). A (method, language) pair
@@ -22,21 +24,8 @@ from ..core import CodeSample, EngineKind, Language, PerturbationMethod
 from ..errors import NotApplicable, ParseError, UnsupportedCombination
 from ..lexing import check_balance, lex
 from . import rule_brace, rule_python
-from .prompts import PromptBundle, parse_llm_answer, synthesize_prompt
 
 RULES = {**rule_python.RULES, **rule_brace.RULES}
-
-__all__ = [
-    "PerturbationOutcome",
-    "PromptBundle",
-    "RULES",
-    "RuleEngine",
-    "HybridEngine",
-    "perturb",
-    "rule_engine_apply",
-    "parse_llm_answer",
-    "synthesize_prompt",
-]
 
 
 @dataclass(frozen=True)
@@ -60,12 +49,14 @@ def _validate_output(text: str, language: Language) -> None:
 
 
 def rule_engine_apply(sample: CodeSample, method: PerturbationMethod, seed: int) -> PerturbationOutcome:
-    """Apply one method deterministically. Raises UnsupportedCombination
-    when RULES has no rule for the pair, NotApplicable when the code offers
-    no matching site."""
+    """The rule engine: apply one method deterministically. Raises
+    UnsupportedCombination when RULES has no rule for the pair, NotApplicable
+    when the code offers no matching site."""
     fn = RULES.get(sample.language, {}).get(method.id)
     if fn is None:
-        raise UnsupportedCombination(f"{method.id} has no {sample.language.value} rule")
+        raise UnsupportedCombination(
+            f"rule engine cannot apply {method.id} to {sample.language.value}"
+        )
     new_text, entry = fn(sample.text, random.Random(seed))
     if new_text == sample.text:
         raise NotApplicable(f"{method.id} left the code unchanged")
@@ -77,48 +68,23 @@ def rule_engine_apply(sample: CodeSample, method: PerturbationMethod, seed: int)
     )
 
 
-class RuleEngine:
-    """Deterministic built-in engine. Pure function of (text, method, seed)."""
+def hybrid_engine(llm):
+    """An engine that applies the rule engine, and `llm` to the pairs that
+    have no rule. Every other rule error, NotApplicable included, goes to
+    the caller."""
 
-    kind = EngineKind.RULE_BASED
+    def hybrid(sample: CodeSample, method: PerturbationMethod, seed: int) -> PerturbationOutcome:
+        try:
+            return rule_engine_apply(sample, method, seed)
+        except UnsupportedCombination:
+            return llm(sample, method, seed)
 
-    def supported(self, method: PerturbationMethod, language: Language) -> bool:
-        return method.id in RULES.get(language, {})
-
-    def apply(self, sample: CodeSample, method: PerturbationMethod, seed: int) -> PerturbationOutcome:
-        return rule_engine_apply(sample, method, seed)
-
-
-class HybridEngine:
-    """Delegates to the rule engine when it supports the combination,
-    otherwise to the LLM engine."""
-
-    kind = EngineKind.HYBRID
-
-    def __init__(self, rule_engine: RuleEngine, llm_engine):
-        self.rule_engine = rule_engine
-        self.llm_engine = llm_engine
-
-    def supported(self, method: PerturbationMethod, language: Language) -> bool:
-        return self.rule_engine.supported(method, language) or self.llm_engine.supported(
-            method, language
-        )
-
-    def apply(self, sample: CodeSample, method: PerturbationMethod, seed: int) -> PerturbationOutcome:
-        if self.rule_engine.supported(method, sample.language):
-            return self.rule_engine.apply(sample, method, seed)
-        return self.llm_engine.apply(sample, method, seed)
+    return hybrid
 
 
 def perturb(engine, sample: CodeSample, method: PerturbationMethod, seed: int) -> PerturbationOutcome:
-    """Apply one perturbation through the given engine.
-
-    Enforces the engine support declaration and the lineage contract.
-    """
-    if not engine.supported(method, sample.language):
-        raise UnsupportedCombination(
-            f"{engine.kind.value} engine cannot apply {method.id} to {sample.language.value}"
-        )
-    outcome = engine.apply(sample, method, seed)
+    """Apply one perturbation through `engine`, and enforce the lineage
+    contract."""
+    outcome = engine(sample, method, seed)
     assert outcome.candidate.lineage == sample.lineage + (method.id,)
     return outcome

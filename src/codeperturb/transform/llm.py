@@ -1,5 +1,7 @@
-"""LLM engine: HTTP transport for a chat-completions-style endpoint plus a
-replay transport for offline tests.
+"""LLM engine: llm_engine(transport) is an engine function (see the
+transform package) that asks a model for each rewrite, over an HTTP
+transport for a chat-completions-style endpoint or a replay transport for
+offline runs.
 
 The auth token is read from an environment variable, never from flags or
 config files. A transport sends one request at a time; a run has at most
@@ -13,9 +15,10 @@ import os
 from dataclasses import dataclass
 from pathlib import Path
 
-from ..core import CodeSample, EngineKind, Language, PerturbationMethod
+from ..core import CodeSample, EngineKind, PerturbationMethod
 from ..corpusio import safe_name
 from ..errors import ConfigError, EngineFailure
+from . import PerturbationOutcome
 from .prompts import parse_llm_answer, synthesize_prompt
 
 MAX_RETRIES = 2
@@ -109,27 +112,18 @@ class ReplayTransport:
         return raw
 
 
-class LlmEngine:
-    """Perturbs through a remote model. Supports every (method, language)."""
+def llm_engine(transport):
+    """An engine that perturbs every (method, language) pair through a
+    remote model, over `transport` (HttpTransport or ReplayTransport)."""
 
-    kind = EngineKind.LLM
-
-    def __init__(self, transport):
-        self.transport = transport
-
-    def supported(self, method: PerturbationMethod, language: Language) -> bool:
-        return True
-
-    def apply(self, sample: CodeSample, method: PerturbationMethod, seed: int) -> "PerturbationOutcome":
-        from . import PerturbationOutcome
-
-        bundle = synthesize_prompt(sample, method)
-        reply = self.transport.complete(
-            bundle.role, bundle.render(), request_id=method.id, sample_id=sample.id
-        )
+    def llm(sample: CodeSample, method: PerturbationMethod, seed: int) -> PerturbationOutcome:
+        system, user = synthesize_prompt(sample, method)
+        reply = transport.complete(system, user, request_id=method.id, sample_id=sample.id)
         code, entry_point = parse_llm_answer(reply)
         return PerturbationOutcome(
             candidate=sample.derive(code, method.id),
             engine_used=EngineKind.LLM,
             entry_point=entry_point,
         )
+
+    return llm

@@ -3,14 +3,14 @@
 Every method gets a four-part prompt: a role, a task description
 (prerequisites, requirements, an abstract format template, optionally an
 example), the code itself, and answer instructions requiring a JSON reply
-with the modified code and its entry point.
+with the modified code and its entry point. The role is the system
+message; the user message holds all four parts.
 """
 
 from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass, field
 
 from ..core import CodeSample, Language, PerturbationMethod
 from ..errors import MalformedAnswer
@@ -22,36 +22,6 @@ _LANGUAGE_TITLES = {
     Language.RUST_LANG: "Rust",
     Language.JAVA: "Java",
 }
-
-
-@dataclass(frozen=True)
-class TaskPrompt:
-    prerequisites: str
-    requirements: str
-    format_template: str
-    example: str | None = None
-
-
-@dataclass(frozen=True)
-class PromptBundle:
-    role: str
-    task: TaskPrompt
-    code: dict = field(default_factory=dict)
-    answer_instructions: str = ""
-
-    def render(self) -> str:
-        parts = [
-            self.role,
-            f"Prerequisites: {self.task.prerequisites}",
-            f"Requirements: {self.task.requirements}",
-            f"Format: {self.task.format_template}",
-        ]
-        if self.task.example:
-            parts.append(f"Example: {self.task.example}")
-        parts.append(f"Entry point: {self.code.get('entry_point', '')}")
-        parts.append("Code:\n```\n" + self.code.get("full_source", "") + "\n```")
-        parts.append(self.answer_instructions)
-        return "\n\n".join(parts)
 
 
 # Extra constraints beyond the catalog description, and the abstract shape
@@ -99,7 +69,22 @@ _EXAMPLES = {
 }
 
 
-def synthesize_prompt(sample: CodeSample, method: PerturbationMethod) -> PromptBundle:
+_PREREQUISITES = (
+    "Perturb exactly one function of the file below and leave all "
+    "imports and external dependencies untouched."
+)
+
+_ANSWER_INSTRUCTIONS = (
+    'Return a JSON object with exactly two fields: "code" holding the '
+    'complete modified source file and "entry_point" naming the '
+    "modified function."
+)
+
+
+def synthesize_prompt(sample: CodeSample, method: PerturbationMethod) -> tuple[str, str]:
+    """The (system, user) messages that ask for `method` on `sample`. The
+    system message is the role; the user message repeats it, then gives the
+    task, the code and the answer instructions, one paragraph each."""
     lang = _LANGUAGE_TITLES[sample.language]
     role = (
         f"You are an expert {lang} developer. You perform careful "
@@ -110,28 +95,20 @@ def synthesize_prompt(sample: CodeSample, method: PerturbationMethod) -> PromptB
     note = _REQUIREMENT_NOTES.get(method.id)
     if note:
         requirements = f"{requirements}. {note}"
-    task = TaskPrompt(
-        prerequisites=(
-            "Perturb exactly one function of the file below and leave all "
-            "imports and external dependencies untouched."
-        ),
-        requirements=requirements,
-        format_template=_FORMAT_TEMPLATES.get(
-            method.id, "original construct -> equivalent rewritten construct"
-        ),
-        example=_EXAMPLES.get(method.id),
-    )
-    answer = (
-        'Return a JSON object with exactly two fields: "code" holding the '
-        'complete modified source file and "entry_point" naming the '
-        "modified function."
-    )
-    return PromptBundle(
-        role=role,
-        task=task,
-        code={"full_source": sample.text, "entry_point": ""},
-        answer_instructions=answer,
-    )
+    fmt = _FORMAT_TEMPLATES.get(method.id, "original construct -> equivalent rewritten construct")
+    parts = [
+        role,
+        f"Prerequisites: {_PREREQUISITES}",
+        f"Requirements: {requirements}",
+        f"Format: {fmt}",
+    ]
+    example = _EXAMPLES.get(method.id)
+    if example:
+        parts.append(f"Example: {example}")
+    parts.append("Entry point: ")
+    parts.append("Code:\n```\n" + sample.text + "\n```")
+    parts.append(_ANSWER_INSTRUCTIONS)
+    return role, "\n\n".join(parts)
 
 
 _FENCE_RE = re.compile(r"```(?:json)?\s*(.*?)```", re.DOTALL)

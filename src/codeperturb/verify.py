@@ -40,7 +40,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .analysis import PythonView, has_main_function, python_view
-from .core import CodeSample, EquivalenceSpec, Language
+from .core import CodeSample, Language
 from .errors import (
     ConfigError,
     ExecutionTimeout,
@@ -372,7 +372,7 @@ class ProgramRunner:
 def execution_equivalence(
     original: CodeSample,
     candidate: CodeSample,
-    spec: EquivalenceSpec,
+    suite: tuple[str, ...],
     runner: ProgramRunner,
 ) -> bool:
     """Byte-compare stdout and exit status over the whole input suite.
@@ -383,9 +383,9 @@ def execution_equivalence(
     server with another hash seed (ProgramRunner.rerun); another result
     there raises OriginalUnrunnable as well.
     """
-    if not spec.input_suite:
-        raise ConfigError("equivalence spec has an empty input suite")
-    for i, stdin_text in enumerate(spec.input_suite):
+    if not suite:
+        raise ConfigError("the execution oracle needs a non-empty input suite")
+    for i, stdin_text in enumerate(suite):
         try:
             expected = runner.run(original, stdin_text)
             repeatable = i > 0 or runner.rerun(original, stdin_text) == expected
@@ -433,10 +433,10 @@ def verify(
     original: CodeSample,
     candidate: CodeSample,
     runner: ProgramRunner | None = None,
-    spec: EquivalenceSpec | None = None,
+    suite: tuple[str, ...] = (),
 ) -> VerificationReport:
-    """Syntax, then compile on `runner`, then the execution oracle over
-    `spec`'s input suite; the first failing stage rejects the candidate.
+    """Syntax, then compile on `runner`, then the execution oracle over the
+    input suite `suite`; the first failing stage rejects the candidate.
     Without a runner only syntax is checked, and without an input suite
     no equivalence stage runs.
 
@@ -454,9 +454,9 @@ def verify(
     if runner is not None:
         compile_ok, diags = runner.compile(candidate)
         diagnostics.extend(diags)
-        if compile_ok is not False and spec and spec.input_suite:
+        if compile_ok is not False and suite:
             try:
-                behaviour_ok = execution_equivalence(original, candidate, spec, runner)
+                behaviour_ok = execution_equivalence(original, candidate, suite, runner)
             except (RunnerFailure, ToolchainUnavailable) as exc:
                 behaviour_ok = False
                 diagnostics.append(f"execution oracle failed: {exc}")

@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from codeperturb.core import CodeSample, EquivalenceSpec, Language
+from codeperturb.core import CodeSample, Language
 from codeperturb.verify import ServerPool
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -29,21 +29,21 @@ def load_fixture_corpus(languages=None):
             continue
         text = (FIXTURES / record["path"]).read_text()
         sample = CodeSample(id=record["id"], language=language, text=text)
-        out.append((sample, EquivalenceSpec(input_suite=tuple(record["inputs"]))))
+        out.append((sample, tuple(record["inputs"])))
     return out
 
 
 def write_corpus_jsonl(path, corpus):
-    """Serialize (sample, spec) pairs in the CLI's corpus format."""
+    """Serialize (sample, input suite) pairs in the CLI's corpus format."""
     with open(path, "w", encoding="utf-8") as fh:
-        for sample, spec in corpus:
+        for sample, suite in corpus:
             record = {
                 "id": sample.id,
                 "language": sample.language.value,
                 "content": sample.text,
             }
-            if spec is not None and spec.input_suite:
-                record["input_suite"] = list(spec.input_suite)
+            if suite:
+                record["input_suite"] = list(suite)
             fh.write(json.dumps(record) + "\n")
 
 

@@ -20,17 +20,13 @@ MARKER = "# mark "
 
 
 class MarkerEngine:
-    """Appends '# mark <method> <n>' per call; n is a per-instance counter."""
-
-    kind = EngineKind.RULE_BASED
+    """An engine that appends '# mark <method> <n>' per call; n is a
+    per-instance counter."""
 
     def __init__(self):
         self.calls = 0
 
-    def supported(self, method, language):
-        return True
-
-    def apply(self, sample, method, seed):
+    def __call__(self, sample, method, seed):
         from codeperturb.transform import PerturbationOutcome
 
         self.calls += 1

@@ -15,7 +15,6 @@ import pytest
 from codeperturb.cli import main as cli_main
 from codeperturb.core import (
     CodeSample,
-    EquivalenceSpec,
     Language,
     MethodCategory,
     PesoConfig,
@@ -25,7 +24,7 @@ from codeperturb.bench import FilterReason, PerturbedPair, Variant, build_tasks,
 from codeperturb.errors import NotApplicable
 from codeperturb.peso import boltzmann_probabilities, derive_seed, run, run_random_baseline
 from codeperturb.similarity import combined_score
-from codeperturb.transform import RuleEngine, rule_engine_apply
+from codeperturb.transform import RULES, rule_engine_apply
 from codeperturb.verify import (
     ProgramRunner,
     execution_equivalence,
@@ -163,10 +162,9 @@ def test_criterion_05_semantic_preservation_oracle(servers):
         # verify() compiles through the same runner the equivalence check
         # uses, so each candidate is compiled once.
         applied = {lang: 0 for lang in languages}
-        rule_engine = RuleEngine()
-        for sample, spec in corpus:
+        for sample, suite in corpus:
             for m in CATALOG.methods:
-                if not rule_engine.supported(m, sample.language):
+                if m.id not in RULES[sample.language]:
                     continue
                 seed = derive_seed(5, f"{sample.id}:{m.id}")
                 try:
@@ -178,7 +176,7 @@ def test_criterion_05_semantic_preservation_oracle(servers):
                     f"{sample.id}/{m.id}: rule output failed verification: {report.diagnostics}"
                 )
                 equivalent = execution_equivalence(
-                    sample, outcome.candidate, spec, runners[sample.language]
+                    sample, outcome.candidate, suite, runners[sample.language]
                 )
                 assert equivalent, f"{sample.id}/{m.id}: behavior changed"
                 applied[sample.language] += 1

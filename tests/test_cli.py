@@ -20,7 +20,7 @@ from codeperturb.verify import ForkServer, Toolchain, default_toolchains
 
 from .conftest import load_fixture_corpus, write_corpus_jsonl
 from .test_verify import DEEP_SOURCES
-from codeperturb.core import CodeSample, EquivalenceSpec, Language, MethodCategory, build_catalog
+from codeperturb.core import CodeSample, Language, MethodCategory, build_catalog
 from codeperturb.peso import IterationRecord
 from codeperturb.similarity import SimilarityScore
 
@@ -62,8 +62,8 @@ def test_records_round_trip_content_with_unicode_line_separators(separator, tmp_
     path = tmp_path / "corpus.jsonl"
     path.write_text(json.dumps(record, ensure_ascii=False) + "\n", encoding="utf-8")
     assert separator in path.read_text(encoding="utf-8")
-    [(sample, spec)] = read_corpus(path)
-    assert (sample.text, spec.input_suite) == (text, (separator,))
+    [(sample, suite)] = read_corpus(path)
+    assert (sample.text, suite) == (text, (separator,))
     assert read_jsonl(path) == [record]
 
 
@@ -73,8 +73,8 @@ def test_filter_command(tmp_path, capsys):
     write_corpus_jsonl(
         corpus,
         [
-            (make_sample("big.py", lines), None),
-            (make_sample("small.py", "x = 1\n"), None),
+            (make_sample("big.py", lines), ()),
+            (make_sample("small.py", "x = 1\n"), ()),
         ],
     )
     out = tmp_path / "out"
@@ -216,7 +216,7 @@ def test_perturb_exec_without_an_input_suite_is_a_config_error(tmp_path, monkeyp
     monkeypatch.setattr(cli, "perturb", lambda *a: perturbed.touch() or real_perturb(*a))
     path = tmp_path / "corpus.jsonl"
     corpus = load_fixture_corpus(languages={Language.PYTHON})[:2]
-    write_corpus_jsonl(path, corpus + [(make_sample("bare.py", "def f(x):\n    return x + 1\n"), None)])
+    write_corpus_jsonl(path, corpus + [(make_sample("bare.py", "def f(x):\n    return x + 1\n"), ())])
     out = tmp_path / "out"
     code = run_cli(
         "perturb", "--method", "modify_operations", "--corpus", path, "--engine", "rule",
@@ -235,6 +235,41 @@ def test_llm_engine_without_endpoint_is_config_error(small_corpus, tmp_path, cap
     )
     assert code == 1
     assert "llm" in capsys.readouterr().err.lower()
+
+
+@pytest.mark.parametrize("field,value,problem", [
+    ("language", 5, "language and content must be strings"),
+    ("language", "cobol", "unknown language: 'cobol'"),
+    ("content", ["print(1)\n"], "language and content must be strings"),
+    ("input_suite", "ab", "input_suite must be a list of strings"),
+    ("input_suite", [1, 2], "input_suite must be a list of strings"),
+], ids=["language", "unknown-language", "content", "suite-string", "suite-ints"])
+def test_a_malformed_corpus_record_is_a_config_error(field, value, problem, tmp_path, capsys):
+    good = {"id": "a.py", "language": "python", "content": "print(input())\n", "input_suite": ["1\n"]}
+    path = tmp_path / "corpus.jsonl"
+    path.write_text(json.dumps(good) + "\n" + json.dumps({**good, "id": "b.py", field: value}) + "\n")
+    out = tmp_path / "out"
+    assert run_cli("peso-run", "--corpus", path, "--max-iter", "2", "--output-dir", out) == 1
+    assert capsys.readouterr().err == f"error: {path}:2: {problem}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("config,key", [
+    ({"mu": "0.5", "nu": 0.5}, "mu"),
+    ({"max_iter": True}, "max_iter"),
+    ({"max_iter": 2.5}, "max_iter"),
+    ({"engine": "llm", "llm": "x"}, "llm"),
+    ({"engine": "llm", "llm": {"base_url": 7}}, "llm.base_url"),
+    ({"engine": "llm", "llm": {"base_url": "http://localhost:1", "timeout": "60"}}, "llm.timeout"),
+], ids=["mu-string", "max_iter-bool", "max_iter-float", "llm-string", "llm-base_url", "llm-timeout"])
+def test_a_config_value_of_the_wrong_type_is_a_config_error(config, key, small_corpus, tmp_path, capsys):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    out = tmp_path / "out"
+    assert run_cli("peso-run", "--corpus", small_corpus, "--config", path, "--output-dir", out) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: config {path}: {key} must be ")
+    assert not out.exists()
 
 
 def test_bad_weights_rejected(small_corpus, tmp_path, capsys):
@@ -448,7 +483,7 @@ def test_every_error_survives_pickling_with_its_attributes(cls):
 
 def test_an_unlexable_sample_fails_only_itself_on_worker_processes(tmp_path, capsys):
     good = load_fixture_corpus(languages={Language.PYTHON})[0]
-    bad = (CodeSample(id="open.c", language=Language.C_CPP, text='char *s = "never closed;\n'), None)
+    bad = (CodeSample(id="open.c", language=Language.C_CPP, text='char *s = "never closed;\n'), ())
     path = tmp_path / "corpus.jsonl"
     write_corpus_jsonl(path, [bad, good])
     out = tmp_path / "out"
@@ -468,7 +503,7 @@ def test_a_deeply_nested_sample_fails_no_run(sid, jobs, tmp_path, capsys):
     small = load_fixture_corpus(languages={Language.PYTHON})[0][0]
     deep = CodeSample(id=sid, language=Language.PYTHON, text=DEEP_SOURCES[sid])
     path = tmp_path / "corpus.jsonl"
-    write_corpus_jsonl(path, [(deep, None), (small, None)])
+    write_corpus_jsonl(path, [(deep, ()), (small, ())])
     out = tmp_path / "out"
     code = run_cli(
         "peso-run", "--corpus", path, "--engine", "rule", "--seed", "1", "--max-iter", "2",
@@ -481,7 +516,7 @@ def test_a_deeply_nested_sample_fails_no_run(sid, jobs, tmp_path, capsys):
 def test_filter_calls_a_text_too_deep_to_parse_syntax_invalid(tmp_path, capsys):
     path = tmp_path / "corpus.jsonl"
     sid = "sum_100000.py"
-    write_corpus_jsonl(path, [(CodeSample(id=sid, language=Language.PYTHON, text=DEEP_SOURCES[sid]), None)])
+    write_corpus_jsonl(path, [(CodeSample(id=sid, language=Language.PYTHON, text=DEEP_SOURCES[sid]), ())])
     assert run_cli("filter", "--corpus", path, "--output-dir", tmp_path / "out") == 0
     [verdict] = read_jsonl(tmp_path / "out" / "verdicts.jsonl")
     assert "SYNTAX_INVALID" in verdict["reasons"] and verdict["diagnostics"]
@@ -521,7 +556,7 @@ def test_a_sample_whose_original_times_out_fails_once(tmp_path, monkeypatch, cap
     text = "import time\ncount = int(input())\ntime.sleep(30)\nprint(count)\n"
     path = tmp_path / "corpus.jsonl"
     write_corpus_jsonl(path, [(CodeSample(id="sleepy.py", language=Language.PYTHON, text=text),
-                               EquivalenceSpec(input_suite=("1\n", "2\n")))])
+                               ("1\n", "2\n"))])
     out = tmp_path / "out"
     code = run_cli(
         "peso-run", "--corpus", path, "--engine", "rule", "--seed", "2", "--max-iter", "5",

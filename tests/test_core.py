@@ -8,9 +8,8 @@ from codeperturb.core import (
     build_catalog,
     load_config,
 )
-from codeperturb.errors import ConfigError, UnknownMethod
-from codeperturb.transform import RULES, RuleEngine
-from codeperturb.transform.llm import LlmEngine
+from codeperturb.errors import ConfigError, NotApplicable, ParseError, UnknownMethod, UnsupportedCombination
+from codeperturb.transform import RULES, rule_engine_apply
 
 EXPECTED_COUNTS = {
     MethodCategory.BASIC: 11,
@@ -61,24 +60,27 @@ def test_catalog_get():
 
 
 def test_supported_follows_the_rule_table():
+    # The rule engine turns down exactly the pairs that RULES does not list.
     cat = build_catalog()
-    rule, llm = RuleEngine(), LlmEngine(transport=None)
-    rename = cat.get("function_rename")
-    assert rule.supported(rename, Language.PYTHON)
-    assert not rule.supported(rename, Language.JAVA)
-    # All 26 methods reach every language through the LLM engine.
-    for m in cat.methods:
-        for lang in Language:
-            assert llm.supported(m, lang)
-            assert rule.supported(m, lang) == (m.id in RULES.get(lang, {}))
+    for lang in Language:
+        sample = CodeSample(id="x", language=lang, text="x = 1\n")
+        for m in cat.methods:
+            try:
+                rule_engine_apply(sample, m, seed=0)
+            except UnsupportedCombination as exc:
+                assert m.id not in RULES.get(lang, {})
+                assert str(exc) == f"rule engine cannot apply {m.id} to {lang.value}"
+                continue
+            except (NotApplicable, ParseError):
+                pass
+            assert m.id in RULES[lang]
 
 
 def test_rule_subset_covers_each_category_for_python_and_go():
     cat = build_catalog()
-    rule = RuleEngine()
     for lang in (Language.PYTHON, Language.GO):
         for category in MethodCategory:
-            supported = [m for m in cat.by_category[category] if rule.supported(m, lang)]
+            supported = [m for m in cat.by_category[category] if m.id in RULES[lang]]
             assert supported, f"no rule-based {category.name} method for {lang.value}"
 
 
@@ -105,9 +107,11 @@ def test_rule_table_is_pinned():
 
 @pytest.mark.parametrize("lang", [Language.JAVA, Language.RUST_LANG])
 def test_java_and_rust_are_llm_only(lang):
-    cat = build_catalog()
-    rule = RuleEngine()
-    assert not any(rule.supported(m, lang) for m in cat.methods)
+    assert lang not in RULES
+    sample = CodeSample(id="x", language=lang, text="class A {}\n")
+    for m in build_catalog().methods:
+        with pytest.raises(UnsupportedCombination):
+            rule_engine_apply(sample, m, seed=0)
 
 
 def test_peso_config_defaults():
@@ -144,6 +148,10 @@ def test_load_config_roundtrip(tmp_path):
     cfg, rest = load_config(path)
     assert cfg.mu == 0.6 and cfg.temperature == 1.5
     assert rest["engine"] == "rule"
+    # A float field takes a JSON integer too.
+    path.write_text('{"temperature": 3, "mu": 1, "nu": 0, "llm": {"timeout": 30}}')
+    cfg, rest = load_config(path)
+    assert (cfg.temperature, cfg.mu, cfg.nu, rest["llm"]) == (3, 1, 0, {"timeout": 30})
     path.write_text('{"engine": "warp"}')
     with pytest.raises(ConfigError):
         load_config(path)

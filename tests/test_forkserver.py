@@ -13,7 +13,7 @@ import time
 
 import pytest
 
-from codeperturb.core import CodeSample, EquivalenceSpec, Language
+from codeperturb.core import CodeSample, Language
 from codeperturb.corpusio import read_jsonl
 from codeperturb.errors import ExecutionTimeout, RunnerFailure
 from codeperturb.forkserver import FILE_SIZE_LIMIT, MEMORY_LIMIT, cpu_limit
@@ -45,10 +45,10 @@ def direct(runner, sample, stdin_text):
 def test_every_fixture_input_runs_alike_through_the_server(servers):
     corpus = [item for item in load_fixture_corpus() if item[0].language in TOOLCHAINS]
     assert len(corpus) == 22 or Language.C_CPP not in TOOLCHAINS
-    for sample, spec in corpus:
+    for sample, suite in corpus:
         runner = ProgramRunner(TOOLCHAINS[sample.language], servers)
         try:
-            for stdin_text in spec.input_suite:
+            for stdin_text in suite:
                 assert runner.run(sample, stdin_text) == direct(runner, sample, stdin_text), (
                     sample.id, stdin_text,
                 )
@@ -103,7 +103,7 @@ def test_a_cpu_spinner_is_rejected_within_the_timeout(servers):
         base = CodeSample(id="s.py", language=Language.PYTHON, text="print(1)\n")
         spinner = base.derive("while True:\n    pass\n", "variables_rename")
         start = time.monotonic()
-        report = verify(base, spinner, runner, EquivalenceSpec(input_suite=("1\n",)))
+        report = verify(base, spinner, runner, ("1\n",))
         assert time.monotonic() - start < 1.0 + 2.0
         assert not report.passed and any("exceeded 1.0s" in d for d in report.diagnostics)
     finally:
@@ -216,7 +216,7 @@ def test_a_nondeterministic_original_fails_its_sample_once(tmp_path, monkeypatch
         monkeypatch.setenv("PYTHONHASHSEED", hash_seed)
     path = tmp_path / "corpus.jsonl"
     write_corpus_jsonl(path, [(CodeSample(id="sets.py", language=Language.PYTHON, text=SET_PRINTER),
-                               EquivalenceSpec(input_suite=("1\n", "2\n")))])
+                               ("1\n", "2\n"))])
     out = tmp_path / "out"
     code = run_cli(
         "peso-run", "--corpus", path, "--engine", "rule", "--seed", "2", "--max-iter", "5",

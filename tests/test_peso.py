@@ -16,7 +16,7 @@ from codeperturb.peso import (
     select_method,
 )
 from codeperturb.similarity import score_pair
-from codeperturb.transform import RuleEngine
+from codeperturb.transform import rule_engine_apply
 from codeperturb.verify import verify
 
 from .conftest import load_fixture_corpus
@@ -125,7 +125,7 @@ def test_gain_ledger_overwrite_is_memoryless():
     accepted) and 0.0 before any: the renames never write it."""
     config = PesoConfig(rng_seed=1)
     original = next(s for s, _ in load_fixture_corpus() if s.id == "classify.py")
-    records = run(original, RuleEngine(), CATALOG, config, verify).records
+    records = run(original, rule_engine_apply, CATALOG, config, verify).records
     ledger, overwrote, renamed_gain = [0.0] * 6, False, False
     for record in records:
         if record.phase == "rename":
@@ -326,7 +326,7 @@ main()
 def test_run_with_real_engine_and_scorer():
     cfg = PesoConfig(rng_seed=13, max_iter=5, ss_threshold=0.2)
     original = CodeSample(id="real.py", language=Language.PYTHON, text=REAL_SRC)
-    result = run(original, RuleEngine(), CATALOG, cfg, verify)
+    result = run(original, rule_engine_apply, CATALOG, cfg, verify)
     assert result.final.text != REAL_SRC
     rescored = score_pair(original, result.final, cfg)
     assert abs(rescored.ss - result.summary.final_ss) < 1e-12
@@ -344,7 +344,7 @@ def test_the_optimizer_lexes_each_accepted_text_for_functions_once(monkeypatch):
     monkeypatch.setattr(peso, "find_functions", lambda text, lang: calls.append(text) or real(text, lang))
     cfg = PesoConfig(rng_seed=13, max_iter=5, ss_threshold=0.2)
     original = CodeSample(id="real.py", language=Language.PYTHON, text=REAL_SRC)
-    result = run(original, RuleEngine(), CATALOG, cfg, verify)
+    result = run(original, rule_engine_apply, CATALOG, cfg, verify)
     accepted = [r for r in result.records if r.accepted]
     assert len(accepted) >= 2
     # One call for the original, then one per acceptance (the accepted text).
@@ -408,7 +408,7 @@ def test_peso_run_parses_each_python_text_once(monkeypatch, rejecting):
         if name.startswith("codeperturb") and getattr(module, "scan", None) is real_scan:
             monkeypatch.setattr(module, "scan", counting_scan)
     config = PesoConfig(rng_seed=3, max_iter=3)
-    result = run(sample(text, sid="large.py"), RuleEngine(), CATALOG, config,
+    result = run(sample(text, sid="large.py"), rule_engine_apply, CATALOG, config,
                  verify, _every_other_rejected(config) if rejecting else None)
     monkeypatch.undo()
     verified = [r for r in result.records if r.verified]

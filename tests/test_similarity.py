@@ -25,7 +25,7 @@ from codeperturb.similarity import (
     surface_similarity,
     tokenize,
 )
-from codeperturb.transform import RuleEngine
+from codeperturb.transform import rule_engine_apply
 from codeperturb.verify import verify
 
 from .conftest import load_fixture_corpus
@@ -575,7 +575,7 @@ def test_peso_run_lexes_the_original_once_for_scoring(monkeypatch):
     real_scan = similarity.scan
     monkeypatch.setattr(similarity, "scan", lambda text, language, pos=0: lexed.append(text) or real_scan(text, language, pos))
     catalog = build_catalog()
-    result = run(original, RuleEngine(), catalog, PesoConfig(rng_seed=11, max_iter=3), verify)
+    result = run(original, rule_engine_apply, catalog, PesoConfig(rng_seed=11, max_iter=3), verify)
     scored = [r for r in result.records if r.score is not None]
     assert len(scored) >= 2
     assert lexed[0] == original.text

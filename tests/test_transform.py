@@ -21,16 +21,9 @@ from codeperturb.errors import (
     UnsupportedCombination,
 )
 from codeperturb.similarity import tokenize
-from codeperturb.transform import (
-    RULES,
-    HybridEngine,
-    RuleEngine,
-    parse_llm_answer,
-    perturb,
-    rule_engine_apply,
-    synthesize_prompt,
-)
-from codeperturb.transform.llm import LlmEngine, ReplayTransport
+from codeperturb.transform import RULES, hybrid_engine, perturb, rule_engine_apply
+from codeperturb.transform.llm import ReplayTransport, llm_engine
+from codeperturb.transform.prompts import parse_llm_answer, synthesize_prompt
 
 from .conftest import load_fixture_corpus
 from .test_transform_go_golden import CHAIN_SRC, LOOP_SRC
@@ -148,26 +141,23 @@ def test_rule_engine_deterministic():
 
 def test_perturb_never_mutates_input_and_grows_lineage():
     s = sample(PY_SRC)
-    engine = RuleEngine()
-    out = perturb(engine, s, method("insert_variables"), seed=5)
+    out = perturb(rule_engine_apply, s, method("insert_variables"), seed=5)
     assert s.text == PY_SRC and s.lineage == ()
     assert out.candidate.lineage == ("insert_variables",)
-    second = perturb(engine, out.candidate, method("insert_junk_loop"), seed=6)
+    second = perturb(rule_engine_apply, out.candidate, method("insert_junk_loop"), seed=6)
     assert second.candidate.lineage == ("insert_variables", "insert_junk_loop")
 
 
 def test_unsupported_combination():
-    engine = RuleEngine()
     s = sample("class A {}\n", Language.JAVA)
-    with pytest.raises(UnsupportedCombination):
-        perturb(engine, s, method("function_rename"), seed=1)
+    with pytest.raises(UnsupportedCombination, match="^rule engine cannot apply function_rename to java$"):
+        perturb(rule_engine_apply, s, method("function_rename"), seed=1)
 
 
 def test_rule_outputs_reparse():
     s = sample(PY_SRC)
-    engine = RuleEngine()
     for m in CATALOG.methods:
-        if not engine.supported(m, Language.PYTHON):
+        if m.id not in RULES[Language.PYTHON]:
             continue
         for seed in range(4):
             try:
@@ -696,12 +686,12 @@ def test_rewrites_in_other_indentation_and_line_ends_run_as_the_original(mid, tm
     corpus = load_fixture_corpus(languages={Language.PYTHON})
     for k, layout in enumerate(sorted(LAYOUTS)):
         rewrites = []
-        for original, spec in corpus:
+        for original, suite in corpus:
             text = LAYOUTS[layout](original.text)
             with contextlib.suppress(NotApplicable):
-                rewrites.append((text, RULES[Language.PYTHON][mid](text, random.Random(0))[0], spec))
-        text, new_text, spec = rewrites[k % len(rewrites)]  # another fixture for each layout
-        for stdin_text in spec.input_suite:
+                rewrites.append((text, RULES[Language.PYTHON][mid](text, random.Random(0))[0], suite))
+        text, new_text, suite = rewrites[k % len(rewrites)]  # another fixture for each layout
+        for stdin_text in suite:
             expected = _python_run(text, tmp_path, stdin_text)
             assert expected[1] == 0
             assert _python_run(new_text, tmp_path, stdin_text) == expected, (layout, stdin_text)
@@ -756,31 +746,54 @@ def test_rules_never_split_semicolon_joined_statements(mid, tmp_path):
 # Prompt synthesis and answer parsing
 # ---------------------------------------------------------------------------
 
+def _paragraph(user, label):
+    """The paragraph of a user prompt that starts with `label`."""
+    [text] = [p for p in user.split("\n\n") if p.startswith(label)]
+    return text[len(label):]
+
+
 def test_prompt_add_arguments_boundary_condition():
-    bundle = synthesize_prompt(sample(PY_SRC), method("add_arguments"))
-    assert "default" in bundle.task.requirements.lower()
-    assert "last parameter" in bundle.task.requirements.lower()
+    _, user = synthesize_prompt(sample(PY_SRC), method("add_arguments"))
+    requirements = _paragraph(user, "Requirements: ").lower()
+    assert "default" in requirements
+    assert "last parameter" in requirements
 
 
 def test_prompt_answer_instructions():
     for mid in ("function_rename", "div_loop", "extract_arithmetic"):
-        bundle = synthesize_prompt(sample(PY_SRC), method(mid))
-        text = bundle.answer_instructions.lower()
+        _, user = synthesize_prompt(sample(PY_SRC), method(mid))
+        text = user.split("\n\n")[-1].lower()
         assert "code" in text and "entry_point" in text
 
 
 def test_prompt_role_names_language():
-    bundle = synthesize_prompt(go_sample(), method("div_loop"))
-    assert "Go" in bundle.role
+    system, user = synthesize_prompt(go_sample(), method("div_loop"))
+    assert "Go" in system
+    assert user.startswith(system + "\n\n")
 
 
 def test_prompt_sections_nonempty():
     for m in CATALOG.methods:
-        bundle = synthesize_prompt(sample(PY_SRC), m)
-        assert bundle.role and bundle.task.prerequisites
-        assert bundle.task.requirements and bundle.task.format_template
-        assert bundle.code["full_source"] == PY_SRC
-        assert bundle.answer_instructions
+        system, user = synthesize_prompt(sample(PY_SRC), m)
+        assert system
+        for label in ("Prerequisites: ", "Requirements: ", "Format: "):
+            assert _paragraph(user, label)
+        assert "Code:\n```\n" + PY_SRC + "\n```" in user
+        assert user.split("\n\n")[-1]
+
+
+# sha256 over the (system, user) pair of every method in every language,
+# for one small text: any change to the bytes of a prompt changes it.
+PROMPT_DIGEST = "f439c7af719e2acb3a21edc8b88622d8fe57632f10cf079e80e4a23803d549f0"
+
+
+def test_prompt_bytes_are_frozen():
+    pairs = (
+        repr(synthesize_prompt(CodeSample(id="x", language=lang, text="int main() {}\n"), m))
+        for lang in Language
+        for m in CATALOG.methods
+    )
+    assert hashlib.sha256("\n".join(pairs).encode()).hexdigest() == PROMPT_DIGEST
 
 
 def test_parse_llm_answer_direct():
@@ -812,7 +825,7 @@ def test_parse_llm_answer_missing_field():
 def test_llm_engine_replay(tmp_path):
     reply = {"content": json.dumps({"code": "def q():\n    return 9\n", "entry_point": "q"})}
     (tmp_path / "function_rename.json").write_text(json.dumps(reply))
-    engine = LlmEngine(ReplayTransport(tmp_path))
+    engine = llm_engine(ReplayTransport(tmp_path))
     out = perturb(engine, sample(PY_SRC), method("function_rename"), seed=0)
     assert out.engine_used is EngineKind.LLM
     assert out.entry_point == "q"
@@ -820,9 +833,9 @@ def test_llm_engine_replay(tmp_path):
 
 
 def test_llm_engine_replay_exhausted(tmp_path):
-    engine = LlmEngine(ReplayTransport(tmp_path))
+    engine = llm_engine(ReplayTransport(tmp_path))
     with pytest.raises(EngineFailure):
-        engine.apply(sample(PY_SRC), method("div_loop"), seed=0)
+        engine(sample(PY_SRC), method("div_loop"), seed=0)
 
 
 def test_replay_replies_are_chosen_by_sample_not_by_the_order_of_requests(tmp_path):
@@ -835,21 +848,17 @@ def test_replay_replies_are_chosen_by_sample_not_by_the_order_of_requests(tmp_pa
             (directory / f"function_rename-{k}.json").write_text(json.dumps({"content": json.dumps(reply)}))
     a, b = sample(PY_SRC, sid="src/a.py"), sample(PY_SRC, sid="b.py")
     for order in ((a, b, a, b), (b, a, b, a), (b, b, a, a)):
-        engine = LlmEngine(ReplayTransport(tmp_path))
+        engine = llm_engine(ReplayTransport(tmp_path))
         got = {}
         for s in order:
-            got.setdefault(s.id, []).append(
-                engine.apply(s, method("function_rename"), seed=0).entry_point
-            )
+            got.setdefault(s.id, []).append(engine(s, method("function_rename"), seed=0).entry_point)
         assert got == {"src/a.py": ["a0", "a1"], "b.py": ["shared0", "shared1"]}
     with pytest.raises(EngineFailure, match="request 3 of src/a.py"):
-        engine.apply(a, method("function_rename"), seed=0)
+        engine(a, method("function_rename"), seed=0)
 
 
 def test_hybrid_prefers_rules(tmp_path):
-    rule = RuleEngine()
-    llm = LlmEngine(ReplayTransport(tmp_path))
-    hybrid = HybridEngine(rule, llm)
+    hybrid = hybrid_engine(llm_engine(ReplayTransport(tmp_path)))
     out = perturb(hybrid, sample(PY_SRC), method("function_rename"), seed=3)
     assert out.engine_used is EngineKind.RULE_BASED
     # Unsupported by rules -> falls through to the LLM.
@@ -859,10 +868,18 @@ def test_hybrid_prefers_rules(tmp_path):
     assert out2.engine_used is EngineKind.LLM
 
 
+def test_hybrid_sends_a_rule_that_finds_no_site_to_the_caller():
+    asked = []
+    hybrid = hybrid_engine(lambda *call: asked.append(call))
+    with pytest.raises(NotApplicable):
+        perturb(hybrid, sample("x = 1\nprint(x)\n"), method("modify_operations"), seed=0)
+    assert asked == []
+
+
 def test_hybrid_sends_rust_to_the_llm(tmp_path):
     reply = {"content": json.dumps({"code": "fn main() {}\n", "entry_point": "main"})}
     (tmp_path / "function_rename.json").write_text(json.dumps(reply))
-    hybrid = HybridEngine(RuleEngine(), LlmEngine(ReplayTransport(tmp_path)))
+    hybrid = hybrid_engine(llm_engine(ReplayTransport(tmp_path)))
     rust = sample('fn main() {\n    println!("hi");\n}\n', Language.RUST_LANG, "m.rs")
     out = perturb(hybrid, rust, method("function_rename"), seed=0)
     assert out.engine_used is EngineKind.LLM

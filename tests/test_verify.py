@@ -9,7 +9,7 @@ import pytest
 
 from codeperturb.analysis import PythonView, find_functions
 from codeperturb.cli import _verifier_for
-from codeperturb.core import CodeSample, EquivalenceSpec, Language, PesoConfig, build_catalog
+from codeperturb.core import CodeSample, Language, PesoConfig, build_catalog
 from codeperturb.errors import ConfigError, OriginalUnrunnable, ParseError, RunnerFailure, ToolchainUnavailable
 from codeperturb.verify import (
     ForkServer,
@@ -22,7 +22,7 @@ from codeperturb.verify import (
     verify,
 )
 from codeperturb.peso import run
-from codeperturb.transform import RuleEngine, _validate_output
+from codeperturb.transform import _validate_output, rule_engine_apply
 
 from .conftest import load_fixture_corpus
 
@@ -199,37 +199,37 @@ PY_PROG = "import sys\nn = int(sys.stdin.read() or 0)\nprint(n * 2)\n"
 
 def test_execution_identical_programs(make_runner):
     s = sample(PY_PROG)
-    spec = EquivalenceSpec(input_suite=("1\n", "2\n", "40\n"))
-    assert execution_equivalence(s, s, spec, make_runner()) is True
+    suite = ("1\n", "2\n", "40\n")
+    assert execution_equivalence(s, s, suite, make_runner()) is True
 
 
 def test_execution_rename_equivalent(make_runner):
     a = sample(PY_PROG)
     b = derived(a, "import sys\nvalue = int(sys.stdin.read() or 0)\nprint(value * 2)\n")
-    spec = EquivalenceSpec(input_suite=tuple(f"{i}\n" for i in range(10)))
-    assert execution_equivalence(a, b, spec, make_runner()) is True
+    suite = tuple(f"{i}\n" for i in range(10))
+    assert execution_equivalence(a, b, suite, make_runner()) is True
 
 
 def test_execution_detects_flipped_comparison(make_runner):
     a = sample("import sys\nn = int(sys.stdin.read())\nprint('big' if n > 5 else 'small')\n")
     b = derived(a, "import sys\nn = int(sys.stdin.read())\nprint('big' if n < 5 else 'small')\n")
-    spec = EquivalenceSpec(input_suite=("9\n",))
-    assert execution_equivalence(a, b, spec, make_runner()) is False
+    suite = ("9\n",)
+    assert execution_equivalence(a, b, suite, make_runner()) is False
 
 
 def test_execution_symmetric(make_runner):
     a = sample(PY_PROG)
     b = derived(a, "import sys\nprint(int(sys.stdin.read() or 0) * 2)\n")
-    spec = EquivalenceSpec(input_suite=("3\n", "5\n"))
-    assert execution_equivalence(a, b, spec, make_runner()) == execution_equivalence(
-        b, a, spec, make_runner()
+    suite = ("3\n", "5\n")
+    assert execution_equivalence(a, b, suite, make_runner()) == execution_equivalence(
+        b, a, suite, make_runner()
     )
 
 
 def test_execution_requires_inputs(make_runner):
     s = sample(PY_PROG)
     with pytest.raises(ConfigError):
-        execution_equivalence(s, s, EquivalenceSpec(input_suite=()), make_runner())
+        execution_equivalence(s, s, (), make_runner())
 
 
 # ---------------------------------------------------------------------------
@@ -250,7 +250,7 @@ def test_verify_short_circuits_on_syntax():
             calls.append("run")
             return "", 0
 
-    report = verify(base, broken, SpyRunner(), EquivalenceSpec(input_suite=("4\n",)))
+    report = verify(base, broken, SpyRunner(), ("4\n",))
     assert not report.passed and not report.syntax_ok
     assert report.compile_ok is None and report.behaviour_ok is None
     assert calls == []
@@ -259,7 +259,7 @@ def test_verify_short_circuits_on_syntax():
 def test_verify_execution_oracle_path(make_runner):
     base = sample(PY_PROG)
     good = derived(base, "import sys\nk = int(sys.stdin.read() or 0)\nprint(k * 2)\n")
-    report = verify(base, good, make_runner(), EquivalenceSpec(input_suite=("4\n", "7\n")))
+    report = verify(base, good, make_runner(), ("4\n", "7\n"))
     assert report.passed and report.behaviour_ok is True
     assert report.to_dict()["votes"] == [{"voter_id": "execution_oracle", "verdict": True}]
 
@@ -286,31 +286,31 @@ def test_verify_stub_path_accepts():
 
 def test_runner_pays_a_timeout_once(monkeypatch, make_runner):
     runner = make_runner(Toolchain(run_argv=(sys.executable, "{file}"), extension=".py", run_timeout=0.5))
-    spec = EquivalenceSpec(input_suite=("1\n",))
+    suite = ("1\n",)
     calls = []
     real_launch = ForkServer.launch
     monkeypatch.setattr(ForkServer, "launch", lambda self, req: calls.append(req) or real_launch(self, req))
     base = sample("import time\ntime.sleep(30)\n")
     for i in (1, 2):
         with pytest.raises(OriginalUnrunnable, match="exceeded 0.5s"):
-            verify(base, derived(base, f"print({i})\n"), runner, spec)
+            verify(base, derived(base, f"print({i})\n"), runner, suite)
     assert len(calls) == 1
 
 
 def test_a_timed_out_candidate_is_only_rejected(make_runner):
     runner = make_runner(Toolchain(run_argv=(sys.executable, "{file}"), extension=".py", run_timeout=0.5))
-    spec = EquivalenceSpec(input_suite=("1\n",))
+    suite = ("1\n",)
     base = sample("print(1)\n")
-    report = verify(base, derived(base, "import time\ntime.sleep(30)\nprint(1)\n"), runner, spec)
+    report = verify(base, derived(base, "import time\ntime.sleep(30)\nprint(1)\n"), runner, suite)
     assert report.passed is False and report.behaviour_ok is False
     assert any("execution oracle failed" in d and "exceeded 0.5s" in d for d in report.diagnostics)
-    assert verify(base, derived(base, "print(2 - 1)\n"), runner, spec).passed
+    assert verify(base, derived(base, "print(2 - 1)\n"), runner, suite).passed
 
 
 def test_cli_verifier_compiles_each_text_once_and_runs_the_original_once_per_input(monkeypatch, servers):
     if Language.C_CPP not in TOOLCHAINS:
         pytest.skip("no C toolchain")
-    original, spec = next(item for item in load_fixture_corpus() if item[0].id == "collatz.c")
+    original, suite = next(item for item in load_fixture_corpus() if item[0].id == "collatz.c")
     compiled, ran, reran = [], [], []
     real_run, real_launch = subprocess.run, ForkServer.launch
 
@@ -327,19 +327,19 @@ def test_cli_verifier_compiles_each_text_once_and_runs_the_original_once_per_inp
     monkeypatch.setattr(subprocess, "run", compile_spy)
     monkeypatch.setattr(ForkServer, "launch", launch_spy)
     args = argparse.Namespace(equivalence="auto")
-    verifier, runner = _verifier_for(args, original, spec, TOOLCHAINS, servers)
+    verifier, runner = _verifier_for(args, original, suite, TOOLCHAINS, servers)
     catalog = build_catalog()
     try:
-        result = run(original, RuleEngine(), catalog, PesoConfig(rng_seed=11, max_iter=3), verifier)
+        result = run(original, rule_engine_apply, catalog, PesoConfig(rng_seed=11, max_iter=3), verifier)
     finally:
         runner.close()
     assert sum(r.verified for r in result.records) >= 2
     assert len(compiled) > 1
     assert Counter(compiled).most_common(1)[0][1] == 1
     original_runs = Counter(stdin for source, stdin in ran if source == original.text)
-    assert original_runs == Counter(spec.input_suite)
+    assert original_runs == Counter(suite)
     # The one check run of the first input on a server with another hash seed.
-    assert reran == [(original.text, spec.input_suite[0])]
+    assert reran == [(original.text, suite[0])]
 
 
 def test_walk_lists_every_node_in_ast_walk_order(fixture_corpus):
