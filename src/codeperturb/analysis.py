@@ -1,22 +1,24 @@
 """Lightweight structural analysis shared by the transform and bench modules.
 
 Function discovery works from the AST for Python and from token scanning
-with brace matching for the brace languages. Line numbers are 0-based.
+with brace matching for the brace languages; brace_functions reads a token
+stream its caller already has. A Go function's name may be followed by a
+type-parameter list (`func Map[T any](xs []T) []T`), and a Go method's
+span starts at `func (receiver)`. Line numbers are 0-based.
 
 A Python text is parsed once into a PythonView, which python_view keeps in
-a cache of PYTHON_VIEWS entries: the rule that rewrites a text, the check
-of the rule's output, the syntax stage of verification and the optimizer's
-function lookup all read the same view of a candidate. The cache keeps a
-text's SyntaxError as well, so a text that does not parse is parsed once,
-not once per rule that tries it. A candidate is one local rewrite of a
-kept text, so its view is built from the kept view nearest to it: only the
-top-level statements its edit touched are parsed again, and the syntax
-stage compiles only those (the re-scan of the damaged region, as
-similarity.tokenize does for the lexer). The view falls back to a full
-parse, and the syntax stage to a full compile, wherever that could give
-another result (see PythonView). A PythonView ends lines where ast does,
-at "\r\n", "\r" and "\n"; line_offsets, which the brace languages read,
-ends them at "\n" only.
+a cache of PYTHON_VIEWS entries: the rule that rewrites a text, the syntax
+stage of verification and the optimizer's function lookup all read the
+same view of a candidate. The cache keeps a text's SyntaxError as well, so
+a text that does not parse is parsed once, not once per rule that tries
+it. A candidate is one local rewrite of a kept text, so its view is built
+from the kept view nearest to it: only the top-level statements its edit
+touched are parsed again, and the syntax stage compiles only those (the
+re-scan of the damaged region, as similarity.tokenize does for the lexer).
+The view falls back to a full parse, and the syntax stage to a full
+compile, wherever that could give another result (see PythonView). A
+PythonView ends lines where ast does, at "\r\n", "\r" and "\n";
+line_offsets, which the brace languages read, ends them at "\n" only.
 """
 
 from __future__ import annotations
@@ -301,9 +303,23 @@ def _python_functions(text: str) -> list[FunctionSpan]:
     return spans
 
 
-def _brace_functions(text: str, language: Language) -> list[FunctionSpan]:
-    tokens = lex(text, language)
-    offsets = line_offsets(text)
+def _span(tokens: list[Token], offsets: list[int], start: int, name: str, open_idx: int,
+          close_idx: int) -> FunctionSpan:
+    """The span of a function whose header starts at offset `start` and
+    whose body is tokens[open_idx] through the brace tokens[close_idx]."""
+    open_line = line_of_offset(offsets, tokens[open_idx].start)
+    close_line = line_of_offset(offsets, tokens[close_idx].start)
+    return FunctionSpan(
+        name, line_of_offset(offsets, start), close_line, open_line + 1, max(open_line, close_line - 1)
+    )
+
+
+def brace_functions(tokens: list[Token], offsets: list[int], language: Language) -> list[FunctionSpan]:
+    """The functions of a brace-language text, from its tokens and its
+    line_offsets: those at file scope in Go and C, every `fn` with a body
+    in Rust (best effort), none in Java."""
+    if language is Language.RUST_LANG:
+        return _rust_functions(tokens, offsets)
     spans: list[FunctionSpan] = []
     depth = 0
     i = 0
@@ -320,27 +336,16 @@ def _brace_functions(text: str, language: Language) -> list[FunctionSpan]:
             elif language is Language.C_CPP and t.kind is TokenKind.IDENT:
                 found = _c_function(tokens, i)
             if found is not None:
-                name, open_idx, close_idx = found
-                start_line = line_of_offset(offsets, t.start)
-                open_line = line_of_offset(offsets, tokens[open_idx].start)
-                close_line = line_of_offset(offsets, tokens[close_idx].start)
-                spans.append(
-                    FunctionSpan(
-                        name=name,
-                        start_line=start_line,
-                        end_line=close_line,
-                        body_start_line=open_line + 1,
-                        body_end_line=max(open_line, close_line - 1),
-                    )
-                )
-                i = close_idx + 1
+                spans.append(_span(tokens, offsets, t.start, *found))
+                i = found[2] + 1
                 continue
         i += 1
     return spans
 
 
 def _go_function(tokens: list[Token], i: int):
-    """Parse 'func [receiver] Name(...) ... {' starting at the func keyword."""
+    """Parse 'func [receiver] Name[type parameters](...) ... {' starting at
+    the func keyword."""
     j = i + 1
     if j < len(tokens) and tokens[j].text == "(":  # method receiver
         j = match_brace(tokens, j) + 1
@@ -348,6 +353,8 @@ def _go_function(tokens: list[Token], i: int):
         return None  # func literal
     name = tokens[j].text
     j += 1
+    if j < len(tokens) and tokens[j].text == "[":
+        j = match_brace(tokens, j) + 1
     if j >= len(tokens) or tokens[j].text != "(":
         return None
     j = match_brace(tokens, j) + 1
@@ -377,22 +384,11 @@ def _c_function(tokens: list[Token], i: int):
     return tokens[i].text, j, match_brace(tokens, j)
 
 
-def find_functions(text: str, language: Language) -> list[FunctionSpan]:
-    """Named function definitions with their line extents."""
-    if language is Language.PYTHON:
-        return _python_functions(text)
-    if language in (Language.GO, Language.C_CPP):
-        return _brace_functions(text, language)
-    # Best effort for Rust/Java: fn/method headers followed by a brace body.
-    tokens = lex(text, language)
-    offsets = line_offsets(text)
+def _rust_functions(tokens: list[Token], offsets: list[int]) -> list[FunctionSpan]:
+    """Every 'fn name ... {', nested ones included."""
     spans = []
     for k, t in enumerate(tokens[:-2]):
-        header = (
-            language is Language.RUST_LANG and t.text == "fn" and tokens[k + 1].kind is TokenKind.IDENT
-        )
-        if header:
-            name = tokens[k + 1].text
+        if t.text == "fn" and tokens[k + 1].kind is TokenKind.IDENT:
             j = k + 2
             while j < len(tokens) and tokens[j].text not in ("{", ";"):
                 if tokens[j].text in "([":
@@ -400,19 +396,15 @@ def find_functions(text: str, language: Language) -> list[FunctionSpan]:
                     continue
                 j += 1
             if j < len(tokens) and tokens[j].text == "{":
-                close = match_brace(tokens, j)
-                open_line = line_of_offset(offsets, tokens[j].start)
-                close_line = line_of_offset(offsets, tokens[close].start)
-                spans.append(
-                    FunctionSpan(
-                        name=name,
-                        start_line=line_of_offset(offsets, t.start),
-                        end_line=close_line,
-                        body_start_line=open_line + 1,
-                        body_end_line=max(open_line, close_line - 1),
-                    )
-                )
+                spans.append(_span(tokens, offsets, t.start, tokens[k + 1].text, j, match_brace(tokens, j)))
     return spans
+
+
+def find_functions(text: str, language: Language) -> list[FunctionSpan]:
+    """Named function definitions with their line extents."""
+    if language is Language.PYTHON:
+        return _python_functions(text)
+    return brace_functions(lex(text, language), line_offsets(text), language)
 
 
 def has_main_function(text: str, language: Language) -> bool:

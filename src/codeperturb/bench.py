@@ -1,8 +1,11 @@
 """Corpus filtering and masked code-completion task construction.
 
-Tasks mask 1, 3, or 5 contiguous non-blank lines inside a perturbed
+Tasks mask 1, 3, or 5 contiguous maskable lines inside a perturbed
 function, posed identically over the original and perturbed variants so
-the accuracy delta isolates the perturbation effect.
+the accuracy delta isolates the perturbation effect. A line is maskable
+when a token starts on it: the lexer decides what is a comment, so blank
+lines, comment lines, block-comment interiors and the inner lines of a
+multi-line string are never masked.
 """
 
 from __future__ import annotations
@@ -11,9 +14,10 @@ import random
 from dataclasses import dataclass
 from enum import Enum
 
-from .analysis import FunctionSpan, find_functions, line_offsets, python_view
+from .analysis import FunctionSpan, brace_functions, find_functions, line_of_offset, line_offsets, python_view
 from .core import CodeSample, Language
-from .errors import ParseError, RegionUnavailable
+from .errors import LexError, ParseError, RegionUnavailable
+from .lexing import lex
 from .verify import syntax_check
 
 MASK_SIZES = (1, 3, 5)
@@ -125,35 +129,25 @@ class PerturbedPair:
     function_map: dict
 
 
-_COMMENT_PREFIXES = {
-    Language.PYTHON: ("#",),
-    Language.GO: ("//", "/*", "*"),
-    Language.C_CPP: ("//", "/*", "*"),
-    Language.RUST_LANG: ("//", "/*", "*"),
-    Language.JAVA: ("//", "/*", "*"),
-}
+def _layout(text: str, language: Language) -> tuple[dict[str, FunctionSpan], list[int], frozenset[int]]:
+    """A text's functions by name; its line starts, as find_functions
+    numbers the lines, plus a final sentinel at len(text); and its maskable
+    lines, those a token starts on. Lexes the text once."""
+    if language is Language.PYTHON:
+        functions = find_functions(text, language)
+        starts, tokens = python_view(text).offsets, lex(text, language)
+    else:
+        starts, tokens = line_offsets(text), lex(text, language)
+        functions = brace_functions(tokens, starts, language)
+    return {f.name: f for f in functions}, starts, frozenset(line_of_offset(starts, t.start) for t in tokens)
 
 
-def _maskable(line: str, language: Language) -> bool:
-    stripped = line.strip()
-    if not stripped:
-        return False
-    return not stripped.startswith(_COMMENT_PREFIXES[language])
-
-
-def _line_starts(text: str, language: Language) -> list[int]:
-    """Line starts as find_functions numbers the lines, plus a final
-    sentinel at len(text)."""
-    return python_view(text).offsets if language is Language.PYTHON else line_offsets(text)
-
-
-def _eligible_blocks(text: str, language: Language, span: FunctionSpan) -> list[tuple[int, int]]:
+def _eligible_blocks(maskable: frozenset[int], span: FunctionSpan) -> list[tuple[int, int]]:
     """Maximal runs of consecutive maskable lines strictly inside the body."""
-    starts = _line_starts(text, language)
     blocks = []
     run_start = None
     for ln in range(span.body_start_line, span.body_end_line + 1):
-        if ln + 1 < len(starts) and _maskable(text[starts[ln] : starts[ln + 1]], language):
+        if ln in maskable:
             if run_start is None:
                 run_start = ln
         else:
@@ -165,8 +159,7 @@ def _eligible_blocks(text: str, language: Language, span: FunctionSpan) -> list[
     return blocks
 
 
-def _slice_by_lines(text: str, language: Language, start_line: int, n_lines: int) -> tuple[str, str, str]:
-    offsets = _line_starts(text, language)
+def _slice_by_lines(text: str, offsets: list[int], start_line: int, n_lines: int) -> tuple[str, str, str]:
     start = offsets[start_line]
     end_line = start_line + n_lines - 1
     end = offsets[end_line + 1] if end_line + 1 < len(offsets) else len(text)
@@ -201,9 +194,9 @@ def build_tasks(pair: PerturbedPair, seed: int) -> list[CompletionTask]:
     rng = random.Random(seed)
     language = pair.original.language
     try:
-        orig_fns = {f.name: f for f in find_functions(pair.original.text, language)}
-        pert_fns = {f.name: f for f in find_functions(pair.perturbed.text, language)}
-    except ParseError as exc:
+        orig_fns, orig_starts, orig_maskable = _layout(pair.original.text, language)
+        pert_fns, pert_starts, pert_maskable = _layout(pair.perturbed.text, language)
+    except (ParseError, LexError) as exc:
         raise RegionUnavailable(f"cannot analyze pair {pair.original.id}: {exc}") from exc
     fmap = dict(pair.function_map)
     candidates = []
@@ -219,8 +212,8 @@ def build_tasks(pair: PerturbedPair, seed: int) -> list[CompletionTask]:
         for orig_name, pert_name in candidates:
             p_span = pert_fns[pert_name]
             o_span = orig_fns[orig_name]
-            p_blocks = _eligible_blocks(pair.perturbed.text, language, p_span)
-            o_blocks = _eligible_blocks(pair.original.text, language, o_span)
+            p_blocks = _eligible_blocks(pert_maskable, p_span)
+            o_blocks = _eligible_blocks(orig_maskable, o_span)
             if any(hi - lo + 1 >= k for lo, hi in p_blocks) and any(
                 hi - lo + 1 >= k for lo, hi in o_blocks
             ):
@@ -237,11 +230,11 @@ def build_tasks(pair: PerturbedPair, seed: int) -> list[CompletionTask]:
             "mask_lines": k,
             "offset_ratio": round(ratio, 6),
         }
-        for variant, text, start in (
-            (Variant.ORIGINAL, pair.original.text, o_start),
-            (Variant.PERTURBED, pair.perturbed.text, p_start),
+        for variant, text, starts, start in (
+            (Variant.ORIGINAL, pair.original.text, orig_starts, o_start),
+            (Variant.PERTURBED, pair.perturbed.text, pert_starts, p_start),
         ):
-            prefix, truth, suffix = _slice_by_lines(text, language, start, k)
+            prefix, truth, suffix = _slice_by_lines(text, starts, start, k)
             tasks.append(
                 CompletionTask(
                     task_id=f"{pair.original.id}::L{k}::{variant.value}",

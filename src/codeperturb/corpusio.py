@@ -20,8 +20,11 @@ from .errors import ConfigError
 
 def read_corpus(path: str | Path) -> list[tuple[CodeSample, tuple[str, ...]]]:
     """(sample, input suite) pairs in file order; the suite is () for a
-    record without one. ConfigError names the line of a malformed record."""
+    record without one. ConfigError names the line of a malformed record,
+    and of a record whose id or safe_name an earlier record has: the
+    sample's trace and reply directory are named by it."""
     samples = []
+    seen: dict[str, tuple[int, str]] = {}  # safe_name -> (line, id)
     try:
         lines = Path(path).read_text(encoding="utf-8").split("\n")
     except OSError as exc:
@@ -43,6 +46,12 @@ def read_corpus(path: str | Path) -> list[tuple[CodeSample, tuple[str, ...]]]:
             sample = CodeSample(id=sample_id, language=Language.parse(language), text=text)
         except ConfigError as exc:
             raise ConfigError(f"{path}:{n}: {exc}") from exc
+        name = safe_name(sample_id)
+        if name in seen:
+            line, other = seen[name]
+            clash = "repeats" if other == sample_id else f"shares the file name {name!r} with"
+            raise ConfigError(f"{path}:{n}: sample id {sample_id!r} {clash} sample id {other!r} on line {line}")
+        seen[name] = (n, sample_id)
         samples.append((sample, tuple(suite or ())))
     return samples
 

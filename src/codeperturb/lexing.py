@@ -121,10 +121,11 @@ _SQ3 = _DQ3.replace('"', "'")
 _C_COMMENTS = r"//[^\n]*|/\*.*?\*/"
 
 # Per language: the comments to skip, the literal table of (pattern, kind),
-# and the openers of those literals and of block comments.
+# and the openers of those literals and of block comments. A Python comment
+# ends where ast ends a line, also at a lone "\r".
 _SYNTAX: dict[Language, tuple[str, list[tuple[str, TokenKind]], str]] = {
     Language.PYTHON: (
-        r"#[^\n]*",
+        r"#[^\r\n]*",
         [(rf"{_PY_PREFIX}(?:{_SQ3}|{_DQ3}|(?!'''){_SQ}|(?!\"\"\"){_DQ})", TokenKind.STRING)],
         rf"{_PY_PREFIX}(?P<quote>'''|\"\"\"|['\"])",
     ),

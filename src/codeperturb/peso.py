@@ -19,6 +19,7 @@ from .analysis import find_functions
 from .core import CodeSample, MethodCatalog, MethodCategory, PesoConfig, PerturbationMethod
 from .errors import (
     EngineFailure,
+    LexError,
     MalformedAnswer,
     NotApplicable,
     OriginalUnrunnable,
@@ -81,7 +82,7 @@ class OptimizerState:
 def _function_names(sample: CodeSample) -> list[str] | None:
     try:
         return [f.name for f in find_functions(sample.text, sample.language)]
-    except Exception:
+    except (ParseError, LexError):
         return None
 
 

@@ -7,6 +7,11 @@ language) pair has a rule. llm.llm_engine(transport) delegates every pair to
 a chat endpoint; hybrid_engine(llm) tries the rule engine and falls back on
 llm only when it raises UnsupportedCombination.
 
+Engines propose and verification judges: no engine checks the syntax of
+what it returns. A rule output that does not parse is a candidate like any
+other, and verify's syntax stage rejects it with the parser's diagnostic,
+as it does an LLM answer.
+
 RULES is the rule engine's capability table: language -> method id ->
 rewrite(text, rng) -> (new_text, entry_point). A (method, language) pair
 has a rule exactly when it is listed there; every other pair needs the LLM
@@ -19,10 +24,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from ..analysis import python_view
-from ..core import CodeSample, EngineKind, Language, PerturbationMethod
-from ..errors import NotApplicable, ParseError, UnsupportedCombination
-from ..lexing import check_balance, lex
+from ..core import CodeSample, EngineKind, PerturbationMethod
+from ..errors import NotApplicable, UnsupportedCombination
 from . import rule_brace, rule_python
 
 RULES = {**rule_python.RULES, **rule_brace.RULES}
@@ -33,19 +36,6 @@ class PerturbationOutcome:
     candidate: CodeSample
     engine_used: EngineKind
     entry_point: str
-
-
-def _validate_output(text: str, language: Language) -> None:
-    """Guard the syntactic-safety contract of the rule engine."""
-    if language is Language.PYTHON:
-        try:
-            python_view(text)
-        except SyntaxError as exc:
-            raise ParseError(f"rule engine produced unparsable python: {exc}") from exc
-        return
-    problem = check_balance(lex(text, language))
-    if problem:
-        raise ParseError(f"rule engine produced unbalanced output: {problem}")
 
 
 def rule_engine_apply(sample: CodeSample, method: PerturbationMethod, seed: int) -> PerturbationOutcome:
@@ -60,7 +50,6 @@ def rule_engine_apply(sample: CodeSample, method: PerturbationMethod, seed: int)
     new_text, entry = fn(sample.text, random.Random(seed))
     if new_text == sample.text:
         raise NotApplicable(f"{method.id} left the code unchanged")
-    _validate_output(new_text, sample.language)
     return PerturbationOutcome(
         candidate=sample.derive(new_text, method.id),
         engine_used=EngineKind.RULE_BASED,

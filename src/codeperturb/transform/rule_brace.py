@@ -5,9 +5,11 @@ read live on _File: `indent_unit`, `semi` (the statement terminator, empty
 in Go), `loop` (the condition-only loop keyword), `cond()` (parenthesize a
 condition where the language needs it) and `terminated()`. `_header` parses
 one-line if/for/while headers for both languages, and `_body_lines` walks
-function bodies. Only the rules whose parses or templates differ beyond
-that (function and local-variable discovery, the inserted snippets) still
-branch on `f.language`.
+function bodies. `functions` is analysis.brace_functions over the tokens
+_File lexed, so a rewrite lexes its text once and every rule, renames
+included, reads the one function list. Only the rules whose parses or
+templates differ beyond that (local-variable discovery, the inserted
+snippets) still branch on `f.language`.
 
 Each rule takes a lexed _File and the seeded RNG, draws one site with
 shared.pick (NotApplicable when there is none) and returns
@@ -24,7 +26,7 @@ import re
 from dataclasses import dataclass
 from functools import partial
 
-from ..analysis import FunctionSpan, find_functions, line_offsets, line_of_offset, match_brace
+from ..analysis import FunctionSpan, brace_functions, line_offsets, line_of_offset, match_brace
 from ..core import Language
 from ..errors import NotApplicable
 from ..lexing import Token, TokenKind, lex
@@ -46,7 +48,7 @@ class _File:
         self.tokens = lex(self.text, self.language)
         self.offsets = line_offsets(self.text)
         self.lines = self.text.split("\n")
-        self.functions = find_functions(self.text, self.language)
+        self.functions = brace_functions(self.tokens, self.offsets, self.language)
         go = self.language is Language.GO
         self.indent_unit = "\t" if go else "    "
         self.semi = "" if go else ";"
@@ -157,13 +159,13 @@ def _depth0_ops(toks: list[Token], texts: tuple[str, ...]) -> list[Token]:
 # ---------------------------------------------------------------------------
 
 def _top_level(f: _File):
-    """(index, token) for every token outside all braces, braces excluded."""
+    """Every token outside all braces, braces excluded."""
     depth = 0
-    for i, t in enumerate(f.tokens):
+    for t in f.tokens:
         if t.kind is TokenKind.OP and t.text in "{}":
             depth += 1 if t.text == "{" else -1
         elif depth == 0:
-            yield i, t
+            yield t
 
 
 def _rename_ident(f: _File, renames: dict[str, str], start: int = 0, end: int | None = None) -> str:
@@ -190,20 +192,16 @@ def _rename_ident(f: _File, renames: dict[str, str], start: int = 0, end: int | 
     return replace_tokens(f.text, hits, renames, "no occurrences of {!r}")
 
 
+def _go_method(f: _File, fn: FunctionSpan) -> bool:
+    """Whether a span's header is `func (receiver) name`; in C, `func` is
+    an identifier."""
+    head = f.line_tokens(fn.start_line)[:2]
+    return [(t.kind, t.text) for t in head] == [(TokenKind.KEYWORD, "func"), (TokenKind.OP, "(")]
+
+
 def function_rename(f: _File, rng: random.Random):
-    if f.language is Language.GO:
-        # `func name`: methods (`func (r T) name`) are called after a '.',
-        # which renames skip.
-        candidates = {
-            f.tokens[i + 1].text
-            for i, t in _top_level(f)
-            if t.kind is TokenKind.KEYWORD
-            and t.text == "func"
-            and i + 1 < len(f.tokens)
-            and f.tokens[i + 1].kind is TokenKind.IDENT
-        }
-    else:
-        candidates = {fn.name for fn in f.functions}
+    # A Go method is called after a '.', which renames skip.
+    candidates = {fn.name for fn in f.functions if not _go_method(f, fn)}
     old = pick(sorted(candidates - {"main", "init"}), rng, "no renameable function")
     new = fresh(f.identifiers(), rng, FN_WORDS)
     return _rename_ident(f, {old: new}), new
@@ -263,7 +261,7 @@ def _c_local_decls(f: _File, fn: FunctionSpan) -> set[str]:
 
 
 def variables_rename(f: _File, rng: random.Random):
-    top = {t.text for _, t in _top_level(f) if t.kind is TokenKind.IDENT}
+    top = {t.text for t in _top_level(f) if t.kind is TokenKind.IDENT}
     local_decls = _go_local_decls if f.language is Language.GO else _c_local_decls
     options = []
     for fn in f.functions:

@@ -54,7 +54,7 @@ from .lexing import TokenKind, check_balance, lex
 
 @dataclass(frozen=True)
 class Toolchain:
-    """Command templates with {file}, {dir} and {exe} placeholders."""
+    """Command templates with {file} and {exe} placeholders."""
 
     run_argv: tuple[str, ...]
     compile_argv: tuple[str, ...] | None = None
@@ -184,8 +184,8 @@ def syntax_check(sample: CodeSample) -> tuple[bool, list[str]]:
     return True, diagnostics
 
 
-def _fill(argv: tuple[str, ...], file: str, directory: str, exe: str) -> list[str]:
-    return [a.format(file=file, dir=directory, exe=exe) for a in argv]
+def _fill(argv: tuple[str, ...], file: str, exe: str) -> list[str]:
+    return [a.format(file=file, exe=exe) for a in argv]
 
 
 def _write_sample(sample: CodeSample, directory: Path, toolchain: Toolchain) -> Path:
@@ -297,7 +297,7 @@ class ProgramRunner:
         exe = str(directory / "prog")
         ok, diagnostics = None, []
         if self.toolchain.compile_argv is not None:
-            argv = _fill(self.toolchain.compile_argv, str(path), str(directory), exe)
+            argv = _fill(self.toolchain.compile_argv, str(path), exe)
             try:
                 proc = subprocess.run(
                     argv, capture_output=True, timeout=self.toolchain.compile_timeout,
@@ -330,7 +330,7 @@ class ProgramRunner:
         ok, diagnostics, path, exe = self._prepare(sample)
         if ok is False:
             raise RunnerFailure("candidate does not compile: " + "\n".join(diagnostics[1:]))
-        argv = _fill(self.toolchain.run_argv, str(path), str(path.parent), exe)
+        argv = _fill(self.toolchain.run_argv, str(path), exe)
         in_process = self.toolchain.run_argv == (sys.executable, "{file}")
         request = {"file": str(path)} if in_process else {"argv": argv}
         stdin_file, stdout_file = path.parent / "stdin", path.parent / "stdout"

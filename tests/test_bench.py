@@ -194,7 +194,9 @@ def test_build_tasks_region_unavailable():
 def test_build_tasks_reads_python_lines_as_ast_ends_them():
     """A Python line ends at "\r\n", "\r" or "\n": the masks fall on the
     same lines whichever ends a text uses."""
-    orig = "def f(k):\n" + "".join(f"    v{i} = k + {i}\n" for i in range(11)) + "    return v10\n"
+    lines = [f"    v{i} = k + {i}\n" for i in range(11)]
+    comment = "    # a comment ends at the line end\n"
+    orig = "def f(k):\n" + "".join(lines[:6]) + comment + "".join(lines[6:]) + "    return v10\n"
     pert = orig.replace("def f(", "def g(")
 
     def tasks(end):
@@ -217,6 +219,67 @@ def test_build_tasks_reads_python_lines_as_ast_ends_them():
             source = pair.original if task.variant is Variant.ORIGINAL else pair.perturbed
             assert task.prefix + task.ground_truth + task.suffix == source.text
             assert task.ground_truth == want.ground_truth.replace("\n", end)
+
+
+def _masked_regions(text, language, function):
+    """{mask size: ground truths} over seeded tasks of a pair whose two
+    variants are `text`, perturbed in `function`."""
+    pair = PerturbedPair(
+        original=sample(text, language, "m"),
+        perturbed=CodeSample(id="m", language=language, text=text, lineage=("insert_variables",)),
+        entry_points=(function,),
+        function_map={},
+    )
+    regions = {}
+    for seed in range(30):
+        for task in build_tasks(pair, seed=seed):
+            regions.setdefault(task.mask_lines, set()).add(task.ground_truth)
+    return regions
+
+
+C_MASKING = r"""int main(void) {
+    int x = 0;
+    int *p = &x;
+    *p = 3;
+    *p += 4;
+    printf("%d\n", x);
+    /* a block comment,
+       its interior line,
+     */
+    return 0;
+}
+"""
+
+PY_MASKING = "def f(k):\n    a = k + 1\n    doc = '''first\n    inner line\n    '''\n    return a\n"
+
+
+def test_a_line_is_maskable_when_a_token_starts_on_it():
+    lines = C_MASKING.splitlines(keepends=True)
+    regions = _masked_regions(C_MASKING, Language.C_CPP, "main")
+    assert regions[5] == {"".join(lines[1:6])}  # "*p = 3;" is a statement, not a comment
+    statements = [lines[i] for i in (1, 2, 3, 4, 5, 9)]
+    assert regions[1] <= set(statements) and "".join(lines[3:6]) in regions[3]
+    lines = PY_MASKING.splitlines(keepends=True)
+    regions = _masked_regions(PY_MASKING, Language.PYTHON, "f")
+    assert set(regions) == {1}  # no token starts inside the string or on its closing line
+    assert regions[1] <= {lines[1], lines[2], lines[5]}
+
+
+def test_build_tasks_lexes_each_variant_once(monkeypatch):
+    from codeperturb import lexing
+
+    scanned, real_scan = [], lexing.scan
+    monkeypatch.setattr(lexing, "scan", lambda text, *args: scanned.append(text) or real_scan(text, *args))
+    for language, text, function in ((Language.C_CPP, C_MASKING, "main"), (Language.PYTHON, PY_MASKING, "f")):
+        scanned.clear()
+        pair = PerturbedPair(
+            original=sample(text, language, "m"),
+            perturbed=CodeSample(id="m", language=language, text=text + "\n", lineage=("insert_variables",)),
+            entry_points=(function,),
+            function_map={},
+        )
+        assert build_tasks(pair, seed=0)
+        assert scanned == [text, text + "\n"]
 
 
 @st.composite

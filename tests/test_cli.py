@@ -3,6 +3,7 @@ import json
 import multiprocessing
 import os
 import pickle
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -14,8 +15,10 @@ import pytest
 
 from codeperturb import cli, errors
 from codeperturb.cli import main
-from codeperturb.corpusio import read_corpus, read_jsonl, safe_name
+from codeperturb.analysis import find_functions
+from codeperturb.corpusio import read_corpus, read_jsonl, safe_name, write_jsonl
 from codeperturb.errors import EngineFailure
+from codeperturb.transform import RULES
 from codeperturb.verify import ForkServer, Toolchain, default_toolchains
 
 from .conftest import load_fixture_corpus, write_corpus_jsonl
@@ -146,6 +149,29 @@ def test_perturb_under_stub_builds_and_runs_nothing(tmp_path, monkeypatch, capsy
     assert [r["verification"]["compile_ok"] for r in c_records] == [None] * 8
 
 
+def test_an_unparsable_rule_output_is_a_candidate_verification_rejects(tmp_path, monkeypatch, capsys):
+    """No engine checks its own output: the syntax stage judges a rule's
+    rewrite as it judges an LLM answer, and keeps the parser's diagnostic."""
+    corpus = [load_fixture_corpus({Language.PYTHON})[0], load_fixture_corpus({Language.C_CPP})[0]]
+    for language, tail in ((Language.PYTHON, "def (:\n"), (Language.C_CPP, "}\n")):
+        monkeypatch.setitem(RULES[language], "function_rename", lambda text, rng, tail=tail: (text + tail, "<file>"))
+    path = tmp_path / "corpus.jsonl"
+    write_corpus_jsonl(path, corpus)
+    out = tmp_path / "out"
+    code = run_cli(
+        "perturb", "--method", "function_rename", "--corpus", path, "--engine", "rule",
+        "--seed", "1", "--equivalence", "stub", "--jobs", "1", "--output-dir", out,
+    )
+    assert code == 0
+    python, c = read_jsonl(out / "outcomes.jsonl")
+    for record in (python, c):
+        assert record["applied"] is True and record["verified"] is False and "error" not in record
+        assert record["verification"]["syntax_ok"] is False
+    lines = len(corpus[0][0].text.split("\n"))
+    assert python["verification"]["diagnostics"] == [f"syntax error at line {lines}, offset 5: invalid syntax"]
+    assert c["verification"]["diagnostics"] == [f"unbalanced '}}' at offset {len(corpus[1][0].text)}"]
+
+
 def test_perturb_unknown_method(small_corpus, tmp_path, capsys):
     code = run_cli(
         "perturb", "--method", "no_such_method", "--corpus", small_corpus,
@@ -254,6 +280,22 @@ def test_a_malformed_corpus_record_is_a_config_error(field, value, problem, tmp_
     assert not out.exists()
 
 
+@pytest.mark.parametrize("first,second,problem", [
+    ("a/b.py", "a_b.py", "sample id 'a_b.py' shares the file name 'a_b.py' with sample id 'a/b.py' on line 1"),
+    ("x.py", "x.py", "sample id 'x.py' repeats sample id 'x.py' on line 1"),
+], ids=["same-file-name", "same-id"])
+def test_sample_ids_that_share_a_trace_file_are_a_config_error(first, second, problem, tmp_path, capsys):
+    """Each sample's trace and reply directory are named by its id's
+    safe_name, so two records with one name would share them."""
+    record = {"language": "python", "content": "print(input())\n", "input_suite": ["1\n"]}
+    path = tmp_path / "corpus.jsonl"
+    path.write_text(json.dumps({**record, "id": first}) + "\n" + json.dumps({**record, "id": second}) + "\n")
+    out = tmp_path / "out"
+    assert run_cli("peso-run", "--corpus", path, "--equivalence", "stub", "--output-dir", out) == 1
+    assert capsys.readouterr().err == f"error: {path}:2: {problem}\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("config,key", [
     ({"mu": "0.5", "nu": 0.5}, "mu"),
     ({"max_iter": True}, "max_iter"),
@@ -311,6 +353,23 @@ def test_random_run_outputs(small_corpus, tmp_path, capsys):
     for summary in read_jsonl(out / "summary.jsonl"):
         trace = read_jsonl(out / "traces" / f"{summary['sample_id']}.jsonl")
         assert all(r["phase"] != "init" for r in trace)
+
+
+def test_make_tasks_skips_a_pair_the_lexer_rejects(tmp_path, capsys):
+    [(good, _)] = load_fixture_corpus({Language.PYTHON})[:1]
+    bad = 'int main(void) {\n    puts("open);\n    return 0;\n}\n'
+    pairs = tmp_path / "pairs.jsonl"
+    write_jsonl(pairs, [
+        {"id": "bad.c", "language": "c", "original": bad, "perturbed": bad, "entry_points": ["main"]},
+        {"id": good.id, "language": "python", "original": good.text, "perturbed": good.text,
+         "entry_points": [f.name for f in find_functions(good.text, Language.PYTHON)]},
+    ])
+    out = tmp_path / "tasks"
+    assert run_cli("make-tasks", "--pairs", pairs, "--output-dir", out) == 2
+    assert {t["sample_id"] for t in read_jsonl(out / "tasks.jsonl")} == {good.id}
+    assert read_jsonl(out / "tasks_skipped.jsonl") == [
+        {"sample_id": "bad.c", "error": "cannot analyze pair bad.c: unterminated '\"' literal (offset 26)"}
+    ]
 
 
 def test_make_tasks_and_evaluate_flow(small_corpus, tmp_path, capsys):
@@ -584,21 +643,26 @@ SEEDED_RUN_DIGEST = "f742e45380dc35c11356ea11ce0d3639856d8eea69d9852d2c296777369
 # The same digest over a seeded random-run (the uniform baseline).
 SEEDED_RANDOM_RUN_DIGEST = "67edbcd6c2cf559fe5e6d13b97c9e6d9c2a778509f45f1255413035883a2a24e"
 
+# The same digest over the seeded peso-run under the execution oracle, which
+# compiles the C fixtures with gcc and runs every input suite.
+SEEDED_EXEC_RUN_DIGEST = "a7ad23b840518d91088fbf960d215c8e246392ffc1fe2d74034fea6077df0410"
 
-def _seeded_rule_run(command, tmp_path, monkeypatch, jobs="1"):
+
+def _seeded_rule_run(command, tmp_path, monkeypatch, jobs="1", equivalence="stub"):
     """The digest and the digested files ({name: bytes}) of a seeded run."""
 
     def no_program(*args, **kwargs):  # raised in a worker, it fails the command too
         raise AssertionError(f"a stub run started a program: {args}")
 
-    monkeypatch.setattr(subprocess, "run", no_program)
-    monkeypatch.setattr(ForkServer, "__init__", no_program)
+    if equivalence == "stub":
+        monkeypatch.setattr(subprocess, "run", no_program)
+        monkeypatch.setattr(ForkServer, "__init__", no_program)
     path = tmp_path / "corpus.jsonl"
     write_corpus_jsonl(path, load_fixture_corpus())
     out = tmp_path / f"out-{jobs}"
     code = run_cli(
         command, "--corpus", path, "--engine", "rule", "--seed", "11", "--max-iter", "3",
-        "--jobs", jobs, "--equivalence", "stub", "--output-dir", out,
+        "--jobs", jobs, "--equivalence", equivalence, "--output-dir", out,
     )
     assert code == 0
     files = sorted((out / "traces").glob("*.jsonl"))
@@ -609,6 +673,12 @@ def _seeded_rule_run(command, tmp_path, monkeypatch, jobs="1"):
 
 def test_seeded_rule_run_is_frozen(tmp_path, monkeypatch, capsys):
     assert _seeded_rule_run("peso-run", tmp_path, monkeypatch)[0] == SEEDED_RUN_DIGEST
+
+
+@pytest.mark.skipif(shutil.which("gcc") is None, reason="the C fixtures need gcc")
+def test_seeded_exec_run_is_frozen(tmp_path, monkeypatch, capsys):
+    digest, _ = _seeded_rule_run("peso-run", tmp_path, monkeypatch, jobs="2", equivalence="exec")
+    assert digest == SEEDED_EXEC_RUN_DIGEST
 
 
 def test_seeded_rule_run_on_worker_processes_is_frozen(tmp_path, monkeypatch, capsys):

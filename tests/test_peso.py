@@ -353,6 +353,20 @@ def test_the_optimizer_lexes_each_accepted_text_for_functions_once(monkeypatch):
     assert result.summary.function_map
 
 
+def test_a_fault_in_the_function_finder_is_not_taken_for_an_unparsable_text(monkeypatch):
+    """Only ParseError and LexError mean a text has no function list; any
+    other error is a fault and ends the run."""
+    from codeperturb import peso
+
+    def broken(text, language):
+        raise ValueError("finder fault")
+
+    monkeypatch.setattr(peso, "find_functions", broken)
+    original = CodeSample(id="real.py", language=Language.PYTHON, text=REAL_SRC)
+    with pytest.raises(ValueError, match="finder fault"):
+        run(original, rule_engine_apply, CATALOG, PesoConfig(rng_seed=13, max_iter=5), verify)
+
+
 def _every_other_rejected(config):
     """score_pair, but every second score is 1.0, which the optimizer rejects."""
     calls = []

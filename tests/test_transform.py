@@ -974,3 +974,15 @@ def test_every_rule_output_is_frozen():
                 cases += 1
     assert cases == 1975
     assert digest.hexdigest() == RULE_OUTPUT_DIGEST
+
+
+def test_a_brace_rewrite_lexes_its_text_once(monkeypatch):
+    """The rule and the function list read the same tokens."""
+    scanned, real_scan = [], lexing.scan
+    monkeypatch.setattr(lexing, "scan", lambda text, *args: scanned.append(text) or real_scan(text, *args))
+    for language, text in ((Language.GO, CHAIN_SRC), (Language.GO, GO_RECEIVER_SRC), (Language.C_CPP, C_MACRO_SRC)):
+        for mid, rewrite in sorted(RULES[language].items()):
+            scanned.clear()
+            with contextlib.suppress(NotApplicable):
+                rewrite(text, random.Random(0))
+            assert scanned == [text], (language, mid)

@@ -9,6 +9,7 @@ import random
 
 import pytest
 
+from codeperturb.analysis import find_functions
 from codeperturb.core import CodeSample, Language, build_catalog
 from codeperturb.transform import rule_engine_apply
 
@@ -138,3 +139,32 @@ def test_golden_condition_loop_to_three_clause():
     )
     out = apply(src, "for_while_transformation", 0)
     assert "\tfor ; acc > 50; {" in out
+
+
+GENERIC_SRC = """package main
+
+import "fmt"
+
+func Map[T any](xs []T, f func(T) T) []T {
+\tout := make([]T, 0, len(xs))
+\tfor _, x := range xs {
+\t\tout = append(out, f(x))
+\t}
+\treturn out
+}
+
+func main() {
+\tfmt.Println(Map([]int{1, 2}, func(n int) int { return n + 1 }))
+}
+"""
+
+
+def test_a_generic_function_is_found_and_its_locals_renamed():
+    spans = find_functions(GENERIC_SRC, Language.GO)
+    assert [(s.name, s.start_line, s.end_line) for s in spans] == [("Map", 4, 10), ("main", 12, 14)]
+    sample = CodeSample(id="g.go", language=Language.GO, text=GENERIC_SRC)
+    outcome = rule_engine_apply(sample, CATALOG.get("variables_rename"), 0)
+    assert outcome.entry_point == "Map"
+    assert outcome.candidate.text == GENERIC_SRC.replace("out", "trace_51").replace("x)", "probe_998)").replace(
+        "_, x :=", "_, probe_998 :="
+    )

@@ -22,7 +22,7 @@ from codeperturb.verify import (
     verify,
 )
 from codeperturb.peso import run
-from codeperturb.transform import _validate_output, rule_engine_apply
+from codeperturb.transform import rule_engine_apply
 
 from .conftest import load_fixture_corpus
 
@@ -67,8 +67,8 @@ def test_syntax_python_unbalanced_parens():
 
 
 # Python texts that fail the parse or only the compiler, with what
-# syntax_check, the rule engine's output guard and find_functions report:
-# None where the text parses, so that neither of the last two raises.
+# syntax_check and find_functions report: None where the text parses, so
+# that find_functions does not raise.
 SYNTAX_CASES = [
     ("def f(:\n    pass\n", "syntax error at line 1, offset 7: invalid syntax", "invalid syntax (<unknown>, line 1)"),
     ("x = 1\nreturn x\n", "syntax error at line 2, offset 1: 'return' outside function", None),
@@ -83,12 +83,8 @@ SYNTAX_CASES = [
 def test_python_syntax_failures_keep_their_diagnostics(text, diagnostic, parse_error):
     assert syntax_check(sample(text)) == (False, [diagnostic])
     if parse_error is None:
-        _validate_output(text, Language.PYTHON)
         assert find_functions(text, Language.PYTHON) == []
         return
-    with pytest.raises(ParseError) as guard:
-        _validate_output(text, Language.PYTHON)
-    assert str(guard.value) == f"rule engine produced unparsable python: {parse_error}"
     with pytest.raises(ParseError) as lookup:
         find_functions(text, Language.PYTHON)
     assert str(lookup.value) == f"cannot parse: {parse_error}"
