@@ -14,7 +14,8 @@ import random
 from dataclasses import dataclass
 from enum import Enum
 
-from .analysis import FunctionSpan, brace_functions, find_functions, line_of_offset, line_offsets, python_view
+from .analysis import (PYTHON_LINE_END, FunctionSpan, brace_functions, find_functions, line_of_offset,
+                       line_offsets, python_view)
 from .core import CodeSample, Language
 from .errors import LexError, ParseError, RegionUnavailable
 from .lexing import lex
@@ -51,7 +52,10 @@ class FilterVerdict:
 
 def filter_sample(sample: CodeSample) -> FilterVerdict:
     reasons = set()
-    if len(sample.text.splitlines()) < MIN_LINES:
+    text = sample.text
+    # Lines end where the program ends them: at ast's line ends in Python, at "\n" elsewhere.
+    lines = PYTHON_LINE_END.split(text)[::2] if sample.language is Language.PYTHON else text.split("\n")
+    if len(lines) - (lines[-1] == "") < MIN_LINES:
         reasons.add(FilterReason.TOO_FEW_LINES)
     if len(sample.text) < MIN_CHARS:
         reasons.add(FilterReason.TOO_FEW_CHARS)

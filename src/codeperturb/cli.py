@@ -11,6 +11,7 @@ import argparse
 import concurrent.futures
 import dataclasses
 import datetime
+import functools
 import json
 import os
 import sys
@@ -54,7 +55,7 @@ from .peso import derive_seed, run, run_random_baseline
 from .similarity import score_pair
 from .transform import hybrid_engine, perturb, rule_engine_apply
 from .transform.llm import HttpTransport, LlmConfig, ReplayTransport, llm_engine
-from .verify import ProgramRunner, ServerPool, default_toolchains, verify
+from .verify import ProgramRunner, ServerPool, Toolchain, default_toolchains, verify
 
 
 def _usable_cpus() -> int:
@@ -74,9 +75,8 @@ def build_parser() -> _Parser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, corpus=True):
-        if corpus:
-            p.add_argument("--corpus", required=True, help="corpus JSONL ({id, language, content})")
+    def common(p):
+        p.add_argument("--corpus", required=True, help="corpus JSONL ({id, language, content})")
         p.add_argument("--config", help="JSON config file")
         p.add_argument("--seed", type=int, default=None)
         p.add_argument("--output-dir", default="out")
@@ -190,28 +190,18 @@ def _build_engine(args, rest: dict):
     return llm if kind == "llm" else hybrid_engine(llm)
 
 
-def _oracle_spec(args, sample: CodeSample, suite: tuple[str, ...], toolchains) -> tuple[str, ...]:
-    """The input suite the execution oracle runs `sample` against, () when
-    it runs none; ConfigError when --equivalence exec cannot run it."""
-    mode = getattr(args, "equivalence", "auto")
-    if mode in ("auto", "exec") and suite and sample.language in toolchains:
-        return suite
-    if mode == "exec":
+def _oracle(args, sample: CodeSample, suite: tuple[str, ...],
+            toolchains) -> tuple[Toolchain | None, tuple[str, ...]]:
+    """The toolchain that builds and runs `sample` (None under --equivalence
+    stub or when `toolchains` has none) and the input suite its execution
+    oracle runs (() when it runs none); ConfigError when --equivalence exec
+    cannot run it."""
+    toolchain = None if args.equivalence == "stub" else toolchains.get(sample.language)
+    if args.equivalence == "exec" and not (suite and toolchain):
         raise ConfigError(
             f"--equivalence exec needs an input_suite and a toolchain for {sample.language.value}"
         )
-    return ()
-
-
-def _verifier_for(args, sample: CodeSample, suite: tuple[str, ...], toolchains,
-                  servers: ServerPool):
-    """The sample's verifier, with `suite` (from _oracle_spec) for its
-    execution oracle, and its ProgramRunner, which runs programs on
-    `servers`: None under --equivalence stub or without a toolchain in
-    `toolchains`. The caller closes the runner when the sample ends."""
-    toolchain = toolchains.get(sample.language)
-    runner = ProgramRunner(toolchain, servers) if toolchain and args.equivalence != "stub" else None
-    return (lambda original, candidate: verify(original, candidate, runner, suite)), runner
+    return toolchain, suite if toolchain else ()
 
 
 def _write_manifest(out: Path, command: str, config: PesoConfig, rest: dict, digest: str, args) -> None:
@@ -271,14 +261,14 @@ def _each_sample(args, samples, work) -> list[concurrent.futures.Future]:
     Each sample's runner is closed when its work ends, and each process's
     fork servers when it has run its last sample."""
     toolchains = default_toolchains()
-    suites = [_oracle_spec(args, sample, suite, toolchains) for sample, suite in samples]
+    oracles = [_oracle(args, sample, suite, toolchains) for sample, suite in samples]
     servers = ServerPool()
 
     def one(index):
-        (sample, _), suite = samples[index], suites[index]
-        verifier, runner = _verifier_for(args, sample, suite, toolchains, servers)
+        toolchain, suite = oracles[index]
+        runner = ProgramRunner(toolchain, servers) if toolchain else None
         try:
-            return work(sample, verifier)
+            return work(samples[index][0], functools.partial(verify, runner=runner, suite=suite))
         finally:
             if runner:
                 runner.close()

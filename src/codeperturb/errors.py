@@ -72,12 +72,8 @@ class MalformedAnswer(CodePerturbError):
         self.raw = raw
 
 
-class ToolchainUnavailable(CodePerturbError):
-    """A compile/run command is configured but cannot be executed."""
-
-
 class RunnerFailure(CodePerturbError):
-    """Program execution failed for infrastructure reasons."""
+    """A program or compiler could not be started, or the fork server died."""
 
 
 class ExecutionTimeout(RunnerFailure):
@@ -85,8 +81,9 @@ class ExecutionTimeout(RunnerFailure):
 
 
 class OriginalUnrunnable(CodePerturbError):
-    """A sample's original program fails or times out under the execution
-    oracle, so none of its candidates can be checked: the sample fails."""
+    """A sample's original program does not compile, or fails, times out or
+    is nondeterministic under the execution oracle, so none of its
+    candidates can be checked: the sample fails."""
 
 
 class RegionUnavailable(CodePerturbError):

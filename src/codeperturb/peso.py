@@ -18,11 +18,10 @@ from typing import Callable, NamedTuple
 from .analysis import find_functions
 from .core import CodeSample, MethodCatalog, MethodCategory, PesoConfig, PerturbationMethod
 from .errors import (
-    EngineFailure,
+    CodePerturbError,
     LexError,
     MalformedAnswer,
     NotApplicable,
-    OriginalUnrunnable,
     ParseError,
     UnsupportedCombination,
 )
@@ -211,15 +210,8 @@ def _attempt(state: OptimizerState, run: _Run, method: PerturbationMethod, phase
     except _RECOVERABLE as exc:
         og, accepted = 0.0, False
         verification = {"skipped": f"{type(exc).__name__}: {exc}"}
-    except EngineFailure as exc:
-        exc.partial_trace = tuple(state.trace)
-        raise
     else:
-        try:
-            report = run.verifier(state.original, outcome.candidate)
-        except OriginalUnrunnable as exc:
-            exc.partial_trace = tuple(state.trace)
-            raise
+        report = run.verifier(state.original, outcome.candidate)
         verification = report.to_dict()
         verified = bool(report.passed)
         if verified:
@@ -265,14 +257,20 @@ def _start(state: OptimizerState, run: _Run) -> None:
 
 def _optimize(original: CodeSample, run: _Run) -> RunResult:
     """The loop both selection laws share: the start, then up to max_iter
-    main iterations, halting once the best similarity reaches the threshold."""
+    main iterations, halting once the best similarity reaches the threshold.
+    An error that fails the sample carries the records made before it on
+    its ``partial_trace``."""
     config = run.config
     state = OptimizerState.fresh(original, config)
-    _start(state, run)
-    while state.iter < config.max_iter and state.mss > config.ss_threshold:
-        method = run.choose(state)
-        state.iter += 1
-        _attempt(state, run, method, "main")
+    try:
+        _start(state, run)
+        while state.iter < config.max_iter and state.mss > config.ss_threshold:
+            method = run.choose(state)
+            state.iter += 1
+            _attempt(state, run, method, "main")
+    except CodePerturbError as exc:
+        exc.partial_trace = tuple(state.trace)
+        raise
     best = state.best_score
     return RunResult(
         final=state.current,

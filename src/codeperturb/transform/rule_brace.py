@@ -706,7 +706,7 @@ def for_while_transformation(f: _File, rng: random.Random):
             if len(semis) == 2 and not _body_has_loop_continue(f, *rng_range):
                 three_clause.append((ln, inner, semis, rng_range))
     if three_clause:
-        ln, inner, semis, (body_start, close_ln) = three_clause[rng.randrange(len(three_clause))]
+        ln, inner, semis, (body_start, close_ln) = pick(three_clause, rng, "no transformable loop")
         s1, s2 = semis
         init = f.text[inner[0].start : s1.start].strip() if inner[0].start < s1.start else ""
         cond = f.text[s1.end : s2.start].strip()
@@ -724,18 +724,16 @@ def for_while_transformation(f: _File, rng: random.Random):
             block.append(f"{ind}{unit}{unit}{post}{f.semi}")
         block.extend([f"{ind}{unit}}}", f"{ind}}}"])
         return "\n".join(f.lines[:ln] + block + f.lines[close_ln + 1 :]), f.enclosing_function(ln)
-    if cond_only:
-        ln, (start, end) = cond_only[rng.randrange(len(cond_only))]
-        cond = f.text[start:end]
-        if f.language is Language.GO:
-            new = f"for ; {cond}; {{"
-        else:
-            new = f"for (; {cond}; ) {{"
-        ind = f.indent_of(ln)
-        lines = f.lines[:]
-        lines[ln] = ind + new
-        return "\n".join(lines), f.enclosing_function(ln)
-    raise NotApplicable("no transformable loop")
+    ln, (start, end) = pick(cond_only, rng, "no transformable loop")
+    cond = f.text[start:end]
+    if f.language is Language.GO:
+        new = f"for ; {cond}; {{"
+    else:
+        new = f"for (; {cond}; ) {{"
+    ind = f.indent_of(ln)
+    lines = f.lines[:]
+    lines[ln] = ind + new
+    return "\n".join(lines), f.enclosing_function(ln)
 
 
 # ---------------------------------------------------------------------------

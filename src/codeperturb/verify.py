@@ -5,24 +5,25 @@ One ProgramRunner per sample writes, compiles and runs every program text
 of that sample, so the compile stage and the execution oracle share each
 compile and the original's outputs. verify() checks a candidate's syntax,
 compiles it when it gets a runner, and runs the execution oracle when it
-also gets an input suite; its report holds one verdict per stage. A
-candidate that fails any stage is simply discarded by the optimizer; an
-original that fails, times out or is nondeterministic under the oracle
-fails its whole sample instead (OriginalUnrunnable).
+also gets an input suite; its report holds one verdict per stage. Before
+the first candidate's compile, judge_original() judges the original once
+per sample: one that does not compile, or fails, times out or is
+nondeterministic under the oracle, fails its whole sample
+(OriginalUnrunnable). After that, any failure of a candidate, a compile
+timeout included, rejects that candidate alone.
 
 Compiles run through ``subprocess.run``. Every program run goes through a
 fork server (``forkserver.py``, POSIX only): ``sys.executable`` on that
 file, one per process and hash seed, started on the process's first run
 and stopped by its ServerPool. The server forks a child per run, in its
 own process group and limited in CPU time (``run_timeout`` + 1 s), address
-space (4 GiB) and file size (64 MiB). The child runs the file in-process as
-``__main__`` when the toolchain's ``run_argv`` is exactly
-``(sys.executable, "{file}")`` and execs any other command; the server
-kills the child's process group once it outlives ``run_timeout``. All
-children of one server share its hash seed, so set iteration order no
-longer tells an original from its candidates; instead the oracle runs the
-original's first input once more on a second server with another
-``PYTHONHASHSEED`` and fails the sample when the two results differ.
+space (4 GiB) and file size (64 MiB). The child execs the compiled
+program of a toolchain with a compile step, and otherwise runs the Python
+file in-process as ``__main__``; the server kills the child's process
+group once it outlives ``run_timeout``. All children of one server share
+its hash seed, so set iteration order no longer tells an original from
+its candidates; instead the original's first input runs once more on a
+second server with another ``PYTHONHASHSEED``.
 """
 
 from __future__ import annotations
@@ -47,16 +48,16 @@ from .errors import (
     LexError,
     OriginalUnrunnable,
     RunnerFailure,
-    ToolchainUnavailable,
 )
 from .lexing import TokenKind, check_balance, lex
 
 
 @dataclass(frozen=True)
 class Toolchain:
-    """Command templates with {file} and {exe} placeholders."""
+    """How one language builds and runs: a compile command template with
+    {file} and {exe} placeholders, whose command writes the program {exe}.
+    Without one, the text is a Python file, run in the fork server's child."""
 
-    run_argv: tuple[str, ...]
     compile_argv: tuple[str, ...] | None = None
     extension: str = ""
     compile_timeout: float = 30.0
@@ -64,25 +65,20 @@ class Toolchain:
 
 
 def default_toolchains() -> dict[Language, Toolchain]:
-    chains = {
-        Language.PYTHON: Toolchain(run_argv=(sys.executable, "{file}"), extension=".py")
-    }
+    chains = {Language.PYTHON: Toolchain(extension=".py")}
     if shutil.which("gcc"):
         chains[Language.C_CPP] = Toolchain(
             compile_argv=("gcc", "{file}", "-o", "{exe}", "-lm"),
-            run_argv=("{exe}",),
             extension=".c",
         )
     if shutil.which("rustc"):
         chains[Language.RUST_LANG] = Toolchain(
             compile_argv=("rustc", "--edition", "2018", "-o", "{exe}", "{file}"),
-            run_argv=("{exe}",),
             extension=".rs",
         )
     if shutil.which("go"):
         chains[Language.GO] = Toolchain(
             compile_argv=("go", "build", "-o", "{exe}", "{file}"),
-            run_argv=("{exe}",),
             extension=".go",
         )
     return chains
@@ -95,13 +91,13 @@ _SYNTH_MAIN = {
 }
 
 
-def ensure_main(text: str, language: Language) -> tuple[str, bool]:
+def ensure_main(text: str, language: Language) -> str:
     """Append an empty main when a compiled language lacks one."""
     if language not in _SYNTH_MAIN or has_main_function(text, language):
-        return text, False
+        return text
     if not text.endswith("\n"):
         text += "\n"
-    return text + _SYNTH_MAIN[language], True
+    return text + _SYNTH_MAIN[language]
 
 
 def _java_public_class(text: str) -> str | None:
@@ -194,9 +190,8 @@ def _write_sample(sample: CodeSample, directory: Path, toolchain: Toolchain) -> 
     suffix = Path(sample.id).suffix
     if suffix in (".c", ".cc", ".cpp", ".py", ".go", ".rs", ".java"):
         ext = suffix
-    text, _ = ensure_main(sample.text, sample.language)
     path = directory / f"{stem}{ext}"
-    path.write_text(text, encoding="utf-8")
+    path.write_text(ensure_main(sample.text, sample.language), encoding="utf-8")
     return path
 
 
@@ -303,23 +298,23 @@ class ProgramRunner:
                     argv, capture_output=True, timeout=self.toolchain.compile_timeout,
                     cwd=directory,
                 )
-            except FileNotFoundError as exc:
-                raise ToolchainUnavailable(f"cannot run {argv[0]!r}: {exc}") from exc
-            except subprocess.TimeoutExpired as exc:
-                raise ToolchainUnavailable(
-                    f"compile timed out after {self.toolchain.compile_timeout}s"
-                ) from exc
-            ok = proc.returncode == 0
-            if not ok:
-                tail = proc.stderr.decode("utf-8", "replace").strip().splitlines()[-8:]
-                diagnostics = ["compile failed"] + tail
+            except OSError as exc:
+                raise RunnerFailure(f"cannot run {argv[0]!r}: {exc}") from exc
+            except subprocess.TimeoutExpired:
+                ok, diagnostics = False, [f"compile timed out after {self.toolchain.compile_timeout}s"]
+            else:
+                ok = proc.returncode == 0
+                if not ok:
+                    tail = proc.stderr.decode("utf-8", "replace").strip().splitlines()[-8:]
+                    diagnostics = ["compile failed"] + tail
         self._builds[key] = (ok, diagnostics, path, exe)
         return self._builds[key]
 
     def compile(self, sample: CodeSample) -> tuple[bool | None, list[str]]:
         """(None, []) without a compile step, (True, []) on success, else
-        (False, ["compile failed", <last 8 stderr lines>]). Raises
-        ToolchainUnavailable when the compiler cannot start or times out.
+        (False, ["compile failed", <last 8 stderr lines>]) or (False,
+        ["compile timed out after <N>s"]). Raises RunnerFailure when the
+        compiler cannot start.
         """
         if self.toolchain.compile_argv is None:
             return None, []
@@ -327,19 +322,17 @@ class ProgramRunner:
         return ok, list(diagnostics)
 
     def _execute(self, sample: CodeSample, stdin_text: str, reseeded: bool) -> tuple[bytes, int] | str:
-        ok, diagnostics, path, exe = self._prepare(sample)
-        if ok is False:
-            raise RunnerFailure("candidate does not compile: " + "\n".join(diagnostics[1:]))
-        argv = _fill(self.toolchain.run_argv, str(path), exe)
-        in_process = self.toolchain.run_argv == (sys.executable, "{file}")
-        request = {"file": str(path)} if in_process else {"argv": argv}
+        _, _, path, exe = self._prepare(sample)
+        compiled = self.toolchain.compile_argv is not None
+        program = exe if compiled else str(path)  # a Python file runs in the server's child
+        request = {"argv": [program]} if compiled else {"file": program}
         stdin_file, stdout_file = path.parent / "stdin", path.parent / "stdout"
         stdin_file.write_bytes(stdin_text.encode())
         request.update(stdin=str(stdin_file), stdout=str(stdout_file), cwd=str(path.parent),
                        timeout=self.toolchain.run_timeout)
         reply = self.servers.server(reseeded).launch(request)
         if "error" in reply:
-            raise RunnerFailure(f"cannot run {argv[0]!r}: {reply['error']}")
+            raise RunnerFailure(f"cannot run {program!r}: {reply['error']}")
         if "timeout" in reply:
             return f"{sample.id}: input {stdin_text[:30]!r} exceeded {self.toolchain.run_timeout}s"
         return stdout_file.read_bytes(), reply["status"]
@@ -369,36 +362,40 @@ class ProgramRunner:
         self._builds.clear()
 
 
+def judge_original(original: CodeSample, runner: ProgramRunner, suite: tuple[str, ...]) -> None:
+    """Raise OriginalUnrunnable unless the original compiles and, under an
+    input suite, runs every input within the timeout and gives the same
+    (stdout, status) on its first input on a server with another hash seed
+    (ProgramRunner.rerun): the original and its candidates share one hash
+    seed otherwise. `runner` memoizes every step, so a sample pays once."""
+    try:
+        compiled, diagnostics = runner.compile(original)
+        if compiled is False:
+            raise OriginalUnrunnable("original does not compile: " + "\n".join(diagnostics))
+        for stdin_text in suite:
+            runner.run(original, stdin_text)
+        repeatable = not suite or runner.rerun(original, suite[0]) == runner.run(original, suite[0])
+    except RunnerFailure as exc:
+        raise OriginalUnrunnable(f"original cannot be run: {exc}") from exc
+    if not repeatable:
+        raise OriginalUnrunnable(
+            f"original is nondeterministic: input {suite[0][:30]!r} gives another"
+            " (stdout, status) under another hash seed"
+        )
+
+
 def execution_equivalence(
     original: CodeSample,
     candidate: CodeSample,
     suite: tuple[str, ...],
     runner: ProgramRunner,
 ) -> bool:
-    """Byte-compare stdout and exit status over the whole input suite.
-
-    A failure or timeout of the original raises OriginalUnrunnable; one of
-    the candidate propagates as is and rejects only that candidate. The
-    original's first input also runs once more, before any candidate, on a
-    server with another hash seed (ProgramRunner.rerun); another result
-    there raises OriginalUnrunnable as well.
-    """
+    """Byte-compare stdout and exit status over the whole input suite,
+    stopping at the first input whose results differ. A failure or timeout
+    of either program propagates; verify() judges the original first."""
     if not suite:
         raise ConfigError("the execution oracle needs a non-empty input suite")
-    for i, stdin_text in enumerate(suite):
-        try:
-            expected = runner.run(original, stdin_text)
-            repeatable = i > 0 or runner.rerun(original, stdin_text) == expected
-        except (RunnerFailure, ToolchainUnavailable) as exc:
-            raise OriginalUnrunnable(f"original cannot be run: {exc}") from exc
-        if not repeatable:
-            raise OriginalUnrunnable(
-                f"original is nondeterministic: input {stdin_text[:30]!r} gives another"
-                " (stdout, status) under another hash seed"
-            )
-        if runner.run(candidate, stdin_text) != expected:
-            return False
-    return True
+    return all(runner.run(candidate, stdin_text) == runner.run(original, stdin_text) for stdin_text in suite)
 
 
 # ---------------------------------------------------------------------------
@@ -438,26 +435,22 @@ def verify(
     """Syntax, then compile on `runner`, then the execution oracle over the
     input suite `suite`; the first failing stage rejects the candidate.
     Without a runner only syntax is checked, and without an input suite
-    no equivalence stage runs.
-
-    Under the execution oracle every run of one process goes through one
-    fork server, so the original and its candidates share that server's
-    hash seed: a program whose output hangs on the iteration order of a
-    set of strings gives the same output in both. The oracle therefore runs the original's
-    first input once more under another PYTHONHASHSEED and raises
-    OriginalUnrunnable when the results differ.
+    no equivalence stage runs. With a runner, judge_original() first
+    raises OriginalUnrunnable for an original that cannot be checked
+    against.
     """
     syntax_ok, diagnostics = syntax_check(candidate)
     if not syntax_ok:
         return VerificationReport(False, None, None, tuple(diagnostics))
     compile_ok = behaviour_ok = None
     if runner is not None:
+        judge_original(original, runner, suite)
         compile_ok, diags = runner.compile(candidate)
         diagnostics.extend(diags)
         if compile_ok is not False and suite:
             try:
                 behaviour_ok = execution_equivalence(original, candidate, suite, runner)
-            except (RunnerFailure, ToolchainUnavailable) as exc:
+            except RunnerFailure as exc:
                 behaviour_ok = False
                 diagnostics.append(f"execution oracle failed: {exc}")
     return VerificationReport(True, compile_ok, behaviour_ok, tuple(diagnostics))

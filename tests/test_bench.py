@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from codeperturb.bench import (
     AccuracyReport,
     CompletionTask,
+    MIN_LINES,
     FilterReason,
     Judge,
     PerturbedPair,
@@ -64,6 +65,20 @@ def test_filter_boundary_accepted():
     assert len(text.splitlines()) == 40 and len(text) >= 100
     v = filter_sample(sample(text))
     assert v.kept and not v.reasons
+
+
+@pytest.mark.parametrize("language, sid, text", [
+    # 28 lines, 25 of them with a form feed, which str.splitlines() also splits at.
+    (Language.C_CPP, "ff.c",
+     "int f(int total) {\n" + "".join(f"    total += {i};\f\n" for i in range(25)) + "    return total;\n}\n"),
+    # 28 lines, 25 of them with a file separator in a comment.
+    (Language.PYTHON, "fs.py", "def f(total):\n" + "".join(f"    total += {i}  # \x1c\n" for i in range(25))
+     + "    return total\n\n"),
+])
+def test_filter_counts_lines_where_the_language_ends_them(language, sid, text):
+    assert len(text.splitlines()) > MIN_LINES and len(text) >= 100
+    v = filter_sample(sample(text, language, sid))
+    assert v.reasons == frozenset({FilterReason.TOO_FEW_LINES})
 
 
 def test_filter_syntax_invalid():

@@ -5,7 +5,6 @@ import os
 import pickle
 import shutil
 import subprocess
-import sys
 import tempfile
 import time
 import warnings
@@ -607,7 +606,7 @@ def test_failures_are_listed_in_corpus_order(tmp_path, monkeypatch, capsys):
 
 
 def test_a_sample_whose_original_times_out_fails_once(tmp_path, monkeypatch, capsys):
-    chain = Toolchain(run_argv=(sys.executable, "{file}"), extension=".py", run_timeout=0.5)
+    chain = Toolchain(extension=".py", run_timeout=0.5)
     monkeypatch.setattr(cli, "default_toolchains", lambda: {Language.PYTHON: chain})
     runs = []
     real_launch = ForkServer.launch
@@ -634,6 +633,26 @@ def test_a_sample_whose_original_times_out_fails_once(tmp_path, monkeypatch, cap
     assert read_jsonl(out / "summary.jsonl") == []
 
 
+@pytest.mark.skipif(shutil.which("gcc") is None, reason="the C fixtures need gcc")
+def test_an_original_that_does_not_compile_fails_its_sample(tmp_path, capsys):
+    clip = next(s for s, _ in load_fixture_corpus() if s.id == "clip.c")
+    broken = CodeSample(id="clip.c", language=Language.C_CPP,
+                        text=clip.text.replace("return 0;", "return undefined_name;"))
+    path = tmp_path / "corpus.jsonl"
+    write_corpus_jsonl(path, [(broken, ("3 1 5\n",))])
+    out = tmp_path / "out"
+    code = run_cli(
+        "peso-run", "--corpus", path, "--engine", "rule", "--seed", "1", "--max-iter", "3",
+        "--equivalence", "exec", "--jobs", "1", "--output-dir", out,
+    )
+    assert code == 2
+    [failure] = read_jsonl(out / "failures.jsonl")
+    assert failure["sample_id"] == "clip.c"
+    assert failure["error"].startswith("original does not compile: compile failed")
+    assert "undefined_name" in failure["error"]
+    assert read_jsonl(out / "summary.jsonl") == []
+
+
 # sha256 over a seeded rule-engine peso-run of the 22 fixtures: every
 # traces/*.jsonl (sorted by name), then summary.jsonl and pairs.jsonl. A
 # change that alters traces on purpose updates this constant and says why
@@ -646,6 +665,11 @@ SEEDED_RANDOM_RUN_DIGEST = "67edbcd6c2cf559fe5e6d13b97c9e6d9c2a778509f45f1255413
 # The same digest over the seeded peso-run under the execution oracle, which
 # compiles the C fixtures with gcc and runs every input suite.
 SEEDED_EXEC_RUN_DIGEST = "a7ad23b840518d91088fbf960d215c8e246392ffc1fe2d74034fea6077df0410"
+
+
+# sha256 of outcomes.jsonl from a seeded perturb of the 22 fixtures with one
+# method under the execution oracle.
+SEEDED_EXEC_PERTURB_DIGEST = "8add29b96fd565ad98d01f63a6fb91da481f53b0333ca2f28fd33d4ab8761136"
 
 
 def _seeded_rule_run(command, tmp_path, monkeypatch, jobs="1", equivalence="stub"):
@@ -679,6 +703,21 @@ def test_seeded_rule_run_is_frozen(tmp_path, monkeypatch, capsys):
 def test_seeded_exec_run_is_frozen(tmp_path, monkeypatch, capsys):
     digest, _ = _seeded_rule_run("peso-run", tmp_path, monkeypatch, jobs="2", equivalence="exec")
     assert digest == SEEDED_EXEC_RUN_DIGEST
+
+
+@pytest.mark.skipif(shutil.which("gcc") is None, reason="the C fixtures need gcc")
+def test_seeded_exec_perturb_is_frozen(tmp_path, capsys):
+    path = tmp_path / "corpus.jsonl"
+    write_corpus_jsonl(path, load_fixture_corpus())
+    out = tmp_path / "out"
+    code = run_cli(
+        "perturb", "--corpus", path, "--seed", "11", "--method", "swap_boolean_expression",
+        "--equivalence", "exec", "--jobs", "2", "--output-dir", out,
+    )
+    assert code == 0
+    outcomes = (out / "outcomes.jsonl").read_bytes()
+    assert sum(json.loads(line)["applied"] for line in outcomes.splitlines()) == 21
+    assert hashlib.sha256(outcomes).hexdigest() == SEEDED_EXEC_PERTURB_DIGEST
 
 
 def test_seeded_rule_run_on_worker_processes_is_frozen(tmp_path, monkeypatch, capsys):

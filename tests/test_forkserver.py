@@ -97,8 +97,7 @@ def test_edge_programs_match_a_fresh_interpreter(runner, name):
 
 
 def test_a_cpu_spinner_is_rejected_within_the_timeout(servers):
-    runner = ProgramRunner(Toolchain(run_argv=(sys.executable, "{file}"), extension=".py", run_timeout=1.0),
-                           servers)
+    runner = ProgramRunner(Toolchain(extension=".py", run_timeout=1.0), servers)
     try:
         base = CodeSample(id="s.py", language=Language.PYTHON, text="print(1)\n")
         spinner = base.derive("while True:\n    pass\n", "variables_rename")
@@ -151,8 +150,7 @@ def test_a_timed_out_child_loses_its_whole_process_group(tmp_path, servers):
         time.sleep(30)
         """
     )
-    runner = ProgramRunner(Toolchain(run_argv=(sys.executable, "{file}"), extension=".py", run_timeout=0.5),
-                           servers)
+    runner = ProgramRunner(Toolchain(extension=".py", run_timeout=0.5), servers)
     try:
         with pytest.raises(ExecutionTimeout):
             runner.run(CodeSample(id="group.py", language=Language.PYTHON, text=text), "")
@@ -163,10 +161,11 @@ def test_a_timed_out_child_loses_its_whole_process_group(tmp_path, servers):
 
 
 def test_a_command_that_cannot_start_is_a_runner_failure(servers):
-    runner = ProgramRunner(Toolchain(run_argv=("/nonexistent/prog", "{file}"), extension=".py"), servers)
+    # The compile step succeeds but writes no program, so there is nothing to exec.
+    runner = ProgramRunner(Toolchain(compile_argv=("true",), extension=".c"), servers)
     try:
-        with pytest.raises(RunnerFailure, match="cannot run '/nonexistent/prog': FileNotFoundError"):
-            runner.run(CodeSample(id="a.py", language=Language.PYTHON, text="print(1)\n"), "")
+        with pytest.raises(RunnerFailure, match="cannot run '.*/prog': FileNotFoundError"):
+            runner.run(CodeSample(id="a.c", language=Language.C_CPP, text="int main(void) { return 0; }\n"), "")
     finally:
         runner.close()
 

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from codeperturb.core import CodeSample, Language, MethodCategory, PesoConfig, build_catalog
+from codeperturb.errors import LexError
 from codeperturb.peso import (
     OptimizerState,
     boltzmann_probabilities,
@@ -447,3 +448,21 @@ def test_peso_run_parses_each_python_text_once(monkeypatch, rejecting):
     assert scanned[text] == size[text]
     assert {t: (n, size[t]) for t, n in scanned.items() if t != text and 4 * n >= size[t]} == {}
     assert analysis.PYTHON_VIEWS == 2
+
+
+def test_a_sample_failure_keeps_the_records_made_before_it():
+    original = next(s for s, _ in load_fixture_corpus() if s.id == "collatz.py")
+    config = PesoConfig(rng_seed=1, max_iter=5)
+    scored = []
+
+    def scorer(o, c):
+        scored.append(c)
+        if len(scored) == 3:
+            raise LexError("scorer gave up", 0)
+        return score_pair(o, c, config)
+
+    with pytest.raises(LexError) as failure:
+        run(original, rule_engine_apply, CATALOG, config, verify, scorer)
+    trace = failure.value.partial_trace
+    assert sum(r.score is not None for r in trace) == 2
+    assert [r.iter for r in trace] == list(range(len(trace)))

@@ -1,16 +1,14 @@
-import argparse
 import ast
+import functools
 import subprocess
-import sys
 from collections import Counter
 from pathlib import Path
 
 import pytest
 
 from codeperturb.analysis import PythonView, find_functions
-from codeperturb.cli import _verifier_for
 from codeperturb.core import CodeSample, Language, PesoConfig, build_catalog
-from codeperturb.errors import ConfigError, OriginalUnrunnable, ParseError, RunnerFailure, ToolchainUnavailable
+from codeperturb.errors import ConfigError, OriginalUnrunnable, ParseError, RunnerFailure
 from codeperturb.verify import (
     ForkServer,
     ProgramRunner,
@@ -25,6 +23,7 @@ from codeperturb.peso import run
 from codeperturb.transform import rule_engine_apply
 
 from .conftest import load_fixture_corpus
+from .synthetic import MarkerEngine, halving_scorer
 
 TOOLCHAINS = default_toolchains()
 
@@ -142,10 +141,9 @@ def test_syntax_java_filename_rule():
 
 
 def test_ensure_main_injects_once():
-    text, injected = ensure_main("fn helper() {}\n", Language.RUST_LANG)
-    assert injected and "fn main()" in text
-    text2, injected2 = ensure_main(text, Language.RUST_LANG)
-    assert not injected2 and text2 == text
+    text = ensure_main("fn helper() {}\n", Language.RUST_LANG)
+    assert "fn main()" in text
+    assert ensure_main(text, Language.RUST_LANG) == text
 
 
 # ---------------------------------------------------------------------------
@@ -170,9 +168,6 @@ def test_compile_check_type_error_reports_stderr(make_runner):
     ok, diags = runner.compile(broken)
     assert ok is False
     assert diags[0] == "compile failed" and len(diags) > 1
-    with pytest.raises(RunnerFailure, match="does not compile") as failure:
-        runner.run(broken, "")
-    assert diags[-1] in str(failure.value)
 
 
 def test_compile_check_skipped_without_compile_step(make_runner):
@@ -181,8 +176,8 @@ def test_compile_check_skipped_without_compile_step(make_runner):
 
 
 def test_compile_check_toolchain_unavailable(make_runner):
-    bad = Toolchain(compile_argv=("definitely-not-a-compiler", "{file}"), run_argv=("{exe}",), extension=".c")
-    with pytest.raises(ToolchainUnavailable):
+    bad = Toolchain(compile_argv=("definitely-not-a-compiler", "{file}"), extension=".c")
+    with pytest.raises(RunnerFailure, match="cannot run 'definitely-not-a-compiler'"):
         make_runner(bad).compile(sample("int main(void){return 0;}", Language.C_CPP, "p.c"))
 
 
@@ -281,7 +276,7 @@ def test_verify_stub_path_accepts():
 # ---------------------------------------------------------------------------
 
 def test_runner_pays_a_timeout_once(monkeypatch, make_runner):
-    runner = make_runner(Toolchain(run_argv=(sys.executable, "{file}"), extension=".py", run_timeout=0.5))
+    runner = make_runner(Toolchain(extension=".py", run_timeout=0.5))
     suite = ("1\n",)
     calls = []
     real_launch = ForkServer.launch
@@ -294,13 +289,38 @@ def test_runner_pays_a_timeout_once(monkeypatch, make_runner):
 
 
 def test_a_timed_out_candidate_is_only_rejected(make_runner):
-    runner = make_runner(Toolchain(run_argv=(sys.executable, "{file}"), extension=".py", run_timeout=0.5))
+    runner = make_runner(Toolchain(extension=".py", run_timeout=0.5))
     suite = ("1\n",)
     base = sample("print(1)\n")
     report = verify(base, derived(base, "import time\ntime.sleep(30)\nprint(1)\n"), runner, suite)
     assert report.passed is False and report.behaviour_ok is False
     assert any("execution oracle failed" in d and "exceeded 0.5s" in d for d in report.diagnostics)
     assert verify(base, derived(base, "print(2 - 1)\n"), runner, suite).passed
+
+
+def test_an_original_that_times_out_on_a_later_input_fails_its_sample(make_runner):
+    runner = make_runner(Toolchain(extension=".py", run_timeout=0.5))
+    base = sample("import time\nword = input()\nif word == 'slow':\n    time.sleep(30)\nprint(word)\n")
+    differs = derived(base, "print(input() + '!')\n")
+    with pytest.raises(OriginalUnrunnable, match="original cannot be run: .* exceeded 0.5s") as failure:
+        verify(base, differs, runner, ("fast\n", "slow\n"))
+    assert "'slow" in str(failure.value)
+
+
+def test_a_candidate_whose_compile_times_out_is_only_rejected(servers):
+    # A compile step that hangs on the text of the fifth candidate only.
+    hang = 'if grep -q "^# mark .* 5$" "$0"; then exec sleep 30; fi'
+    runner = ProgramRunner(Toolchain(compile_argv=("sh", "-c", hang, "{file}"), extension=".py",
+                                     compile_timeout=1.0), servers)
+    try:
+        result = run(sample(PY_PROG), MarkerEngine(), build_catalog(), PesoConfig(rng_seed=1, max_iter=2),
+                     functools.partial(verify, runner=runner), halving_scorer)
+    finally:
+        runner.close()
+    fifth = result.records[4].verification
+    assert fifth["compile_ok"] is False and fifth["diagnostics"] == ["compile timed out after 1.0s"]
+    assert len(result.records) == 10
+    assert all(r.verification["compile_ok"] for r in result.records[:4] + result.records[5:])
 
 
 def test_cli_verifier_compiles_each_text_once_and_runs_the_original_once_per_input(monkeypatch, servers):
@@ -322,8 +342,8 @@ def test_cli_verifier_compiles_each_text_once_and_runs_the_original_once_per_inp
 
     monkeypatch.setattr(subprocess, "run", compile_spy)
     monkeypatch.setattr(ForkServer, "launch", launch_spy)
-    args = argparse.Namespace(equivalence="auto")
-    verifier, runner = _verifier_for(args, original, suite, TOOLCHAINS, servers)
+    runner = ProgramRunner(TOOLCHAINS[Language.C_CPP], servers)
+    verifier = functools.partial(verify, runner=runner, suite=suite)
     catalog = build_catalog()
     try:
         result = run(original, rule_engine_apply, catalog, PesoConfig(rng_seed=11, max_iter=3), verifier)
