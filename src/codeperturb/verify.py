@@ -12,18 +12,26 @@ nondeterministic under the oracle, fails its whole sample
 (OriginalUnrunnable). After that, any failure of a candidate, a compile
 timeout included, rejects that candidate alone.
 
-Compiles run through ``subprocess.run``. Every program run goes through a
-fork server (``forkserver.py``, POSIX only): ``sys.executable`` on that
-file, one per process and hash seed, started on the process's first run
-and stopped by its ServerPool. The server forks a child per run, in its
-own process group and limited in CPU time (``run_timeout`` + 1 s), address
-space (4 GiB) and file size (64 MiB). The child execs the compiled
-program of a toolchain with a compile step, and otherwise runs the Python
-file in-process as ``__main__``; the server kills the child's process
-group once it outlives ``run_timeout``. All children of one server share
-its hash seed, so set iteration order no longer tells an original from
-its candidates; instead the original's first input runs once more on a
-second server with another ``PYTHONHASHSEED``.
+Builds run through ``subprocess.run``, in a directory of the text's own
+and on names relative to it, so neither diagnostics nor ``__FILE__`` name
+a scratch path. C builds in two steps: ``gcc -c`` writes an object, then
+``gcc`` links it. A text's build identity is the sha256 of its object
+under a link step, and of the text otherwise (Python, Rust, Go). Each text
+is compiled once; each identity is linked once, and its output or timeout
+on each input is memoized, so a candidate whose object is the original's,
+or an earlier candidate's, is settled by that one compile: identical
+objects under one link command give identical programs. Every program run
+goes through a fork server (``forkserver.py``, POSIX only):
+``sys.executable`` on that file, one per process and hash seed, started on
+the process's first run and stopped by its ServerPool. The server forks a
+child per run, in its own process group and limited in CPU time
+(``run_timeout`` + 1 s), address space (4 GiB) and file size (64 MiB). The
+child execs the compiled program of a toolchain with a compile step, and
+otherwise runs the Python file in-process as ``__main__``; the server
+kills the child's process group once it outlives ``run_timeout``. All
+children of one server share its hash seed, so set iteration order no
+longer tells an original from its candidates; instead the original's first
+input runs once more on a second server with another ``PYTHONHASHSEED``.
 """
 
 from __future__ import annotations
@@ -54,11 +62,16 @@ from .lexing import TokenKind, check_balance, lex
 
 @dataclass(frozen=True)
 class Toolchain:
-    """How one language builds and runs: a compile command template with
-    {file} and {exe} placeholders, whose command writes the program {exe}.
-    Without one, the text is a Python file, run in the fork server's child."""
+    """How one language builds and runs. The command templates run in the
+    text's build directory, where {file} is the source, {obj} the object and
+    {exe} the program, each named relative to it. With a link template, the
+    compile command writes {obj} and the link command links {obj} into
+    {exe}; without one, the compile command writes {exe} itself. Without a
+    compile command, the text is a Python file, run in the fork server's
+    child."""
 
     compile_argv: tuple[str, ...] | None = None
+    link_argv: tuple[str, ...] | None = None
     extension: str = ""
     compile_timeout: float = 30.0
     run_timeout: float = 10.0
@@ -68,7 +81,8 @@ def default_toolchains() -> dict[Language, Toolchain]:
     chains = {Language.PYTHON: Toolchain(extension=".py")}
     if shutil.which("gcc"):
         chains[Language.C_CPP] = Toolchain(
-            compile_argv=("gcc", "{file}", "-o", "{exe}", "-lm"),
+            compile_argv=("gcc", "-c", "{file}", "-o", "{obj}"),
+            link_argv=("gcc", "{obj}", "-o", "{exe}", "-lm"),
             extension=".c",
         )
     if shutil.which("rustc"):
@@ -180,8 +194,7 @@ def syntax_check(sample: CodeSample) -> tuple[bool, list[str]]:
     return True, diagnostics
 
 
-def _fill(argv: tuple[str, ...], file: str, exe: str) -> list[str]:
-    return [a.format(file=file, exe=exe) for a in argv]
+_OBJECT, _PROGRAM = "prog.o", "prog"
 
 
 def _write_sample(sample: CodeSample, directory: Path, toolchain: Toolchain) -> Path:
@@ -264,84 +277,106 @@ class ServerPool:
 
 
 class ProgramRunner:
-    """Writes, compiles and runs the programs of one sample.
+    """Writes, builds and runs the programs of one sample.
 
     Each distinct text is written to its own subdirectory of one scratch
-    directory and compiled at most once; compile results, outputs and
-    timeouts are memoized per text (and per input). Programs run through
-    the fork servers of `servers`, which the caller stops. close() removes
-    the scratch directory.
+    directory and compiled there at most once. What follows the compile
+    step is memoized per build identity (the sha256 of the object under a
+    link step, whose source is then removed, else of the text): the link,
+    as (ok, diagnostics, program), and each output or timeout, keyed by
+    (identity, input, reseeded). So texts that compile to one object share
+    one link and one run per input. Programs run through the fork servers
+    of `servers`, which the caller stops. close() removes the scratch
+    directory and forgets every build.
     """
 
     def __init__(self, toolchain: Toolchain, servers: ServerPool):
         self.toolchain = toolchain
         self.servers = servers
         self._scratch: tempfile.TemporaryDirectory | None = None
-        self._builds: dict[str, tuple[bool | None, list[str], Path, str]] = {}
+        self._identities: dict[str, str] = {}  # sha256 of a text -> its build identity
+        self._builds: dict[str, tuple[bool | None, list[str], Path]] = {}
         self._outputs: dict[tuple[str, str, bool], tuple[bytes, int] | str] = {}
 
-    def _prepare(self, sample: CodeSample) -> tuple[bool | None, list[str], Path, str]:
+    def _step(self, argv: tuple[str, ...], file: str, directory: Path) -> tuple[bool, list[str]]:
+        """Run one build command in `directory`: (True, []) or (False, diagnostics)."""
+        argv = [a.format(file=file, obj=_OBJECT, exe=_PROGRAM) for a in argv]
+        try:
+            proc = subprocess.run(argv, capture_output=True, timeout=self.toolchain.compile_timeout,
+                                  cwd=directory)
+        except OSError as exc:
+            raise RunnerFailure(f"cannot run {argv[0]!r}: {exc}") from exc
+        except subprocess.TimeoutExpired:
+            return False, [f"compile timed out after {self.toolchain.compile_timeout}s"]
+        if proc.returncode == 0:
+            return True, []
+        return False, ["compile failed"] + proc.stderr.decode("utf-8", "replace").strip().splitlines()[-8:]
+
+    def _identity(self, sample: CodeSample) -> str:
+        """Write and compile a text on first sight, link it unless its
+        object is known, and return its build identity."""
         key = hashlib.sha256(sample.text.encode()).hexdigest()
-        if key in self._builds:
-            return self._builds[key]
+        if key in self._identities:
+            return self._identities[key]
         if self._scratch is None:
             self._scratch = tempfile.TemporaryDirectory(prefix="codeperturb-")
         directory = Path(self._scratch.name) / key[:16]
         directory.mkdir(exist_ok=True)
         path = _write_sample(sample, directory, self.toolchain)
-        exe = str(directory / "prog")
-        ok, diagnostics = None, []
-        if self.toolchain.compile_argv is not None:
-            argv = _fill(self.toolchain.compile_argv, str(path), exe)
-            try:
-                proc = subprocess.run(
-                    argv, capture_output=True, timeout=self.toolchain.compile_timeout,
-                    cwd=directory,
-                )
-            except OSError as exc:
-                raise RunnerFailure(f"cannot run {argv[0]!r}: {exc}") from exc
-            except subprocess.TimeoutExpired:
-                ok, diagnostics = False, [f"compile timed out after {self.toolchain.compile_timeout}s"]
+        chain, identity = self.toolchain, key
+        if chain.compile_argv is None:  # a Python file, run as it is
+            self._builds[key] = (None, [], path)
+        else:
+            ok, diagnostics = self._step(chain.compile_argv, path.name, directory)
+            if ok and chain.link_argv is not None:
+                path.unlink()  # no run can read the text its object came from
+                identity = hashlib.sha256((directory / _OBJECT).read_bytes()).hexdigest()
+                if identity not in self._builds:
+                    self._builds[identity] = (*self._step(chain.link_argv, path.name, directory),
+                                              directory / _PROGRAM)
             else:
-                ok = proc.returncode == 0
-                if not ok:
-                    tail = proc.stderr.decode("utf-8", "replace").strip().splitlines()[-8:]
-                    diagnostics = ["compile failed"] + tail
-        self._builds[key] = (ok, diagnostics, path, exe)
-        return self._builds[key]
+                self._builds[key] = (ok, diagnostics, directory / _PROGRAM)
+        self._identities[key] = identity
+        return identity
+
+    def _prepare(self, sample: CodeSample) -> tuple[bool | None, list[str], Path]:
+        """(ok, diagnostics, program) of the text's build identity: ok is
+        None without a compile step, and the program is then the Python file."""
+        return self._builds[self._identity(sample)]
 
     def compile(self, sample: CodeSample) -> tuple[bool | None, list[str]]:
         """(None, []) without a compile step, (True, []) on success, else
         (False, ["compile failed", <last 8 stderr lines>]) or (False,
-        ["compile timed out after <N>s"]). Raises RunnerFailure when the
-        compiler cannot start.
+        ["compile timed out after <N>s"]), of the compile or the link step.
+        Raises RunnerFailure when a build command cannot start.
         """
         if self.toolchain.compile_argv is None:
             return None, []
-        ok, diagnostics, _, _ = self._prepare(sample)
+        ok, diagnostics, _ = self._prepare(sample)
         return ok, list(diagnostics)
 
-    def _execute(self, sample: CodeSample, stdin_text: str, reseeded: bool) -> tuple[bytes, int] | str:
-        _, _, path, exe = self._prepare(sample)
+    def _execute(self, sample: CodeSample, program: Path, stdin_text: str,
+                 reseeded: bool) -> tuple[bytes, int] | str:
         compiled = self.toolchain.compile_argv is not None
-        program = exe if compiled else str(path)  # a Python file runs in the server's child
-        request = {"argv": [program]} if compiled else {"file": program}
-        stdin_file, stdout_file = path.parent / "stdin", path.parent / "stdout"
+        request = {"argv": [str(program)]} if compiled else {"file": str(program)}
+        stdin_file, stdout_file = program.parent / "stdin", program.parent / "stdout"
         stdin_file.write_bytes(stdin_text.encode())
-        request.update(stdin=str(stdin_file), stdout=str(stdout_file), cwd=str(path.parent),
+        request.update(stdin=str(stdin_file), stdout=str(stdout_file), cwd=str(program.parent),
                        timeout=self.toolchain.run_timeout)
         reply = self.servers.server(reseeded).launch(request)
         if "error" in reply:
-            raise RunnerFailure(f"cannot run {program!r}: {reply['error']}")
+            raise RunnerFailure(f"cannot run {str(program)!r}: {reply['error']}")
         if "timeout" in reply:
             return f"{sample.id}: input {stdin_text[:30]!r} exceeded {self.toolchain.run_timeout}s"
         return stdout_file.read_bytes(), reply["status"]
 
     def _result(self, sample: CodeSample, stdin_text: str, reseeded: bool) -> tuple[bytes, int]:
-        key = (hashlib.sha256(sample.text.encode()).hexdigest(), stdin_text, reseeded)
+        identity = self._identity(sample)
+        key = (identity, stdin_text, reseeded)
         result = self._outputs.get(key)
         if result is None:
-            result = self._outputs[key] = self._execute(sample, stdin_text, reseeded)
+            program = self._builds[identity][2]
+            result = self._outputs[key] = self._execute(sample, program, stdin_text, reseeded)
         if isinstance(result, str):  # the message of a memoized timeout
             raise ExecutionTimeout(result)
         return result
@@ -359,6 +394,7 @@ class ProgramRunner:
         if self._scratch is not None:
             self._scratch.cleanup()
             self._scratch = None
+        self._identities.clear()
         self._builds.clear()
 
 

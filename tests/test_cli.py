@@ -8,11 +8,13 @@ import subprocess
 import tempfile
 import time
 import warnings
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
 from codeperturb import cli, errors
+from codeperturb import verify as verify_module
 from codeperturb.cli import main
 from codeperturb.analysis import find_functions
 from codeperturb.corpusio import read_corpus, read_jsonl, safe_name, write_jsonl
@@ -718,6 +720,61 @@ def test_seeded_exec_perturb_is_frozen(tmp_path, capsys):
     outcomes = (out / "outcomes.jsonl").read_bytes()
     assert sum(json.loads(line)["applied"] for line in outcomes.splitlines()) == 21
     assert hashlib.sha256(outcomes).hexdigest() == SEEDED_EXEC_PERTURB_DIGEST
+
+
+def _built_behaviour(sample, suite, directory):
+    """(stdout, status) per input of `sample`, built with one gcc command
+    and run by subprocess.run, apart from ProgramRunner."""
+    directory.mkdir()
+    (directory / sample.id).write_text(sample.text)
+    subprocess.run(["gcc", sample.id, "-o", "prog", "-lm"], cwd=directory, check=True, timeout=60)
+    runs = (subprocess.run([str(directory / "prog")], input=stdin_text.encode(), capture_output=True,
+                           cwd=directory, timeout=20) for stdin_text in suite)
+    return [(proc.stdout, proc.returncode) for proc in runs]
+
+
+@pytest.mark.skipif(shutil.which("gcc") is None, reason="the C fixtures need gcc")
+def test_every_candidate_settled_by_its_object_behaves_like_its_original(tmp_path, monkeypatch, capsys):
+    corpus = load_fixture_corpus({Language.C_CPP})
+    assert len(corpus) == 8
+    counts, settled = Counter(), []
+    real_run, real_launch = subprocess.run, ForkServer.launch
+    real_equivalence = verify_module.execution_equivalence
+
+    def build_spy(argv, **kwargs):
+        counts["compile" if argv[1] == "-c" else "link"] += 1
+        return real_run(argv, **kwargs)
+
+    def launch_spy(self, request):
+        counts["launch"] += 1
+        return real_launch(self, request)
+
+    def equivalence_spy(original, candidate, suite, runner):
+        launches = counts["launch"]
+        same = real_equivalence(original, candidate, suite, runner)
+        if counts["launch"] == launches:  # settled without running the candidate
+            settled.append((original, candidate, suite))
+        return same
+
+    monkeypatch.setattr(subprocess, "run", build_spy)
+    monkeypatch.setattr(ForkServer, "launch", launch_spy)
+    monkeypatch.setattr(verify_module, "execution_equivalence", equivalence_spy)
+    path = tmp_path / "corpus.jsonl"
+    write_corpus_jsonl(path, corpus)
+    code = run_cli(
+        "peso-run", "--corpus", path, "--engine", "rule", "--seed", "1", "--max-iter", "3",
+        "--jobs", "1", "--equivalence", "exec", "--output-dir", tmp_path / "out",
+    )
+    monkeypatch.undo()
+    assert code == 0
+    assert counts == {"compile": 52, "link": 22, "launch": 74}
+    # 30 of the 44 distinct candidate texts compile to an object already run.
+    assert len({candidate.text for _, candidate, _ in settled}) == 30
+    expected = {}
+    for n, (original, candidate, suite) in enumerate(settled):
+        if original.text not in expected:
+            expected[original.text] = _built_behaviour(original, suite, tmp_path / f"original-{n}")
+        assert _built_behaviour(candidate, suite, tmp_path / f"candidate-{n}") == expected[original.text]
 
 
 def test_seeded_rule_run_on_worker_processes_is_frozen(tmp_path, monkeypatch, capsys):

@@ -36,9 +36,9 @@ def runner(servers):
 def direct(runner, sample, stdin_text):
     """(stdout, status) of the runner's own file for `sample`, launched
     without the fork server."""
-    _, _, path, exe = runner._prepare(sample)
-    argv = [sys.executable, str(path)] if sample.language is Language.PYTHON else [exe]
-    proc = subprocess.run(argv, input=stdin_text.encode(), capture_output=True, cwd=path.parent, timeout=30)
+    _, _, program = runner._prepare(sample)
+    argv = [sys.executable, str(program)] if sample.language is Language.PYTHON else [str(program)]
+    proc = subprocess.run(argv, input=stdin_text.encode(), capture_output=True, cwd=program.parent, timeout=30)
     return proc.stdout, proc.returncode
 
 

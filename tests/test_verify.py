@@ -1,5 +1,6 @@
 import ast
 import functools
+import hashlib
 import subprocess
 from collections import Counter
 from pathlib import Path
@@ -16,6 +17,7 @@ from codeperturb.verify import (
     default_toolchains,
     ensure_main,
     execution_equivalence,
+    judge_original,
     syntax_check,
     verify,
 )
@@ -327,20 +329,26 @@ def test_cli_verifier_compiles_each_text_once_and_runs_the_original_once_per_inp
     if Language.C_CPP not in TOOLCHAINS:
         pytest.skip("no C toolchain")
     original, suite = next(item for item in load_fixture_corpus() if item[0].id == "collatz.c")
-    compiled, ran, reran = [], [], []
+    objects, linked, ran, reran = {}, [], [], []  # objects: text -> sha256 of its object
     real_run, real_launch = subprocess.run, ForkServer.launch
 
-    def compile_spy(argv, **kwargs):
+    def build_spy(argv, cwd, **kwargs):
         assert argv[0] == "gcc"
-        compiled.append(Path(argv[1]).read_text())
-        return real_run(argv, **kwargs)
+        if argv[1] != "-c":
+            linked.append((hashlib.sha256((cwd / argv[1]).read_bytes()).hexdigest(), cwd))
+            return real_run(argv, cwd=cwd, **kwargs)
+        text = (cwd / argv[2]).read_text()
+        assert text not in objects
+        proc = real_run(argv, cwd=cwd, **kwargs)
+        objects[text] = hashlib.sha256((cwd / argv[4]).read_bytes()).hexdigest()
+        return proc
 
     def launch_spy(self, request):
-        source = next(Path(request["argv"][0]).parent.glob("*.c")).read_text()
-        (reran if self.hash_seed else ran).append((source, Path(request["stdin"]).read_text()))
+        (reran if self.hash_seed else ran).append((Path(request["argv"][0]).parent,
+                                                   Path(request["stdin"]).read_text()))
         return real_launch(self, request)
 
-    monkeypatch.setattr(subprocess, "run", compile_spy)
+    monkeypatch.setattr(subprocess, "run", build_spy)
     monkeypatch.setattr(ForkServer, "launch", launch_spy)
     runner = ProgramRunner(TOOLCHAINS[Language.C_CPP], servers)
     verifier = functools.partial(verify, runner=runner, suite=suite)
@@ -350,12 +358,60 @@ def test_cli_verifier_compiles_each_text_once_and_runs_the_original_once_per_inp
     finally:
         runner.close()
     assert sum(r.verified for r in result.records) >= 2
-    assert len(compiled) > 1
-    assert Counter(compiled).most_common(1)[0][1] == 1
-    original_runs = Counter(stdin for source, stdin in ran if source == original.text)
+    assert len(objects) > 1
+    # Each distinct object is linked at most once; texts sharing one share the link.
+    assert len({obj for obj, _ in linked}) == len(linked) <= len(set(objects.values()))
+    [original_dir] = [cwd for obj, cwd in linked if obj == objects[original.text]]
+    original_runs = Counter(stdin for where, stdin in ran if where == original_dir)
     assert original_runs == Counter(suite)
     # The one check run of the first input on a server with another hash seed.
-    assert reran == [(original.text, suite[0])]
+    assert reran == [(original_dir, suite[0])]
+
+
+def test_build_diagnostics_name_no_scratch_path(make_runner):
+    if Language.C_CPP not in TOOLCHAINS:
+        pytest.skip("no C toolchain")
+    undeclared = sample("int main(void) { return undeclared_name; }\n", Language.C_CPP, "p.c")
+    unresolved = sample("int missing(void);\nint main(void) { return missing(); }\n", Language.C_CPP, "p.c")
+    runners = [make_runner(TOOLCHAINS[Language.C_CPP]) for _ in range(2)]
+    for broken, words in ((undeclared, "undeclared_name"), (unresolved, "undefined reference")):
+        first, second = (runner.compile(broken) for runner in runners)
+        assert first == second and first[0] is False
+        assert any(words in line for line in first[1])
+        scratch = [runner._scratch.name for runner in runners]
+        assert not any(d in line for line in first[1] for d in [*scratch, "/tmp/cc"])
+
+
+WHERE_C = """#include <stdio.h>
+
+int main(void) {
+    int n;
+    if (scanf("%d", &n) != 1)
+        return 1;
+    printf("%s %d\\n", __FILE__, n * 2);
+    return 0;
+}
+"""
+
+
+def test_a_candidate_with_the_original_object_costs_one_compile(monkeypatch, make_runner):
+    if Language.C_CPP not in TOOLCHAINS:
+        pytest.skip("no C toolchain")
+    runner = make_runner(TOOLCHAINS[Language.C_CPP])
+    original, suite = sample(WHERE_C, Language.C_CPP, "where.c"), ("3\n", "21\n")
+    assert runner.run(original, "3\n") == (b"where.c 6\n", 0)
+    judge_original(original, runner, suite)
+    builds, launches = [], []
+    real_run, real_launch = subprocess.run, ForkServer.launch
+    monkeypatch.setattr(subprocess, "run", lambda argv, **kw: builds.append(argv) or real_run(argv, **kw))
+    monkeypatch.setattr(ForkServer, "launch", lambda self, r: launches.append(r) or real_launch(self, r))
+    renamed = derived(original, WHERE_C.replace("int n;", "int m;").replace("&n", "&m").replace("n *", "m *"))
+    report = verify(original, renamed, runner, suite)
+    assert report.passed and report.behaviour_ok is True
+    assert [argv[:2] for argv in builds] == [["gcc", "-c"]] and launches == []
+    # An object of the same size that behaves otherwise is still run.
+    added = derived(original, WHERE_C.replace("n * 2", "n + 2"))
+    assert verify(original, added, runner, suite).behaviour_ok is False
 
 
 def test_walk_lists_every_node_in_ast_walk_order(fixture_corpus):
