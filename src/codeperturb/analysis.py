@@ -405,14 +405,3 @@ def find_functions(text: str, language: Language) -> list[FunctionSpan]:
     if language is Language.PYTHON:
         return _python_functions(text)
     return brace_functions(lex(text, language), line_offsets(text), language)
-
-
-def has_main_function(text: str, language: Language) -> bool:
-    """Whether a program entry point is present (brace languages only)."""
-    if language is Language.PYTHON:
-        return True
-    try:
-        names = {f.name for f in find_functions(text, language)}
-    except ParseError:
-        return False
-    return "main" in names

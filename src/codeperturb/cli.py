@@ -88,9 +88,9 @@ def build_parser() -> _Parser:
             "--equivalence",
             choices=["auto", "exec", "stub"],
             default="auto",
-            help="verification stages: auto compiles, then runs the input suite where a sample has"
-            " one; exec does the same and needs a suite for every sample; stub checks syntax only"
-            " and builds and runs nothing",
+            help="verification stages: auto builds and runs the input suite where a sample has one,"
+            " and only compiles, without linking, a sample that has none; exec needs a suite for"
+            " every sample; stub checks syntax only and builds and runs nothing",
         )
         p.add_argument(
             "--jobs",
@@ -195,12 +195,17 @@ def _oracle(args, sample: CodeSample, suite: tuple[str, ...],
     """The toolchain that builds and runs `sample` (None under --equivalence
     stub or when `toolchains` has none) and the input suite its execution
     oracle runs (() when it runs none); ConfigError when --equivalence exec
-    cannot run it."""
+    cannot run it. Without a suite nothing runs the sample, so its toolchain
+    builds it with the check command and no link step, and is None when the
+    language has no check command."""
     toolchain = None if args.equivalence == "stub" else toolchains.get(sample.language)
     if args.equivalence == "exec" and not (suite and toolchain):
         raise ConfigError(
             f"--equivalence exec needs an input_suite and a toolchain for {sample.language.value}"
         )
+    if toolchain and not suite:
+        check = toolchain.check_argv
+        toolchain = dataclasses.replace(toolchain, compile_argv=check, link_argv=None) if check else None
     return toolchain, suite if toolchain else ()
 
 

@@ -8,7 +8,8 @@ It reads one JSON request per line on stdin and answers each with one JSON
 line on stdout; end of input stops it. A request holds ``file`` (a Python
 source, run in the child as ``__main__``) or ``argv`` (a command to
 ``execvp``), plus ``stdin`` and ``stdout`` (file paths), ``cwd`` and
-``timeout`` (seconds). The reply is ``{"status": n}`` with n as
+``timeout`` (seconds); the child changes to ``cwd`` first, so relative
+paths name files there. The reply is ``{"status": n}`` with n as
 ``subprocess`` reports it (negative: killed by signal -n),
 ``{"timeout": true}`` once the child outlived its timeout and its process
 group was killed, or ``{"error": message}`` when the program could not be

@@ -10,7 +10,12 @@ the first candidate's compile, judge_original() judges the original once
 per sample: one that does not compile, or fails, times out or is
 nondeterministic under the oracle, fails its whole sample
 (OriginalUnrunnable). After that, any failure of a candidate, a compile
-timeout included, rejects that candidate alone.
+timeout included, rejects that candidate alone. A text is built only as
+far as the oracle will run it, and nothing adds a main. A sample with an
+input suite builds its program, so an original without a main fails to
+build. A sample without one is built by its toolchain's check command
+(Toolchain.check_argv), which compiles without linking, so a function that
+calls into other files compiles on its own.
 
 Builds run through ``subprocess.run``, in a directory of the text's own
 and on names relative to it, so neither diagnostics nor ``__FILE__`` name
@@ -27,7 +32,9 @@ the process's first run and stopped by its ServerPool. The server forks a
 child per run, in its own process group and limited in CPU time
 (``run_timeout`` + 1 s), address space (4 GiB) and file size (64 MiB). The
 child execs the compiled program of a toolchain with a compile step, and
-otherwise runs the Python file in-process as ``__main__``; the server
+otherwise runs the Python file in-process as ``__main__``. Either runs in
+its build directory under its bare name (``./prog``, ``<stem>.py``), so
+neither ``argv[0]`` nor ``__file__`` names a scratch path. The server
 kills the child's process group once it outlives ``run_timeout``. All
 children of one server share its hash seed, so set iteration order no
 longer tells an original from its candidates; instead the original's first
@@ -48,7 +55,7 @@ import tempfile
 from dataclasses import dataclass
 from pathlib import Path
 
-from .analysis import PythonView, has_main_function, python_view
+from .analysis import PythonView, python_view
 from .core import CodeSample, Language
 from .errors import (
     ConfigError,
@@ -68,10 +75,14 @@ class Toolchain:
     compile command writes {obj} and the link command links {obj} into
     {exe}; without one, the compile command writes {exe} itself. Without a
     compile command, the text is a Python file, run in the fork server's
-    child."""
+    child. The check command compiles a text that no input will run, such
+    as a function without a main: it writes {obj} and links nothing. The
+    caller builds such a text with it as the compile command and no link
+    template; a language without one gets the syntax stage only."""
 
     compile_argv: tuple[str, ...] | None = None
     link_argv: tuple[str, ...] | None = None
+    check_argv: tuple[str, ...] | None = None
     extension: str = ""
     compile_timeout: float = 30.0
     run_timeout: float = 10.0
@@ -80,14 +91,18 @@ class Toolchain:
 def default_toolchains() -> dict[Language, Toolchain]:
     chains = {Language.PYTHON: Toolchain(extension=".py")}
     if shutil.which("gcc"):
+        compile_only = ("gcc", "-c", "{file}", "-o", "{obj}")
         chains[Language.C_CPP] = Toolchain(
-            compile_argv=("gcc", "-c", "{file}", "-o", "{obj}"),
+            compile_argv=compile_only,
             link_argv=("gcc", "{obj}", "-o", "{exe}", "-lm"),
+            check_argv=compile_only,
             extension=".c",
         )
     if shutil.which("rustc"):
         chains[Language.RUST_LANG] = Toolchain(
             compile_argv=("rustc", "--edition", "2018", "-o", "{exe}", "{file}"),
+            check_argv=("rustc", "--edition", "2018", "--crate-type", "lib", "--emit=metadata",
+                        "-o", "{obj}", "{file}"),
             extension=".rs",
         )
     if shutil.which("go"):
@@ -96,22 +111,6 @@ def default_toolchains() -> dict[Language, Toolchain]:
             extension=".go",
         )
     return chains
-
-
-_SYNTH_MAIN = {
-    Language.GO: "\nfunc main() {\n}\n",
-    Language.RUST_LANG: "\nfn main() {\n}\n",
-    Language.C_CPP: "\nint main(void) { return 0; }\n",
-}
-
-
-def ensure_main(text: str, language: Language) -> str:
-    """Append an empty main when a compiled language lacks one."""
-    if language not in _SYNTH_MAIN or has_main_function(text, language):
-        return text
-    if not text.endswith("\n"):
-        text += "\n"
-    return text + _SYNTH_MAIN[language]
 
 
 def _java_public_class(text: str) -> str | None:
@@ -183,8 +182,6 @@ def syntax_check(sample: CodeSample) -> tuple[bool, list[str]]:
     if problem:
         diagnostics.append(problem)
         return False, diagnostics
-    if sample.language in _SYNTH_MAIN and not has_main_function(sample.text, sample.language):
-        diagnostics.append("no main function; synthetic empty main injected for toolchain stages")
     if sample.language is Language.JAVA:
         cls = _java_public_class(sample.text)
         stem = Path(sample.id).stem if sample.id.endswith(".java") else None
@@ -204,7 +201,7 @@ def _write_sample(sample: CodeSample, directory: Path, toolchain: Toolchain) -> 
     if suffix in (".c", ".cc", ".cpp", ".py", ".go", ".rs", ".java"):
         ext = suffix
     path = directory / f"{stem}{ext}"
-    path.write_text(ensure_main(sample.text, sample.language), encoding="utf-8")
+    path.write_text(sample.text, encoding="utf-8")
     return path
 
 
@@ -358,7 +355,7 @@ class ProgramRunner:
     def _execute(self, sample: CodeSample, program: Path, stdin_text: str,
                  reseeded: bool) -> tuple[bytes, int] | str:
         compiled = self.toolchain.compile_argv is not None
-        request = {"argv": [str(program)]} if compiled else {"file": str(program)}
+        request = {"argv": [f"./{program.name}"]} if compiled else {"file": program.name}
         stdin_file, stdout_file = program.parent / "stdin", program.parent / "stdout"
         stdin_file.write_bytes(stdin_text.encode())
         request.update(stdin=str(stdin_file), stdout=str(stdout_file), cwd=str(program.parent),

@@ -247,7 +247,6 @@ def test_criterion_07_filtering_boundaries():
         )
         v = filter_sample(CodeSample(id="lib.rs", language=Language.RUST_LANG, text=rust))
         assert v.kept
-        assert any("synthetic" in d and "main" in d for d in v.diagnostics)
 
 
 # ---------------------------------------------------------------------------

@@ -655,6 +655,65 @@ def test_an_original_that_does_not_compile_fails_its_sample(tmp_path, capsys):
     assert read_jsonl(out / "summary.jsonl") == []
 
 
+# A function of a larger program: it calls into another file and has no main.
+EXTERNAL_HELPER_C = """int helper(int value);
+
+int scaled_sum(int count, int factor) {
+    int total = 0;
+    for (int i = 0; i < count; i++) {
+        total += helper(i) * factor;
+    }
+    if (total > 100 && factor > 1) {
+        return total - 1;
+    }
+    return total;
+}
+"""
+
+
+@pytest.mark.skipif(shutil.which("gcc") is None, reason="needs gcc")
+def test_a_suite_less_c_sample_that_calls_into_another_file_only_compiles(tmp_path, monkeypatch, capsys):
+    builds = []
+    real_run = subprocess.run
+    monkeypatch.setattr(subprocess, "run", lambda argv, **kw: builds.append(argv) or real_run(argv, **kw))
+    path = tmp_path / "corpus.jsonl"
+    write_corpus_jsonl(path, [(CodeSample(id="scaled.c", language=Language.C_CPP, text=EXTERNAL_HELPER_C), ())])
+    out = tmp_path / "out"
+    code = run_cli(
+        "peso-run", "--corpus", path, "--engine", "rule", "--seed", "1", "--max-iter", "3",
+        "--equivalence", "auto", "--jobs", "1", "--output-dir", out,
+    )
+    monkeypatch.undo()
+    assert code == 0
+    checked = [r["verification"] for r in read_jsonl(out / "traces" / "scaled.c.jsonl")
+               if "skipped" not in r["verification"]]
+    assert checked and all(v["compile_ok"] is True and v["votes"] == [] for v in checked)
+    assert builds and all(argv[:2] == ["gcc", "-c"] for argv in builds)  # no link step
+
+
+@pytest.mark.skipif(shutil.which("rustc") is None, reason="needs rustc")
+def test_a_suite_less_rust_library_without_main_compiles(servers):
+    # Without std there is no panic handler, so no main makes this a program.
+    library = CodeSample(id="twice.rs", language=Language.RUST_LANG,
+                         text="#![no_std]\n\npub fn twice(x: i32) -> i32 {\n    x * 2\n}\n")
+    args = cli.build_parser().parse_args(["peso-run", "--corpus", "c.jsonl"])
+    toolchain, suite = cli._oracle(args, library, (), default_toolchains())
+    assert suite == ()
+    runner = verify_module.ProgramRunner(toolchain, servers)
+    try:
+        assert runner.compile(library) == (True, [])
+    finally:
+        runner.close()
+
+
+def test_a_suite_less_sample_without_a_check_command_gets_no_toolchain():
+    go = Toolchain(compile_argv=("go", "build", "-o", "{exe}", "{file}"), extension=".go")
+    args = cli.build_parser().parse_args(["peso-run", "--corpus", "c.jsonl"])
+    sample = CodeSample(id="m.go", language=Language.GO, text="package main\n\nfunc main() {\n}\n")
+    assert cli._oracle(args, sample, (), {Language.GO: go}) == (None, ())
+    assert cli._oracle(args, sample, ("1\n",), {Language.GO: go}) == (go, ("1\n",))
+
+
 # sha256 over a seeded rule-engine peso-run of the 22 fixtures: every
 # traces/*.jsonl (sorted by name), then summary.jsonl and pairs.jsonl. A
 # change that alters traces on purpose updates this constant and says why

@@ -15,7 +15,6 @@ from codeperturb.verify import (
     ProgramRunner,
     Toolchain,
     default_toolchains,
-    ensure_main,
     execution_equivalence,
     judge_original,
     syntax_check,
@@ -128,9 +127,8 @@ def test_a_deeply_nested_text_gets_the_verdict_of_compiling_the_text(sid):
 
 
 def test_syntax_rust_missing_main_notes_injection():
-    ok, diags = syntax_check(sample("fn helper() -> i32 {\n    3\n}\n", Language.RUST_LANG, "h.rs"))
+    ok, _ = syntax_check(sample("fn helper() -> i32 {\n    3\n}\n", Language.RUST_LANG, "h.rs"))
     assert ok
-    assert any("synthetic" in d and "main" in d for d in diags)
 
 
 def test_syntax_java_filename_rule():
@@ -140,12 +138,6 @@ def test_syntax_java_filename_rule():
     ok, diags = syntax_check(sample(java, Language.JAVA, "Other.java"))
     assert not ok
     assert any("Widget" in d for d in diags)
-
-
-def test_ensure_main_injects_once():
-    text = ensure_main("fn helper() {}\n", Language.RUST_LANG)
-    assert "fn main()" in text
-    assert ensure_main(text, Language.RUST_LANG) == text
 
 
 # ---------------------------------------------------------------------------
@@ -344,8 +336,7 @@ def test_cli_verifier_compiles_each_text_once_and_runs_the_original_once_per_inp
         return proc
 
     def launch_spy(self, request):
-        (reran if self.hash_seed else ran).append((Path(request["argv"][0]).parent,
-                                                   Path(request["stdin"]).read_text()))
+        (reran if self.hash_seed else ran).append((Path(request["cwd"]), Path(request["stdin"]).read_text()))
         return real_launch(self, request)
 
     monkeypatch.setattr(subprocess, "run", build_spy)
@@ -412,6 +403,49 @@ def test_a_candidate_with_the_original_object_costs_one_compile(monkeypatch, mak
     # An object of the same size that behaves otherwise is still run.
     added = derived(original, WHERE_C.replace("n * 2", "n + 2"))
     assert verify(original, added, runner, suite).behaviour_ok is False
+
+
+def test_a_python_program_runs_under_its_bare_file_name(make_runner):
+    runner = make_runner()
+    original = sample("n = int(input())\nprint(__file__, n * 2)\n", sid="where.py")
+    renamed = derived(original, "m = int(input())\nprint(__file__, m * 2)\n")
+    assert runner.run(original, "3\n") == (b"where.py 6\n", 0)
+    assert verify(original, renamed, runner, ("3\n",)).behaviour_ok is True
+
+
+ARGV_C = """#include <stdio.h>
+
+int main(int argc, char **argv) {
+    int n;
+    if (scanf("%d", &n) != 1)
+        return 1;
+    printf("%s %d\\n", argv[0], n * 2);
+    return 0;
+}
+"""
+
+
+def test_a_c_program_runs_under_its_bare_name(make_runner):
+    if Language.C_CPP not in TOOLCHAINS:
+        pytest.skip("no C toolchain")
+    runner = make_runner(TOOLCHAINS[Language.C_CPP])
+    original = sample(ARGV_C, Language.C_CPP, "argv.c")
+    padded = derived(original, ARGV_C.replace("    int n;", "    int n;\n    int unused = 7;"))
+    assert runner.run(original, "3\n") == (b"./prog 6\n", 0)
+    report = verify(original, padded, runner, ("3\n",))
+    assert runner._identity(padded) != runner._identity(original)  # a program of its own
+    assert report.behaviour_ok is True
+
+
+def test_a_c_original_with_a_suite_and_no_main_is_unrunnable(make_runner):
+    if Language.C_CPP not in TOOLCHAINS:
+        pytest.skip("no C toolchain")
+    runner = make_runner(TOOLCHAINS[Language.C_CPP])
+    text = "int twice(int n) {\n    return n * 2;\n}\n"
+    original = sample(text, Language.C_CPP, "twice.c")
+    tripled = derived(original, text.replace("n * 2", "n * 3"))
+    with pytest.raises(OriginalUnrunnable, match="original does not compile"):
+        verify(original, tripled, runner, ("3\n",))
 
 
 def test_walk_lists_every_node_in_ast_walk_order(fixture_corpus):
