@@ -109,15 +109,15 @@ class CompletionTask:
 
     @classmethod
     def from_dict(cls, record: dict) -> "CompletionTask":
+        """KeyError, TypeError or ValueError for a record that is no task."""
+        texts = {key: record[key] for key in ("task_id", "sample_id", "prefix", "ground_truth", "suffix")}
+        if not all(isinstance(text, str) for text in texts.values()):
+            raise TypeError("task_id, sample_id, prefix, ground_truth and suffix must be strings")
         return cls(
-            task_id=record["task_id"],
-            sample_id=record["sample_id"],
             variant=Variant(record["variant"]),
             mask_lines=int(record["mask_lines"]),
-            prefix=record["prefix"],
-            ground_truth=record["ground_truth"],
-            suffix=record["suffix"],
             region_anchor=record.get("region_anchor", {}),
+            **texts,
         )
 
 

@@ -51,7 +51,7 @@ from .errors import (
     RegionUnavailable,
     UnsupportedCombination,
 )
-from .peso import derive_seed, run, run_random_baseline
+from .peso import NO_CANDIDATE, derive_seed, run, run_random_baseline
 from .similarity import score_pair
 from .transform import hybrid_engine, perturb, rule_engine_apply
 from .transform.llm import HttpTransport, LlmConfig, ReplayTransport, llm_engine
@@ -387,6 +387,10 @@ def cmd_perturb(args) -> int:
     _write_manifest(out, "perturb", config, rest, corpus_digest(samples), args)
 
     def work(sample, verifier):
+        """The sample's outcomes.jsonl record: the candidate, `verified`,
+        its report's fields as `verification` and its score; or, when the
+        method has no site or no rule, `reason` (a code of NO_CANDIDATE) and
+        `detail`; or the `error` of any other failure."""
         record = {"sample_id": sample.id, "method": method.id}
         try:
             outcome = perturb(engine, sample, method, derive_seed(config.rng_seed, sample.id))
@@ -398,7 +402,7 @@ def cmd_perturb(args) -> int:
                     "entry_point": outcome.entry_point,
                     "engine": outcome.engine_used.value,
                     "verified": report.passed,
-                    "verification": report.to_dict(),
+                    "verification": dataclasses.asdict(report),
                     "content": outcome.candidate.text,
                     "score": None
                     if score is None
@@ -406,9 +410,7 @@ def cmd_perturb(args) -> int:
                 }
             )
         except (NotApplicable, UnsupportedCombination) as exc:
-            # A legitimate outcome: the method has no site in this sample,
-            # or the engine has no rule for this sample's language.
-            record.update({"applied": False, "reason": str(exc)})
+            record.update({"applied": False, "reason": NO_CANDIDATE[type(exc)], "detail": str(exc)})
         except CodePerturbError as exc:
             record.update({"applied": False, "error": f"{type(exc).__name__}: {exc}"})
         return record
@@ -437,38 +439,42 @@ def cmd_filter(args) -> int:
     return 0
 
 
+def _pair(record: dict) -> PerturbedPair:
+    """A pairs.jsonl record as make-tasks reads it."""
+    fields = [record[key] for key in ("id", "language", "original", "perturbed")]
+    if not all(isinstance(v, str) for v in fields):
+        raise TypeError("id, language, original and perturbed must be strings")
+    sample_id, language, original, perturbed = fields
+    language = Language.parse(language)
+    return PerturbedPair(
+        original=CodeSample(id=sample_id, language=language, text=original),
+        perturbed=CodeSample(id=sample_id, language=language, text=perturbed, lineage=("peso",)),
+        entry_points=tuple(record.get("entry_points", ())),
+        function_map=dict(record.get("function_map", {})),
+    )
+
+
 def cmd_make_tasks(args) -> int:
-    records = read_jsonl(args.pairs)
+    pairs = read_jsonl(args.pairs, _pair)
     out = Path(args.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     tasks = []
     skipped = []
-    for record in records:
-        language = Language.parse(record["language"])
-        pair = PerturbedPair(
-            original=CodeSample(id=record["id"], language=language, text=record["original"]),
-            perturbed=CodeSample(
-                id=record["id"],
-                language=language,
-                text=record["perturbed"],
-                lineage=("peso",),
-            ),
-            entry_points=tuple(record.get("entry_points", ())),
-            function_map=record.get("function_map", {}),
-        )
+    for pair in pairs:
+        sample_id = pair.original.id
         try:
-            tasks.extend(t.to_dict() for t in build_tasks(pair, seed=derive_seed(args.seed, record["id"])))
+            tasks.extend(t.to_dict() for t in build_tasks(pair, seed=derive_seed(args.seed, sample_id)))
         except RegionUnavailable as exc:
-            skipped.append({"sample_id": record["id"], "error": str(exc)})
+            skipped.append({"sample_id": sample_id, "error": str(exc)})
     write_jsonl(out / "tasks.jsonl", tasks)
     if skipped:
         write_jsonl(out / "tasks_skipped.jsonl", skipped)
-    print(f"built {len(tasks)} task(s) from {len(records)} pair(s), skipped {len(skipped)}")
+    print(f"built {len(tasks)} task(s) from {len(pairs)} pair(s), skipped {len(skipped)}")
     return 2 if skipped else 0
 
 
 def cmd_evaluate(args) -> int:
-    tasks = [CompletionTask.from_dict(r) for r in read_jsonl(args.tasks)]
+    tasks = read_jsonl(args.tasks, CompletionTask.from_dict)
     completions = read_completions(args.completions)
     judge = {"exact": Judge.EXACT_MATCH, "normalized": Judge.NORMALIZED_MATCH, "external": Judge.EXTERNAL}[
         args.judge
@@ -477,7 +483,7 @@ def cmd_evaluate(args) -> int:
     if judge is Judge.EXTERNAL:
         if not args.external_verdicts:
             raise ConfigError("--judge external requires --external-verdicts")
-        verdict_map = {r["task_id"]: bool(r["correct"]) for r in read_jsonl(args.external_verdicts)}
+        verdict_map = dict(read_jsonl(args.external_verdicts, lambda r: (r["task_id"], bool(r["correct"]))))
         external = lambda task, completion: verdict_map.get(task.task_id, False)
     report = evaluate_tasks(tasks, completions, judge, external_judge=external)
     out = Path(args.output_dir)
@@ -490,9 +496,17 @@ def cmd_evaluate(args) -> int:
     return 0
 
 
+def _summary(record: dict) -> dict:
+    """A summary.jsonl record as report reads it."""
+    scores = [record[key] for key in ("final_s1", "final_s2", "final_ss")]
+    if not isinstance(record["sample_id"], str) or not all(isinstance(v, (int, float)) for v in scores):
+        raise TypeError("sample_id must be a string, and final_s1, final_s2 and final_ss numbers")
+    return record
+
+
 def cmd_report(args) -> int:
-    summaries = read_jsonl(args.summary)
-    baseline = read_jsonl(args.baseline) if args.baseline else None
+    summaries = read_jsonl(args.summary, _summary)
+    baseline = read_jsonl(args.baseline, _summary) if args.baseline else None
     accuracy = None
     if args.accuracy:
         accuracy = AccuracyReport.from_dict(json.loads(Path(args.accuracy).read_text()))

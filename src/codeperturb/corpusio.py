@@ -64,27 +64,37 @@ def write_jsonl(path: str | Path, records) -> None:
             fh.write(json.dumps(record, sort_keys=True) + "\n")
 
 
-def read_jsonl(path: str | Path) -> list[dict]:
+def read_jsonl(path: str | Path, build=dict) -> list:
+    """build(record) of each JSON object in `path`, in file order. A
+    ConfigError names path:line of a line that is not a JSON object, or
+    whose object `build` cannot read: a key is missing (KeyError), or a
+    value has the wrong type or form (TypeError, ValueError, ConfigError)."""
     out = []
     for n, line in enumerate(Path(path).read_text(encoding="utf-8").split("\n"), start=1):
         if not line.strip():
             continue
         try:
-            out.append(json.loads(line))
-        except json.JSONDecodeError as exc:
+            record = json.loads(line)
+            if not isinstance(record, dict):
+                raise TypeError("not a JSON object")
+            out.append(build(record))
+        except KeyError as exc:
+            raise ConfigError(f"{path}:{n}: malformed record: missing {exc}") from exc
+        except (ValueError, TypeError, ConfigError) as exc:  # json.JSONDecodeError is a ValueError
             raise ConfigError(f"{path}:{n}: malformed record: {exc}") from exc
     return out
 
 
 def read_completions(path: str | Path) -> dict:
-    """task_id -> completion text, from {task_id, completion} records."""
-    completions = {}
-    for record in read_jsonl(path):
-        try:
-            completions[str(record["task_id"])] = record["completion"]
-        except KeyError as exc:
-            raise ConfigError(f"{path}: completion record missing {exc}") from exc
-    return completions
+    """task_id -> completion text (None for none), from {task_id, completion} records."""
+
+    def completion(record: dict) -> tuple[str, str | None]:
+        text = record["completion"]
+        if text is not None and not isinstance(text, str):
+            raise TypeError("completion must be a string or null")
+        return str(record["task_id"]), text
+
+    return dict(read_jsonl(path, completion))
 
 
 def corpus_digest(samples) -> str:

@@ -5,6 +5,8 @@ category to seed the gain ledger), then up to max_iter main iterations of
 perturb -> verify -> score -> gain update -> Boltzmann reselection,
 halting early once the best similarity drops to the threshold. The random
 baseline runs the same loop under a uniform law, without the init phase.
+Each attempt leaves one IterationRecord, whose reason code states its
+outcome once.
 """
 
 from __future__ import annotations
@@ -27,25 +29,35 @@ from .errors import (
 )
 from .similarity import SimilarityScore, score_pair
 from .transform import perturb
+from .verify import VerificationReport
 
-_RECOVERABLE = (NotApplicable, UnsupportedCombination, ParseError, MalformedAnswer)
+# The errors after which an attempt has no candidate, with its reason code;
+# any other error fails the sample.
+NO_CANDIDATE = {UnsupportedCombination: "unsupported", NotApplicable: "not_applicable",
+                MalformedAnswer: "malformed_answer"}
 
 _CATEGORY_ORDER = tuple(MethodCategory)
 
 
 @dataclass(frozen=True)
 class IterationRecord:
+    """One attempt. `reason` is a code of NO_CANDIDATE, whose message is
+    `detail`; else the first stage the candidate failed (syntax, compile,
+    behaviour); else score_up, when the verified candidate's score rose, or
+    accepted. `verification` is None without a candidate, and `score`
+    without a verified one."""
+
     iter: int
     phase: str  # rename | init | main
     method_id: str
     category: MethodCategory
-    verified: bool
     score: SimilarityScore | None
     og: float
-    accepted: bool
     probabilities: tuple[float, ...]
+    reason: str
     entry_point: str | None = None
-    verification: dict | None = None
+    detail: str | None = None
+    verification: VerificationReport | None = None
 
     def to_dict(self) -> dict:
         return {**dataclasses.asdict(self), "category": self.category.name}
@@ -201,22 +213,17 @@ def _attempt(state: OptimizerState, run: _Run, method: PerturbationMethod, phase
     """Perturb, verify, score and keep or drop one candidate. Every phase
     but the heuristic renames overwrites the method's category gain."""
     seed = state.rng.getrandbits(32)
-    entry_point = None
-    verified = False
-    score = None
-    verification = None
+    og, entry_point, score, detail, report = 0.0, None, None, None, None
     try:
         outcome = perturb(run.engine, state.current, method, seed)
-    except _RECOVERABLE as exc:
-        og, accepted = 0.0, False
-        verification = {"skipped": f"{type(exc).__name__}: {exc}"}
+    except tuple(NO_CANDIDATE) as exc:
+        reason, detail = NO_CANDIDATE[type(exc)], str(exc)
     else:
         report = run.verifier(state.original, outcome.candidate)
-        verification = report.to_dict()
-        verified = bool(report.passed)
-        if verified:
+        if report.passed:
             score = run.scorer(state.original, outcome.candidate)
         og, accepted = gain_update(state, outcome.candidate, score)
+        reason = report.failed_stage or ("accepted" if accepted else "score_up")
         entry_point = outcome.entry_point
         if accepted:
             _update_name_map(state)
@@ -227,21 +234,10 @@ def _attempt(state: OptimizerState, run: _Run, method: PerturbationMethod, phase
                 state.entry_points.add(original_name)
     if phase != "rename":
         state.gains[method.category.index] = og
-    state.trace.append(
-        IterationRecord(
-            iter=len(state.trace),
-            phase=phase,
-            method_id=method.id,
-            category=method.category,
-            verified=verified,
-            score=score,
-            og=og,
-            accepted=accepted,
-            probabilities=run.probabilities(state),
-            entry_point=entry_point,
-            verification=verification,
-        )
-    )
+    state.trace.append(IterationRecord(
+        iter=len(state.trace), phase=phase, method_id=method.id, category=method.category, score=score,
+        og=og, probabilities=run.probabilities(state), reason=reason, entry_point=entry_point,
+        detail=detail, verification=report))
 
 
 def _start(state: OptimizerState, run: _Run) -> None:
@@ -284,7 +280,7 @@ def _optimize(original: CodeSample, run: _Run) -> RunResult:
             final_ss=state.mss,
             main_iterations=state.iter,
             halted_early=state.mss <= config.ss_threshold,
-            methods_applied=tuple(r.method_id for r in state.trace if r.accepted),
+            methods_applied=tuple(r.method_id for r in state.trace if r.reason == "accepted"),
             entry_points=tuple(sorted(state.entry_points)),
             function_map=dict(sorted(state.name_map.items())),
         ),

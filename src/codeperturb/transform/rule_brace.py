@@ -600,26 +600,36 @@ def div_composed_if(f: _File, rng: random.Random):
     return "\n".join(lines), f.enclosing_function(ln)
 
 
+def _chain_end(f: _File, j: int) -> int | None:
+    """The index of the close brace that ends the if-else chain whose `if`
+    is token j, or None when an `if` or `else` body of the chain does not
+    open with `{`."""
+    toks = f.tokens
+    while True:
+        if f.language is Language.GO:  # a Go body always has braces
+            j = next((k for k in range(j, len(toks)) if toks[k].text == "{"), len(toks))
+        elif j + 1 < len(toks) and toks[j + 1].text == "(":
+            j = match_brace(toks, j + 1) + 1
+        if j >= len(toks) or toks[j].text != "{":
+            return None
+        close = match_brace(toks, j)
+        if close + 1 == len(toks) or toks[close + 1].text != "else":
+            return close
+        j = close + 2
+        if j < len(toks) and toks[j].text != "if":
+            return match_brace(toks, j) if toks[j].text == "{" else None
+
+
 def div_if_else(f: _File, rng: random.Random):
     sites = []
     for i in range(len(f.tokens) - 2):
         a, b, c = f.tokens[i : i + 3]
         if a.text == "}" and b.text == "else" and c.text == "if":
-            sites.append(i)
-    i = pick(sites, rng, "no else-if chain")
-    else_tok, if_tok = f.tokens[i + 1], f.tokens[i + 2]
-    # Walk the chain to its final close brace.
-    j = i + 2
-    end_tok = None
-    while j < len(f.tokens):
-        while j < len(f.tokens) and f.tokens[j].text != "{":
-            j += 1
-        close = match_brace(f.tokens, j)
-        end_tok = f.tokens[close]
-        if close + 1 < len(f.tokens) and f.tokens[close + 1].text == "else":
-            j = close + 1
-            continue
-        break
+            end = _chain_end(f, i + 2)
+            if end is not None:
+                sites.append((i, end))
+    i, end = pick(sites, rng, "no else-if chain")
+    else_tok, if_tok, end_tok = f.tokens[i + 1], f.tokens[i + 2], f.tokens[end]
     ln = line_of_offset(f.offsets, else_tok.start)
     ind = f.indent_of(ln)
     chunk = indent_lines(f.text[if_tok.start : end_tok.end].split("\n"), f.indent_unit)

@@ -437,7 +437,8 @@ def execution_equivalence(
 
 @dataclass(frozen=True)
 class VerificationReport:
-    """The verdict of each stage, None where the stage did not run."""
+    """The verdict of each stage, None where the stage did not run, and the
+    diagnostics. Trace records hold these four fields (dataclasses.asdict)."""
 
     syntax_ok: bool
     compile_ok: bool | None
@@ -445,18 +446,14 @@ class VerificationReport:
     diagnostics: tuple[str, ...]
 
     @property
-    def passed(self) -> bool:
-        return self.syntax_ok and self.compile_ok is not False and self.behaviour_ok is not False
+    def failed_stage(self) -> str | None:
+        """The first stage whose verdict is False: syntax, compile or behaviour."""
+        verdicts = (("syntax", self.syntax_ok), ("compile", self.compile_ok), ("behaviour", self.behaviour_ok))
+        return next((stage for stage, ok in verdicts if ok is False), None)
 
-    def to_dict(self) -> dict:
-        return {
-            "syntax_ok": self.syntax_ok,
-            "compile_ok": self.compile_ok,
-            "votes": [] if self.behaviour_ok is None
-            else [{"voter_id": "execution_oracle", "verdict": self.behaviour_ok}],
-            "passed": self.passed,
-            "diagnostics": list(self.diagnostics),
-        }
+    @property
+    def passed(self) -> bool:
+        return self.failed_stage is None
 
 
 def verify(

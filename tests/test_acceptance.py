@@ -124,7 +124,7 @@ def test_criterion_03_monotonicity_over_200_runs():
         for seed in range(200):
             cfg = PesoConfig(rng_seed=seed)
             result = run(base, MarkerEngine(), CATALOG, cfg, make_verifier(), noisy_scorer)
-            accepted = [r.score.ss for r in result.records if r.accepted]
+            accepted = [r.score.ss for r in result.records if r.reason == "accepted"]
             assert accepted == sorted(accepted, reverse=True)
             rescored = noisy_scorer(base, result.final).ss
             assert abs(rescored - result.summary.final_ss) < 1e-12

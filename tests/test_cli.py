@@ -20,12 +20,12 @@ from codeperturb.analysis import find_functions
 from codeperturb.corpusio import read_corpus, read_jsonl, safe_name, write_jsonl
 from codeperturb.errors import EngineFailure
 from codeperturb.transform import RULES
-from codeperturb.verify import ForkServer, Toolchain, default_toolchains
+from codeperturb.verify import ForkServer, Toolchain, VerificationReport, default_toolchains
 
 from .conftest import load_fixture_corpus, write_corpus_jsonl
 from .test_verify import DEEP_SOURCES
 from codeperturb.core import CodeSample, Language, MethodCategory, build_catalog
-from codeperturb.peso import IterationRecord
+from codeperturb.peso import NO_CANDIDATE, IterationRecord
 from codeperturb.similarity import SimilarityScore
 
 
@@ -125,7 +125,7 @@ def test_perturb_records_a_pair_without_a_rule_as_not_applied(tmp_path, capsys):
     assert len(c_records) == 8
     for r in c_records:
         assert r["applied"] is False and "error" not in r
-        assert "cannot apply add_exception to c_cpp" in r["reason"]
+        assert r["reason"] == "unsupported" and "cannot apply add_exception to c_cpp" in r["detail"]
     assert not any("error" in r for r in outcomes)
 
 
@@ -532,8 +532,8 @@ def test_every_error_survives_pickling_with_its_attributes(cls):
     exc = cls(*ERROR_ARGS.get(cls, ("it failed",)))
     exc.partial_trace = (IterationRecord(
         iter=0, phase="rename", method_id="function_rename", category=MethodCategory.BASIC,
-        verified=True, score=SimilarityScore(s1=0.5, s2=0.25, ss=0.375), og=0.5, accepted=True,
-        probabilities=(1.0,), verification={"passed": True},
+        score=SimilarityScore(s1=0.5, s2=0.25, ss=0.375), og=0.5, probabilities=(1.0,), reason="accepted",
+        verification=VerificationReport(True, None, True, ()),
     ),)
     back = pickle.loads(pickle.dumps(exc))
     assert type(back) is cls
@@ -557,11 +557,79 @@ def test_an_unlexable_sample_fails_only_itself_on_worker_processes(tmp_path, cap
     assert [s["sample_id"] for s in read_jsonl(out / "summary.jsonl")] == [good[0].id]
 
 
+def test_an_original_that_does_not_parse_fails_its_sample(tmp_path, capsys):
+    """A rule cannot parse only a text that does not parse, and in a run
+    that is only the original: no attempt can succeed, so the sample fails
+    in place of a summary row with ss 1."""
+    good = load_fixture_corpus(languages={Language.PYTHON})[0]
+    bad = (CodeSample(id="bad.py", language=Language.PYTHON, text="def f(:\n    return 1\n"), ())
+    path = tmp_path / "corpus.jsonl"
+    write_corpus_jsonl(path, [bad, good])
+    out = tmp_path / "out"
+    code = run_cli(
+        "peso-run", "--corpus", path, "--engine", "rule", "--seed", "1", "--max-iter", "2",
+        "--jobs", "1", "--output-dir", out,
+    )
+    assert code == 2
+    [failure] = read_jsonl(out / "failures.jsonl")
+    assert failure["sample_id"] == "bad.py" and failure["error"].startswith("cannot parse python source")
+    assert failure["partial_trace"] == []
+    assert [s["sample_id"] for s in read_jsonl(out / "summary.jsonl")] == [good[0].id]
+
+
+GOOD_TASK = {"task_id": "t1", "sample_id": "a.py", "variant": "original", "mask_lines": 1,
+             "prefix": "", "ground_truth": "x = 1", "suffix": ""}
+GOOD_SUMMARY = {"sample_id": "a.py", "final_s1": 0.5, "final_s2": 0.75, "final_ss": 0.625}
+GOOD_PAIR = {"id": "a.py", "language": "python", "original": "x = 1\n", "perturbed": "x = 1\n"}
+
+
+@pytest.mark.parametrize("flag,good,bad,problem", [
+    ("--completions", {"task_id": "t1", "completion": "x = 1"}, ["t1", "x"], "not a JSON object"),
+    ("--completions", {"task_id": "t1", "completion": "x = 1"}, {"task_id": "t2", "completion": 3},
+     "completion must be a string or null"),
+    ("--tasks", GOOD_TASK, {"task_id": "t2"}, "missing 'sample_id'"),
+    ("--tasks", GOOD_TASK, {**GOOD_TASK, "ground_truth": 3},
+     "task_id, sample_id, prefix, ground_truth and suffix must be strings"),
+    ("--external-verdicts", {"task_id": "t1", "correct": True}, {"task_id": "t2"}, "missing 'correct'"),
+    ("--pairs", GOOD_PAIR, {"id": "b.py"}, "missing 'language'"),
+    ("--pairs", GOOD_PAIR, {**GOOD_PAIR, "language": 5}, "id, language, original and perturbed must be strings"),
+    ("--summary", GOOD_SUMMARY, {"sample_id": "x"}, "missing 'final_s1'"),
+    ("--baseline", GOOD_SUMMARY, {**GOOD_SUMMARY, "final_ss": "1"},
+     "sample_id must be a string, and final_s1, final_s2 and final_ss numbers"),
+], ids=["completions-list", "completions-number", "tasks", "tasks-ground-truth", "external-verdicts", "pairs", "pairs-language",
+        "summary", "baseline"])
+def test_a_malformed_record_is_a_config_error_that_names_its_line(flag, good, bad, problem, tmp_path, capsys):
+    files = {"--tasks": [GOOD_TASK], "--completions": [], "--external-verdicts": [],
+             "--pairs": [], "--summary": [GOOD_SUMMARY], "--baseline": []}
+    files[flag] = [good, bad]
+    paths = {}
+    for name, records in files.items():
+        paths[name] = tmp_path / f"{name[2:]}.jsonl"
+        paths[name].write_text("".join(json.dumps(r) + "\n" for r in records))
+    out = tmp_path / "out"
+    command = {
+        "--pairs": ["make-tasks", "--pairs", paths["--pairs"]],
+        "--summary": ["report", "--summary", paths["--summary"]],
+        "--baseline": ["report", "--summary", paths["--summary"], "--baseline", paths["--baseline"]],
+    }.get(flag, ["evaluate", "--tasks", paths["--tasks"], "--completions", paths["--completions"],
+                 "--judge", "external", "--external-verdicts", paths["--external-verdicts"]])
+    assert run_cli(*command, "--output-dir", out) == 1
+    assert capsys.readouterr().err == f"error: {paths[flag]}:2: malformed record: {problem}\n"
+
+
 @pytest.mark.parametrize("jobs", ["1", "2"])
 @pytest.mark.parametrize("sid", sorted(DEEP_SOURCES))
 def test_a_deeply_nested_sample_fails_no_run(sid, jobs, tmp_path, capsys):
+    """A text too deep for compile() of its tree is perturbed; one too deep
+    for the parser fails its own sample, as any text that does not parse
+    does. Neither stops the run."""
     small = load_fixture_corpus(languages={Language.PYTHON})[0][0]
     deep = CodeSample(id=sid, language=Language.PYTHON, text=DEEP_SOURCES[sid])
+    try:
+        find_functions(deep.text, Language.PYTHON)
+        parses = True
+    except errors.ParseError:
+        parses = False
     path = tmp_path / "corpus.jsonl"
     write_corpus_jsonl(path, [(deep, ()), (small, ())])
     out = tmp_path / "out"
@@ -569,8 +637,11 @@ def test_a_deeply_nested_sample_fails_no_run(sid, jobs, tmp_path, capsys):
         "peso-run", "--corpus", path, "--engine", "rule", "--seed", "1", "--max-iter", "2",
         "--jobs", jobs, "--output-dir", out,
     )
-    assert code == 0
-    assert [s["sample_id"] for s in read_jsonl(out / "summary.jsonl")] == [sid, small.id]
+    assert code == (0 if parses else 2)
+    assert [s["sample_id"] for s in read_jsonl(out / "summary.jsonl")] == [sid] * parses + [small.id]
+    if not parses:
+        [failure] = read_jsonl(out / "failures.jsonl")
+        assert failure["sample_id"] == sid and failure["error"].startswith("cannot parse python source")
 
 
 def test_filter_calls_a_text_too_deep_to_parse_syntax_invalid(tmp_path, capsys):
@@ -630,7 +701,7 @@ def test_a_sample_whose_original_times_out_fails_once(tmp_path, monkeypatch, cap
     # kept; that oracle call waited on the original once and failed the sample.
     trace = failure["partial_trace"]
     assert [r["method_id"] for r in trace[:2]] == ["function_rename", "variables_rename"]
-    assert all("skipped" in r["verification"] for r in trace)
+    assert all(r["verification"] is None for r in trace)
     assert len(runs) == 1
     assert read_jsonl(out / "summary.jsonl") == []
 
@@ -686,8 +757,8 @@ def test_a_suite_less_c_sample_that_calls_into_another_file_only_compiles(tmp_pa
     monkeypatch.undo()
     assert code == 0
     checked = [r["verification"] for r in read_jsonl(out / "traces" / "scaled.c.jsonl")
-               if "skipped" not in r["verification"]]
-    assert checked and all(v["compile_ok"] is True and v["votes"] == [] for v in checked)
+               if r["verification"] is not None]
+    assert checked and all(v["compile_ok"] is True and v["behaviour_ok"] is None for v in checked)
     assert builds and all(argv[:2] == ["gcc", "-c"] for argv in builds)  # no link step
 
 
@@ -718,19 +789,19 @@ def test_a_suite_less_sample_without_a_check_command_gets_no_toolchain():
 # traces/*.jsonl (sorted by name), then summary.jsonl and pairs.jsonl. A
 # change that alters traces on purpose updates this constant and says why
 # in CHANGES.md.
-SEEDED_RUN_DIGEST = "f742e45380dc35c11356ea11ce0d3639856d8eea69d9852d2c296777369c7bbb"
+SEEDED_RUN_DIGEST = "d92e82687baf149afe1c06d1bb5a277887c30b5b8e0279215661bf6eb05761bd"
 
 # The same digest over a seeded random-run (the uniform baseline).
-SEEDED_RANDOM_RUN_DIGEST = "67edbcd6c2cf559fe5e6d13b97c9e6d9c2a778509f45f1255413035883a2a24e"
+SEEDED_RANDOM_RUN_DIGEST = "244872003baa00557ba2a2e784c4f74c0c34995beffb5a499dd7c896ad1cca85"
 
 # The same digest over the seeded peso-run under the execution oracle, which
 # compiles the C fixtures with gcc and runs every input suite.
-SEEDED_EXEC_RUN_DIGEST = "a7ad23b840518d91088fbf960d215c8e246392ffc1fe2d74034fea6077df0410"
+SEEDED_EXEC_RUN_DIGEST = "3849285fd44b6ed1502d197ac77bcdf1dcb9633bd5e6e579217d84b4738fcbfd"
 
 
 # sha256 of outcomes.jsonl from a seeded perturb of the 22 fixtures with one
 # method under the execution oracle.
-SEEDED_EXEC_PERTURB_DIGEST = "8add29b96fd565ad98d01f63a6fb91da481f53b0333ca2f28fd33d4ab8761136"
+SEEDED_EXEC_PERTURB_DIGEST = "3ba1d2c61ce2928ab4c935093445dd6cdf758dc05f493c0fe33451592ec61568"
 
 
 def _seeded_rule_run(command, tmp_path, monkeypatch, jobs="1", equivalence="stub"):
@@ -766,8 +837,8 @@ def test_seeded_exec_run_is_frozen(tmp_path, monkeypatch, capsys):
     assert digest == SEEDED_EXEC_RUN_DIGEST
 
 
-@pytest.mark.skipif(shutil.which("gcc") is None, reason="the C fixtures need gcc")
-def test_seeded_exec_perturb_is_frozen(tmp_path, capsys):
+def _seeded_exec_perturb(tmp_path) -> bytes:
+    """outcomes.jsonl of a seeded perturb under the execution oracle."""
     path = tmp_path / "corpus.jsonl"
     write_corpus_jsonl(path, load_fixture_corpus())
     out = tmp_path / "out"
@@ -776,7 +847,12 @@ def test_seeded_exec_perturb_is_frozen(tmp_path, capsys):
         "--equivalence", "exec", "--jobs", "2", "--output-dir", out,
     )
     assert code == 0
-    outcomes = (out / "outcomes.jsonl").read_bytes()
+    return (out / "outcomes.jsonl").read_bytes()
+
+
+@pytest.mark.skipif(shutil.which("gcc") is None, reason="the C fixtures need gcc")
+def test_seeded_exec_perturb_is_frozen(tmp_path, capsys):
+    outcomes = _seeded_exec_perturb(tmp_path)
     assert sum(json.loads(line)["applied"] for line in outcomes.splitlines()) == 21
     assert hashlib.sha256(outcomes).hexdigest() == SEEDED_EXEC_PERTURB_DIGEST
 
@@ -844,3 +920,115 @@ def test_seeded_rule_run_on_worker_processes_is_frozen(tmp_path, monkeypatch, ca
 
 def test_seeded_random_run_is_frozen(tmp_path, monkeypatch, capsys):
     assert _seeded_rule_run("random-run", tmp_path, monkeypatch)[0] == SEEDED_RANDOM_RUN_DIGEST
+
+
+# The four digests above over the trace shape before reason codes, which
+# stated a verdict as `verified`, `accepted`, `verification.passed` and
+# `verification.votes`, and an attempt without a candidate as
+# `verification.skipped`.
+PRE_REASON_DIGESTS = {
+    "peso-run": "f742e45380dc35c11356ea11ce0d3639856d8eea69d9852d2c296777369c7bbb",
+    "random-run": "67edbcd6c2cf559fe5e6d13b97c9e6d9c2a778509f45f1255413035883a2a24e",
+    "exec-peso-run": "a7ad23b840518d91088fbf960d215c8e246392ffc1fe2d74034fea6077df0410",
+    "exec-perturb": "8add29b96fd565ad98d01f63a6fb91da481f53b0333ca2f28fd33d4ab8761136",
+}
+
+NEEDS_GCC = pytest.mark.skipif(shutil.which("gcc") is None, reason="the C fixtures need gcc")
+SEEDED_RUNS = [
+    "peso-run", "random-run", pytest.param("exec-peso-run", marks=NEEDS_GCC),
+    pytest.param("exec-perturb", marks=NEEDS_GCC),
+]
+
+
+def _seeded_files(kind, tmp_path, monkeypatch) -> dict:
+    """The digested files of one seeded run, {name: bytes}."""
+    if kind == "exec-perturb":
+        return {"outcomes.jsonl": _seeded_exec_perturb(tmp_path)}
+    if kind == "exec-peso-run":
+        return _seeded_rule_run("peso-run", tmp_path, monkeypatch, jobs="2", equivalence="exec")[1]
+    return _seeded_rule_run(kind, tmp_path, monkeypatch)[1]
+
+
+def _records(data: bytes) -> list[dict]:
+    return [json.loads(line) for line in data.splitlines()]
+
+
+def _pre_reason_verification(v: dict) -> dict:
+    votes = [] if v["behaviour_ok"] is None else [{"voter_id": "execution_oracle", "verdict": v["behaviour_ok"]}]
+    passed = False not in (v["syntax_ok"], v["compile_ok"], v["behaviour_ok"])
+    return {"syntax_ok": v["syntax_ok"], "compile_ok": v["compile_ok"], "votes": votes, "passed": passed,
+            "diagnostics": v["diagnostics"]}
+
+
+def _pre_reason_trace_record(record: dict) -> dict:
+    old = dict(record)
+    reason, detail, verification = old.pop("reason"), old.pop("detail"), old.pop("verification")
+    error_type = {code: cls.__name__ for cls, code in NO_CANDIDATE.items()}.get(reason)
+    old["verified"] = reason in ("score_up", "accepted")
+    old["accepted"] = reason == "accepted"
+    old["verification"] = ({"skipped": f"{error_type}: {detail}"} if verification is None
+                           else _pre_reason_verification(verification))
+    return old
+
+
+def _pre_reason_outcome(record: dict) -> dict:
+    old = dict(record)
+    if "verification" in old:
+        old["verification"] = _pre_reason_verification(old["verification"])
+    elif "detail" in old:
+        old["reason"] = old.pop("detail")
+    return old
+
+
+@pytest.mark.parametrize("kind", SEEDED_RUNS)
+def test_seeded_runs_rebuild_the_pre_reason_shape(kind, tmp_path, monkeypatch, capsys):
+    """Each old field derives from the new record, and the rebuilt files
+    give the digests of the old shape byte for byte."""
+    rebuilt = []
+    for name, data in _seeded_files(kind, tmp_path, monkeypatch).items():
+        if name in ("summary.jsonl", "pairs.jsonl"):
+            rebuilt.append(data)
+            continue
+        convert = _pre_reason_outcome if name == "outcomes.jsonl" else _pre_reason_trace_record
+        rebuilt += [json.dumps(convert(r), sort_keys=True).encode() + b"\n" for r in _records(data)]
+    assert hashlib.sha256(b"".join(rebuilt)).hexdigest() == PRE_REASON_DIGESTS[kind]
+
+
+TRACE_KEYS = {"iter", "phase", "method_id", "category", "probabilities", "entry_point", "score", "og",
+              "reason", "detail", "verification"}
+STAGES = ("syntax", "compile", "behaviour")
+
+
+def _failed_stage(v: dict) -> str | None:
+    """The first stage that a report's fields fail, None when none does."""
+    assert v.keys() == {"syntax_ok", "compile_ok", "behaviour_ok", "diagnostics"}
+    return next((stage for stage in STAGES if v[f"{stage}_ok"] is False), None)
+
+
+@pytest.mark.parametrize("kind", SEEDED_RUNS)
+def test_every_seeded_record_states_its_outcome_once(kind, tmp_path, monkeypatch, capsys):
+    files = _seeded_files(kind, tmp_path, monkeypatch)
+    if kind == "exec-perturb":
+        outcomes = _records(files["outcomes.jsonl"])
+        for r in outcomes:
+            if r["applied"]:
+                assert r["verified"] == (_failed_stage(r["verification"]) is None) == (r["score"] is not None)
+            else:
+                assert r.keys() == {"sample_id", "method", "applied", "reason", "detail"}
+                assert r["reason"] in NO_CANDIDATE.values()
+        assert any(r["applied"] for r in outcomes)
+        return
+    reasons = Counter()
+    for name, data in files.items():
+        if name in ("summary.jsonl", "pairs.jsonl"):
+            continue
+        for r in _records(data):
+            assert r.keys() == TRACE_KEYS
+            reasons[r["reason"]] += 1
+            no_candidate = r["reason"] in NO_CANDIDATE.values()
+            scored = r["reason"] in ("score_up", "accepted")
+            assert (r["verification"] is None) == (r["detail"] is not None) == no_candidate
+            assert (r["score"] is not None) == scored
+            if not no_candidate:
+                assert _failed_stage(r["verification"]) == (None if scored else r["reason"])
+    assert reasons["accepted"] and reasons.keys() <= {*NO_CANDIDATE.values(), *STAGES, "score_up", "accepted"}

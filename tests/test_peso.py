@@ -122,8 +122,8 @@ def test_gain_update_failed_verification_changes_nothing():
 
 def test_gain_ledger_overwrite_is_memoryless():
     """The ledger a record's probabilities read holds, for each category,
-    the gain of its latest init or main attempt (skipped, rejected or
-    accepted) and 0.0 before any: the renames never write it."""
+    the gain of its latest init or main attempt (without a candidate,
+    rejected or accepted) and 0.0 before any: the renames never write it."""
     config = PesoConfig(rng_seed=1)
     original = next(s for s, _ in load_fixture_corpus() if s.id == "classify.py")
     records = run(original, rule_engine_apply, CATALOG, config, verify).records
@@ -132,11 +132,11 @@ def test_gain_ledger_overwrite_is_memoryless():
         if record.phase == "rename":
             renamed_gain |= record.og > 0
         else:
-            overwrote |= ledger[record.category.index] > 0 and "skipped" in record.verification
+            overwrote |= ledger[record.category.index] > 0 and record.verification is None
             ledger[record.category.index] = record.og
         assert record.probabilities == boltzmann_probabilities(ledger, config.temperature)
     # The run holds the cases that tell the rule from its near misses: a
-    # rename with a gain, and a skipped attempt that clears a positive gain.
+    # rename with a gain, and an attempt without a candidate that clears a positive gain.
     assert renamed_gain and overwrote
 
 
@@ -154,7 +154,7 @@ def test_initialize_trace_prefix_order():
 def test_initialize_all_failures_zero_gains():
     config = PesoConfig(rng_seed=1)
     result = run(sample(), MarkerEngine(), CATALOG, config, make_verifier(False), noisy_scorer)
-    assert all(r.og == 0.0 and not r.accepted for r in result.records)
+    assert all(r.og == 0.0 and r.reason != "accepted" for r in result.records)
     assert {r.probabilities for r in result.records} == {boltzmann_probabilities([0.0] * 6, config.temperature)}
     assert result.summary.final_ss == 1.0
     assert result.final.text == sample().text
@@ -235,7 +235,7 @@ def test_run_mss_sequence_non_increasing():
     for seed in range(10):
         cfg = PesoConfig(rng_seed=seed)
         result = run(sample(), MarkerEngine(), CATALOG, cfg, make_verifier(), noisy_scorer)
-        accepted = [r.score.ss for r in result.records if r.accepted]
+        accepted = [r.score.ss for r in result.records if r.reason == "accepted"]
         assert accepted == sorted(accepted, reverse=True)
 
 
@@ -331,7 +331,7 @@ def test_run_with_real_engine_and_scorer():
     assert result.final.text != REAL_SRC
     rescored = score_pair(original, result.final, cfg)
     assert abs(rescored.ss - result.summary.final_ss) < 1e-12
-    accepted = [r.score.ss for r in result.records if r.accepted]
+    accepted = [r.score.ss for r in result.records if r.reason == "accepted"]
     assert accepted == sorted(accepted, reverse=True)
     assert result.summary.methods_applied
     assert result.summary.function_map
@@ -346,7 +346,7 @@ def test_the_optimizer_lexes_each_accepted_text_for_functions_once(monkeypatch):
     cfg = PesoConfig(rng_seed=13, max_iter=5, ss_threshold=0.2)
     original = CodeSample(id="real.py", language=Language.PYTHON, text=REAL_SRC)
     result = run(original, rule_engine_apply, CATALOG, cfg, verify)
-    accepted = [r for r in result.records if r.accepted]
+    accepted = [r for r in result.records if r.reason == "accepted"]
     assert len(accepted) >= 2
     # One call for the original, then one per acceptance (the accepted text).
     assert len(calls) == 1 + len(accepted)
@@ -426,9 +426,9 @@ def test_peso_run_parses_each_python_text_once(monkeypatch, rejecting):
     result = run(sample(text, sid="large.py"), rule_engine_apply, CATALOG, config,
                  verify, _every_other_rejected(config) if rejecting else None)
     monkeypatch.undo()
-    verified = [r for r in result.records if r.verified]
-    assert len(verified) >= 5 and any(r.accepted for r in verified)
-    assert rejecting == any(not r.accepted for r in verified)
+    verified = [r for r in result.records if r.reason in ("score_up", "accepted")]
+    assert len(verified) >= 5 and any(r.reason == "accepted" for r in verified)
+    assert rejecting == any(r.reason == "score_up" for r in verified)
     assert {t: n for t, n in parses.items() if n > 1} == {}
     assert parses[text] == 1
     candidates = [c for c in viewed if c != text]

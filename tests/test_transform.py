@@ -339,6 +339,19 @@ def test_an_if_with_an_init_statement_is_not_rewritten(mid):
         rule_engine_apply(sample(CPP17_IF_SRC, Language.C_CPP), method(mid), seed=0)
 
 
+# An else-if whose body is one statement without braces.
+BRACELESS_ELSE_IF_SRC = "int f(int a, int b) {\n    if (a) {\n        a = 2;\n    } else if (b) return 1;\n    return 0;\n}\n"
+
+
+@pytest.mark.parametrize("tail", [
+    "",  # the chain's walk ran off the end of the text
+    "\nint g(void) {\n    return 3;\n}\n",  # the walk took g's body as the chain's, and nested g in f
+], ids=["last-function", "function-after"])
+def test_an_else_if_chain_with_a_braceless_body_is_no_site(tail):
+    with pytest.raises(NotApplicable):
+        rule_engine_apply(sample(BRACELESS_ELSE_IF_SRC + tail, Language.C_CPP), method("div_if_else"), seed=0)
+
+
 def _locals_src(lang, n):
     total = " + ".join(f"v{i}" for i in range(n))
     if lang is Language.C_CPP:
